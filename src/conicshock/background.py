@@ -17,14 +17,13 @@ used downstream (potential offsets, straightened-coordinate profiles).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.optimize import brentq
 
-from .gas import GasParams, enthalpy, sound_speed
+from .gas import GasParams, sound_speed
 
 __all__ = [
     "ShockJump",
@@ -32,6 +31,7 @@ __all__ = [
     "AsymptoticsReport",
     "BracketError",
     "DenominatorSignError",
+    "check_n",
     "shock_jump_from_speed",
     "solve_background",
     "extend_background",
@@ -46,6 +46,12 @@ class BracketError(RuntimeError):
 
 class DenominatorSignError(RuntimeError):
     """The ODE denominator (s-u)^2 - c^2 lost its negative sign."""
+
+
+def check_n(n: int) -> None:
+    """Raise ValueError unless the space dimension n is 2 or 3."""
+    if n not in (2, 3):
+        raise ValueError(f"dimension n must be 2 or 3, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +106,7 @@ def shock_jump_from_speed(s0: float, gas: GasParams) -> ShockJump:
             break
         hi *= 2.0
     else:
-        raise RuntimeError("failed to bracket post-shock density")
+        raise BracketError(f"failed to bracket the post-shock density for s0 = {s0}")
     rho_plus = brentq(f, lo, hi, rtol=8.9e-16, maxiter=200)
 
     u_plus = s0 * (1.0 - gas.rho0 / rho_plus)
@@ -243,8 +249,7 @@ class SelfSimilarSolution:
     @property
     def drho(self) -> np.ndarray:
         """rho'(s) from the ODE right-hand side (no finite differencing)."""
-        den = self.w ** 2 - self.csq
-        return -(self.n - 1) * self.w * self.rho * self.u / (self.s * den)
+        return _rhs(self.s, self.rho, self.w, self.gas, self.n)[0]
 
     @property
     def du(self) -> np.ndarray:
@@ -265,17 +270,6 @@ class SelfSimilarSolution:
         q -= q[self.i1]
         self.q = q
 
-    # -- export -------------------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["s", "rho", "u", "phi"])
-            for row in zip(self.s, self.rho, self.u, self.phi):
-                wr.writerow([repr(float(v)) for v in row])
-
     def summary(self) -> dict:
         j = self.jump
         return {
@@ -289,10 +283,6 @@ class SelfSimilarSolution:
             "u_plus": j.u_plus,
             "tau0": self.tau0,
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +302,7 @@ def solve_background(
     bisects the stand-off distance ``delta = s0 - b0`` until the abscissa
     where ``u = s`` coincides with ``b0``.
     """
-    if n not in (2, 3):
-        raise ValueError("n must be 2 or 3")
+    check_n(n)
     c0 = float(sound_speed(gas.rho0, gas))
     if b0 <= c0:
         raise BracketError(f"piston speed {b0} not supersonic (c0 = {c0}); no shock bracket")
@@ -329,9 +318,9 @@ def solve_background(
             f"no shooting bracket for b0={b0}: mismatch at endpoints ({g_lo:.3e}, {g_hi:.3e})"
         )
 
-    for _ in range(300):
-        if hi - lo <= 1e-12 * hi:
-            break
+    # each pass halves the width, 2 b0 at the start, and hi stays above
+    # 16 eps b0, so the width falls below 1e-12 hi within 89 passes
+    while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         if _piston_offset(mid, b0, gas, n, shoot_steps) < 0.0:
             lo = mid
@@ -357,7 +346,7 @@ def solve_background(
         s_off=s_off, rho=rho, w=w, i0=0, i1=N - 1,
     )
     if abs(sol.w[0]) > 1e-9 * b0:
-        raise RuntimeError(
+        raise BracketError(
             f"piston condition missed: |u(b0) - b0| = {abs(sol.w[0]):.3e} > 1e-9*b0"
         )
     return sol
@@ -427,11 +416,7 @@ def ode_residual(sol: SelfSimilarSolution, lo: int = None, hi: int = None) -> fl
     d = slice(2, -2)
     drho_fd = (-rho[4:] + 8 * rho[3:-1] - 8 * rho[1:-3] + rho[:-4]) / (12 * h)
     dw_fd = (-w[4:] + 8 * w[3:-1] - 8 * w[1:-3] + w[:-4]) / (12 * h)
-    csq = sol.gas.A * sol.gas.gamma * rho[d] ** (sol.gas.gamma - 1.0)
-    den = w[d] ** 2 - csq
-    u = s[d] + w[d]
-    drho_rhs = -(sol.n - 1) * w[d] * rho[d] * u / (s[d] * den)
-    dw_rhs = (sol.n - 1) * csq * u / (s[d] * den) - 1.0
+    drho_rhs, dw_rhs, _ = _rhs(s[d], rho[d], w[d], sol.gas, sol.n)
     r1 = np.max(np.abs(drho_fd - drho_rhs)) / max(np.max(np.abs(rho)), 1.0)
     r2 = np.max(np.abs(dw_fd - dw_rhs))
     return float(max(r1, r2)) / sol.b0
@@ -492,9 +477,12 @@ def _deviations(sol: SelfSimilarSolution) -> dict:
     }
 
 
-def asymptotic_report(b0_list, gas: GasParams, n: int = 3, grid_size: int = 2048) -> AsymptoticsReport:
-    """Solve at each b0 and measure how fast the profile approaches its
-    large-b0 leading orders; fit the decay slope on a log-log scale.
+def asymptotic_report(sols) -> AsymptoticsReport:
+    """Measure how fast solved profiles approach their large-b0 leading
+    orders; fit the decay slope on a log-log scale.
+
+    ``sols`` are profiles of one gas and dimension, in the order their
+    piston speeds are reported.
 
     ``expected_slope`` is the bulk rate -min(2/(gamma-1), 2), followed by
     the ratio items set by the ambient sound speed (``density``,
@@ -505,11 +493,14 @@ def asymptotic_report(b0_list, gas: GasParams, n: int = 3, grid_size: int = 2048
     gamma = 1.4, where the bulk rate is -2).  The density-derivative item
     records magnitude only (expected slope -1 for sup|rho'| itself).
     """
-    b0_list = list(b0_list)
+    sols = list(sols)
+    gas, n = sols[0].gas, sols[0].n
+    if any(sol.gas != gas or sol.n != n for sol in sols):
+        raise ValueError("profiles of different gases or dimensions")
+    b0_list = [sol.b0 for sol in sols]
     devs = {k: [] for k in ASYMPTOTIC_ITEMS}
     den_neg = True
-    for b0 in b0_list:
-        sol = solve_background(b0, gas, n=n, grid_size=grid_size)
+    for sol in sols:
         d = _deviations(sol)
         for k in ASYMPTOTIC_ITEMS:
             devs[k].append(d[k])

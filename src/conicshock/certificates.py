@@ -26,12 +26,11 @@ conditions are meaningful.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .background import SelfSimilarSolution, solve_background
+from .background import SelfSimilarSolution, check_n, solve_background
 from .gas import GasParams, enthalpy
 
 
@@ -44,11 +43,6 @@ class DegenerateShockError(RuntimeError):
 # closed-form constants: decay exponent, mu-window, tilt constant
 # ---------------------------------------------------------------------------
 
-def _check_n(n: int) -> None:
-    if n not in (2, 3):
-        raise ValueError(f"dimension n must be 2 or 3, got {n}")
-
-
 def decay_exponent(n: int, gamma: float) -> float:
     """Supremum of certified decay rates m0 for the perturbation potential.
 
@@ -56,7 +50,7 @@ def decay_exponent(n: int, gamma: float) -> float:
     m0 < 5/4 - sqrt((gamma+1)/2)/4 in dimension 2 and
     m0 < 3/2 - sqrt((gamma+7)/2)/4 in dimension 3.
     """
-    _check_n(n)
+    check_n(n)
     if n == 2:
         return 1.25 - 0.25 * np.sqrt((gamma + 1.0) / 2.0)
     return 1.5 - 0.25 * np.sqrt((gamma + 7.0) / 2.0)
@@ -82,7 +76,7 @@ def admissible_mu(n: int, gamma: float) -> MuWindow:
 
     n=3: (-4, -1 - sqrt((gamma+7)/2)/2);  n=2: (-3, -1/2 - sqrt((gamma+1)/2)/2).
     """
-    _check_n(n)
+    check_n(n)
     if n == 2:
         return MuWindow(-3.0, -0.5 - 0.5 * np.sqrt((gamma + 1.0) / 2.0))
     return MuWindow(-4.0, -1.0 - 0.5 * np.sqrt((gamma + 7.0) / 2.0))
@@ -95,7 +89,7 @@ def multiplier_e(n: int, gamma: float) -> float:
     The tilt makes the bulk quadratic form strictly definite inside the
     mu-window.
     """
-    _check_n(n)
+    check_n(n)
     if n == 2:
         return 0.5 * np.sqrt((gamma + 1.0) / 2.0) - 0.5
     return 0.5 * np.sqrt((gamma + 7.0) / 2.0) - 1.0
@@ -108,7 +102,7 @@ def symbolic_conditions(n: int, gamma: float, mu: float, e: float) -> dict:
     n=3: 2+e-mu > 0, 2+e+mu < 0, gamma+7-2(e-mu)^2 < 0; for n=2 the same
     with 2 -> 1 and gamma+7 -> gamma+1.
     """
-    _check_n(n)
+    check_n(n)
     base = 2.0 if n == 3 else 1.0
     gshift = 7.0 if n == 3 else 1.0
     return {
@@ -415,10 +409,6 @@ class MultiplierCertificate:
             }
         return out
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-
 
 def _k_samples(pc: PCoeffs, choice: MultiplierChoice, t: float = 1.0):
     """Pointwise divergence coefficients of the multiplier energy identity.
@@ -524,7 +514,7 @@ def K_coeffs(sol: SelfSimilarSolution, choice: MultiplierChoice,
 def certify(n: int, gamma: float, b0: float, mu: float,
             gas: GasParams | None = None, grid_size: int = 1024) -> MultiplierCertificate:
     """Solve the background and run the complete multiplier certificate."""
-    _check_n(n)
+    check_n(n)
     if gas is None:
         gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
     elif gas.gamma != gamma:

@@ -18,7 +18,7 @@ simply pass zeros there.  Evaluations are pure functions of the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -77,9 +77,14 @@ class HodographState:
 
 
 def a_coeffs(st: HodographState):
-    """First-layer coefficients (a0, a1, a2, a3, a4[3]) of the transform."""
-    den = st.psi + (st.R - 1.0) * st.dRpsi
-    if np.any(np.abs(den) < 1e-14):
+    """First-layer coefficients (a0, a1, a2, a3, a4[3]) of the transform.
+
+    The state is singular where psi and (R-1) dRpsi cancel; the guard is
+    relative to their size, so it does not depend on the speed unit.
+    """
+    span = (st.R - 1.0) * st.dRpsi
+    den = st.psi + span
+    if np.any(np.abs(den) <= 1e-12 * (np.abs(st.psi) + np.abs(span))):
         raise ZeroDivisionError("singular state: psi + (R-1)*dRpsi ~ 0")
     a0 = st.b + (st.R - 1.0) * st.psi
     a1 = 1.0 / den
@@ -295,6 +300,8 @@ class PsiHat:
 
 
 def _fd_derivative(y: np.ndarray, h: float) -> np.ndarray:
+    """Second-order first derivative on a uniform grid: centred inside,
+    one-sided at the ends."""
     d = np.empty_like(y)
     d[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
     d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
@@ -322,7 +329,6 @@ def psi_hat_from_background(sol: SelfSimilarSolution, n_points: int = 129) -> Ps
     psi_s = sol.delta + sol.q[sl] / sol.b0
     if np.any(psi_s <= 0.0):
         raise ValueError("straightened profile not positive; corrupted background")
-    R_s = np.empty_like(psi_s)
     R_s = s_off / psi_s + 1.0
     if np.any(np.diff(R_s) <= 0.0):
         raise ValueError("non-monotone R(s); corrupted background")
@@ -370,15 +376,11 @@ def profile_ode_residual(ph: PsiHat) -> float:
 def shock_row_residual(ph: PsiHat) -> float:
     """Residual of the shock-side boundary row of the profile problem.
 
-    H psi - (1/b0)(H - rho0)(psi + psi'(2))(b0 + psi) = 0 at R = 2,
+    G = H psi - (1/b0)(H - rho0)(psi + psi'(2))(b0 + psi) = 0 at R = 2,
     normalized by H * psi.
     """
-    cs = second_order_coeffs(ph.states(-1), ph.gas, ph.b0)
-    H = cs.H
-    val = H * ph.psi[-1] - (H - ph.gas.rho0) / ph.b0 * (ph.psi[-1] + ph.dpsi[-1]) * (
-        ph.b0 + ph.psi[-1]
-    )
-    return float(abs(val) / (H * ph.psi[-1]))
+    G, pref = _shock_row(ph)
+    return float(abs(G(ph.states(-1))) / (pref["H"] * ph.psi[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +434,44 @@ def _directional(f, st: HodographState, slot: str, step: float):
     return (f(up) - f(dn)) / (2.0 * step)
 
 
+def _shock_row(ph: PsiHat, T: float = 1.0):
+    """The mass row G = H psi - (H - rho0) sigma/(b0 a1), sigma = T dTa0 + a0,
+    at the shock R = 2 as a function of the state, and at the background
+    the density H = enthalpy_inverse(bernoulli_argument) and, with
+    D0 = psi - sigma/(b0 a1), the prefactors
+
+        B20    = -(H - rho0)/(b0 a1) + D0 dH/d(dTpsi) / T,
+        B21    = -(H - rho0) sigma/b0 + D0 dH/d(dRpsi),
+        CalB21 = -(H - rho0) psi/b0 + D0 dH/d(dRpsi).
+
+    The H-derivatives are centred differences with step 1e-5 psi.
+    """
+    gas, b0 = ph.gas, ph.b0
+
+    def H(st):
+        return enthalpy_inverse(bernoulli_argument(st, gas, b0, T), gas)
+
+    def G(st):
+        a0, a1 = a_coeffs(st)[:2]
+        Hs = H(st)
+        return Hs * st.psi - (Hs - gas.rho0) / (b0 * a1) * (T * _dTa0(st) + a0)
+
+    st2 = ph.states(-1)
+    psi2 = ph.psi[-1]
+    a0, a1 = a_coeffs(st2)[:2]
+    H2 = H(st2)
+    sigma = T * _dTa0(st2) + a0
+    D0 = psi2 - sigma / (b0 * a1)
+    dH_dT = _directional(H, st2, "dTpsi", 1e-5 * psi2)
+    dH_dR = _directional(H, st2, "dRpsi", 1e-5 * psi2)
+    return G, {
+        "H": H2,
+        "B20": float(-(H2 - gas.rho0) / (b0 * a1) + D0 * dH_dT / T),
+        "B21": float(-(H2 - gas.rho0) * sigma / b0 + D0 * dH_dR),
+        "CalB21": float(-psi2 / b0 * (H2 - gas.rho0) + D0 * dH_dR),
+    }
+
+
 @dataclass
 class BoundarySignReport:
     """Signs of the layer-k boundary/zeroth-order coefficients at the
@@ -451,6 +491,9 @@ class BoundarySignReport:
     layer k = n - 1 on; at k = n - 2 it vanishes at leading order, below
     the resolution of the centered differences.  ``passed`` gates D22_k
     for k >= n - 1 only.
+
+    B21 is the closed form of D21 = dG/d(dRpsi), G the mass row, since
+    1/a1 = psi + (R-1) dRpsi; B20 equals StabilityReport.CalB20.
     """
 
     k_values: list
@@ -483,15 +526,6 @@ def boundary_signs(sol: SelfSimilarSolution, k_max: int = 3, n_points: int = 129
         cs = second_order_coeffs(stv, gas, b0, T)
         return d2psi * cs.A4_1 + cs.A7_1 + (d2psi * cs.A4_2 + cs.A7_2) / T
 
-    def shock_row(stv):
-        a0, a1, a2, a3, a4 = a_coeffs(stv)
-        cs = second_order_coeffs(stv, gas, b0, T)
-        dTa0 = _dTa0(stv)
-        return cs.H * stv.psi - (cs.H - gas.rho0) / (b0 * a1) * (T * dTa0 + a0)
-
-    def Hval(stv):
-        return enthalpy_inverse(bernoulli_argument(stv, gas, b0, T), gas)
-
     st_all = ph.states()
     step = 1e-5 * ph.psi
 
@@ -510,6 +544,7 @@ def boundary_signs(sol: SelfSimilarSolution, k_max: int = 3, n_points: int = 129
 
     st2 = ph.states(-1)
     step2 = 1e-5 * ph.psi[-1]
+    shock_row, pref = _shock_row(ph, T)
     d_dR = _directional(shock_row, st2, "dRpsi", step2)
     d_psi = _directional(shock_row, st2, "psi", step2)
     d_dT = _directional(shock_row, st2, "dTpsi", step2)
@@ -518,14 +553,7 @@ def boundary_signs(sol: SelfSimilarSolution, k_max: int = 3, n_points: int = 129
         D22[k] = float(d_psi + k * d_dT / T)
 
     # shock-side stability prefactors, exact expressions at the background
-    a0, a1, a2, a3, a4 = a_coeffs(st2)
-    H2 = Hval(st2)
-    dTa0 = _dTa0(st2)
-    D0 = ph.psi[-1] - (T * dTa0 + a0) / (b0 * a1)
-    dH_dT = _directional(Hval, st2, "dTpsi", step2)
-    dH_dR = _directional(Hval, st2, "dRpsi", step2)
-    B20 = float(-(H2 - gas.rho0) / (b0 * a1) + D0 * dH_dT / T)
-    B21 = float(-(H2 - gas.rho0) * (T * dTa0 + a0) / b0 + D0 * dH_dR)
+    B20, B21 = pref["B20"], pref["B21"]
     B22 = np.zeros(3)  # all angular inputs vanish on radial states
 
     passed = (
@@ -551,7 +579,13 @@ def boundary_signs(sol: SelfSimilarSolution, k_max: int = 3, n_points: int = 129
 class StabilityReport:
     """First-order symbol data of the evolution form of the problem and the
     shock-side local stability checks (transversality, time-like direction,
-    positivity of the boundary quadratic form)."""
+    positivity of the boundary quadratic form).
+
+    CalB20 and CalB21 are the shock-row prefactors of the evolution form.
+    CalB21 weights H - rho0 by psi where BoundarySignReport.B21 =
+    dG/d(dRpsi) weights it by a0 = b0 + psi, so CalB21 = B21 + (H - rho0),
+    H the density at R = 2.
+    """
 
     R: np.ndarray
     CalA1: np.ndarray
@@ -573,6 +607,12 @@ class StabilityReport:
     quad_form_positive: bool
     cross_terms: float           # sum |B22| + |A5| at R=2 (zero radially)
     neumann_residuals: tuple     # |A2|, |A4 + B11|, max|A5 + B12| at R=1
+
+    @property
+    def passed(self) -> bool:
+        """All shock-side checks hold and the piston row is Neumann."""
+        return (self.transversal and self.timelike and self.quad_form_positive
+                and max(self.neumann_residuals) < 1e-10)
 
 
 def local_stability(sol: SelfSimilarSolution, n_points: int = 129) -> StabilityReport:
@@ -607,20 +647,8 @@ def local_stability(sol: SelfSimilarSolution, n_points: int = 129) -> StabilityR
     CalB12 = np.zeros(3)
 
     # shock row prefactors at R = 2
-    st2 = ph.states(-1)
-    a0, a1, a2, a3, a4 = a_coeffs(st2)
-    step2 = 1e-5 * ph.psi[-1]
-
-    def Hval(s):
-        return enthalpy_inverse(bernoulli_argument(s, gas, b0, T), gas)
-
-    H2 = Hval(st2)
-    dTa0 = _dTa0(st2)
-    D0 = ph.psi[-1] - (T * dTa0 + a0) / (b0 * a1)
-    dH_dT = _directional(Hval, st2, "dTpsi", step2)
-    dH_dR = _directional(Hval, st2, "dRpsi", step2)
-    CalB20 = float(-(H2 - gas.rho0) / (b0 * a1) + D0 * dH_dT / T)
-    CalB21 = float(-ph.psi[-1] / b0 * (H2 - gas.rho0) + D0 * dH_dR)
+    pref = _shock_row(ph, T)[1]
+    CalB20, CalB21 = pref["B20"], pref["CalB21"]
     CalB22 = np.zeros(3)
 
     delta0 = (gas.gamma - 1.0) * (ph.delta / b0) ** 2 / 4.0
@@ -658,23 +686,3 @@ def local_stability(sol: SelfSimilarSolution, n_points: int = 129) -> StabilityR
         quad_form=quad, quad_form_positive=bool(quad > delta0),
         cross_terms=cross, neumann_residuals=neum,
     )
-
-
-def coeff_table_csv(sol: SelfSimilarSolution, path, n_points: int = 65) -> None:
-    """Export the radial coefficient families keyed by R as CSV."""
-    import csv
-
-    ph = psi_hat_from_background(sol, n_points)
-    cs = second_order_coeffs(ph.states(), ph.gas, ph.b0)
-    cols = {
-        "R": ph.R, "psi": ph.psi, "dpsi": ph.dpsi,
-        "A0": cs.A0, "H": cs.H, "csq": cs.csq,
-        "A1_0": cs.A1_0 * np.ones_like(ph.R), "A2_1": cs.A2_1,
-        "A4_1": cs.A4_1, "A4_2": cs.A4_2, "A6_2_11": cs.A6_2[0, 0],
-        "A7_1": cs.A7_1, "A7_2": cs.A7_2,
-    }
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(cols.keys())
-        for row in zip(*cols.values()):
-            wr.writerow([repr(float(v)) for v in row])

@@ -24,7 +24,6 @@ from recorded deviation series.
 
 from __future__ import annotations
 
-import json
 import math
 import time as _time
 from dataclasses import dataclass, field
@@ -34,8 +33,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
-from .background import SelfSimilarSolution, solve_background
+from .background import SelfSimilarSolution, check_n, solve_background
 from .gas import GasParams, density_from_state
+from .hodograph import _fd_derivative
 
 
 class SimulationError(RuntimeError):
@@ -72,8 +72,7 @@ class SimConfig:
     dh: Callable = _default_dh
 
     def __post_init__(self):
-        if self.n not in (2, 3):
-            raise ValueError("dimension n must be 2 or 3")
+        check_n(self.n)
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
         if not 0.0 < self.cfl < 1.0:
@@ -270,15 +269,6 @@ def init_from_background(sol: SelfSimilarSolution, config: SimConfig) -> SimStat
 # stepping
 # ---------------------------------------------------------------------------
 
-def _dy_centered(f, dy):
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dy)
-    # 2nd-order one-sided stencils at the walls
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dy)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dy)
-    return out
-
-
 def shock_speed(v, w, gas: GasParams):
     """Radial Rankine-Hugoniot shock velocity H w / (H - rho0) from the
     boundary state; raises on entropy violation H <= rho0."""
@@ -304,8 +294,8 @@ def _rates(t, sigma, zeta, y, v, w, phi, config: SimConfig):
     sdot = config.dsigma(t)
     V = sdot + y * (zdot - sdot)      # grid node velocity
 
-    dv = _dy_centered(v, dy)
-    dw = _dy_centered(w, dy)
+    dv = _fd_derivative(v, dy)
+    dw = _fd_derivative(w, dy)
     v_t = ((V - 2.0 * w) * dv - (w ** 2 - csq) * dw) / L + csq * (config.n - 1) * w / r
     w_t = (dv + V * dw) / L
     phi_t = v + w * V
@@ -320,7 +310,8 @@ def _sound(v, w, gas: GasParams):
 def _apply_bcs(t, v, w, config: SimConfig):
     """Impose the wall and shock conditions by correcting the boundary state
     along the incoming characteristic direction (dv, dw) = (-(w -+ c), 1),
-    which leaves the outgoing Riemann combination untouched.
+    which leaves the outgoing Riemann combination untouched.  Raises
+    SimulationError if the Newton solve at the shock does not converge.
     """
     gas = config.gas
     # piston: prescribe w = dsigma/dt along the (w + c)-characteristic
@@ -345,11 +336,17 @@ def _apply_bcs(t, v, w, config: SimConfig):
     h = 1e-8 * max(1.0, abs(w1))
     for _ in range(12):
         dg = (g(alpha + h) - ga) / h
-        step_a = -ga / dg
-        alpha += step_a
+        if dg == 0.0:
+            raise SimulationError(
+                f"shock closure at t={t}: flat Newton derivative, residual {float(ga)!r}")
+        alpha -= ga / dg
         ga = g(alpha)
         if abs(ga) < 1e-12 * max(1.0, abs(v1)):
             break
+    else:
+        raise SimulationError(
+            f"shock closure at t={t} did not converge: residual {float(ga)!r} "
+            "after 12 Newton iterations")
     v[-1] = v1 - slope * alpha
     w[-1] = w1 + alpha
 
@@ -359,8 +356,7 @@ def _cfl_dt(state: SimState, config: SimConfig) -> float:
     gas = config.gas
     t, y = state.t, state.y
     dy = y[1] - y[0]
-    rho = state.density(gas)
-    c = np.sqrt(gas.A * gas.gamma * rho ** (gas.gamma - 1.0))
+    c = _sound(state.v, state.w, gas)
     zdot, _ = shock_speed(state.v[-1], state.w[-1], gas)
     sdot = config.dsigma(t)
     V = sdot + y * (zdot - sdot)
@@ -470,7 +466,7 @@ class SelfSimilarStepper:
         zdot, _ = shock_speed(self.v[-1], self.w[-1], config.gas)
         self.q = zdot - config.dsigma(state.t)
         self._prev = None       # (dtau, v, w, ell, phi) one step back
-        # centred first-derivative stencil of _dy_centered as (row, col,
+        # centred first-derivative stencil of _fd_derivative as (row, col,
         # weight) triplets, followed by one diagonal triplet per node
         i = np.arange(1, m - 1)
         nodes = np.arange(m)
@@ -502,8 +498,8 @@ class SelfSimilarStepper:
         V = sdot + y * q
         rr = config.b(t) + y * ell          # r/t
         dy = y[1] - y[0]
-        dv = _dy_centered(v, dy)
-        dw = _dy_centered(w, dy)
+        dv = _fd_derivative(v, dy)
+        dw = _fd_derivative(w, dy)
         flux = (V - 2.0 * w) * dv - (w * w - csq) * dw
         src = (config.n - 1) * csq * w / rr
         Fw = (dv + V * dw) / ell
@@ -644,17 +640,6 @@ class SimResult:
     def zeta_dev(self) -> np.ndarray:
         return np.abs(self.zeta / self.t - self.s0)
 
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "zeta", "sigma", "sup_dev", "rh_residual",
-                         "entropy_margin"])
-            for row in zip(self.t, self.zeta, self.sigma, self.sup_dev,
-                           self.rh_residual, self.entropy_margin):
-                wr.writerow([repr(float(x)) for x in row])
-
     def summary(self) -> dict:
         return {
             "n": self.config.n,
@@ -672,10 +657,6 @@ class SimResult:
             "max_mass_residual": float(np.max(self.mass_residual[1:]))
             if len(self.mass_residual) > 1 else 0.0,
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
 
 
 def _mass_integral(state: SimState, gas: GasParams, n: int) -> float:

@@ -54,8 +54,8 @@ def sol80(sweep_sols):
 
 
 @pytest.fixture(scope="module")
-def asym():
-    return asymptotic_report(list(B0_SWEEP), GAS14, n=3)
+def asym(sweep_sols):
+    return asymptotic_report([sweep_sols[b0] for b0 in B0_SWEEP])
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,11 @@ class TestShockJump:
         with pytest.raises(ValueError):
             shock_jump_from_speed(0.9 * c0, GAS)
 
+    def test_unbracketable_speed(self):
+        # an infinite shock speed has no finite post-shock density
+        with pytest.raises(BracketError, match="post-shock density"):
+            shock_jump_from_speed(float("inf"), GAS)
+
     def test_weak_shock_limit(self):
         c0 = float(sound_speed(GAS.rho0, GAS))
         j = shock_jump_from_speed(c0 * (1 + 1e-6), GAS)
@@ -105,6 +110,13 @@ class TestSolveBackground:
         with pytest.raises(ValueError):
             solve_background(40.0, GAS, n=5)
 
+    def test_piston_condition_missed_on_coarse_grid(self):
+        # two RK4 steps across the thick gamma 2.5 layer miss u(b0) = b0 by
+        # about 2e-6 b0, far above the 1e-9 b0 the final pass allows
+        gas = GasParams(A=1.0, gamma=2.5, rho0=1.0)
+        with pytest.raises(BracketError, match="piston condition missed"):
+            solve_background(4.0, gas, n=3, grid_size=3)
+
     def test_residual_fourth_order(self):
         # halving the step must shrink the ODE residual by >= 8 (4th-order
         # contract); run at a moderate case where truncation dominates
@@ -167,7 +179,8 @@ class TestExtension:
 
 @pytest.fixture(scope="module")
 def report():
-    return asymptotic_report([10.0, 20.0, 40.0, 80.0], GAS, n=3, grid_size=512)
+    return asymptotic_report([solve_background(b0, GAS, n=3, grid_size=512)
+                              for b0 in (10.0, 20.0, 40.0, 80.0)])
 
 
 class TestAsymptotics:

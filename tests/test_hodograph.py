@@ -13,7 +13,6 @@ from conicshock.hodograph import (
     bernoulli_argument,
     boundary_signs,
     check_ellipticity,
-    coeff_table_csv,
     local_stability,
     profile_ode_residual,
     psi_hat_from_background,
@@ -330,7 +329,7 @@ class TestLocalStability:
             assert r < 1e-10
 
 
-@pytest.mark.parametrize("gamma", (1.4, 2.0))
+@pytest.mark.parametrize("gamma", (1.2, 1.4, 2.0))
 def test_local_stability_independent_of_speed_unit(gamma):
     # (b0, A) -> (lam b0, lam^2 A) rescales every speed by lam at the same
     # Mach number; the report has no unit, so nothing may change
@@ -350,17 +349,19 @@ def test_local_stability_independent_of_speed_unit(gamma):
 
 
 # ---------------------------------------------------------------------------
-# export
+# the two shock-row gradient prefactors
 # ---------------------------------------------------------------------------
 
-def test_coeff_table_csv(tmp_path, sol80):
-    p1 = tmp_path / "a.csv"
-    p2 = tmp_path / "b.csv"
-    coeff_table_csv(sol80, p1, n_points=17)
-    coeff_table_csv(sol80, p2, n_points=17)
-    assert p1.read_bytes() == p2.read_bytes()
-    rows = p1.read_text().strip().splitlines()
-    assert rows[0].split(",")[0] == "R"
-    assert len(rows) == 18
-    first = [float(x) for x in rows[1].split(",")]
-    assert first[0] == 1.0
+@pytest.mark.parametrize("gamma", (1.2, 1.4, 2.0))
+@pytest.mark.parametrize("b0", (10.0, 40.0, 80.0))
+def test_shock_row_gradient_prefactors(gamma, b0):
+    # B21 is the closed form of D21 = dG/d(dRpsi); CalB21 weights H - rho0
+    # by psi instead of a0 = b0 + psi, so the two differ by H - rho0
+    gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
+    sol = solve_background(b0, gas, n=3)
+    signs, stab = boundary_signs(sol), local_stability(sol)
+    ph = psi_hat_from_background(sol)
+    H = second_order_coeffs(ph.states(-1), gas, b0).H
+    assert stab.CalB21 - signs.B21 == pytest.approx(H - gas.rho0, rel=1e-12)
+    assert signs.B21 == pytest.approx(signs.D21[0], rel=1e-8)
+    assert signs.B20 == stab.CalB20

@@ -6,6 +6,7 @@ import pytest
 
 from conicshock import simulator
 from conicshock.background import solve_background
+from conicshock.cli import _write_csv, _write_json
 from conicshock.gas import GasParams
 from conicshock.simulator import (
     DecayFit,
@@ -144,6 +145,23 @@ class TestStep:
         with pytest.raises(SimulationError):
             step(st, cfg0, dt=-1.0)
 
+    def test_shock_closure_raises_without_convergence(self, sol, cfg0, monkeypatch):
+        # a NaN shock speed keeps the Newton residual NaN on every pass
+        st = init_from_background(sol, cfg0)
+        monkeypatch.setattr(simulator, "shock_speed",
+                            lambda v, w, gas: (float("nan"), 1.0))
+        with pytest.raises(SimulationError, match="did not converge: residual nan"):
+            simulator._apply_bcs(st.t, st.v.copy(), st.w.copy(), cfg0)
+
+    def test_shock_closure_raises_on_flat_derivative(self, sol, cfg0, monkeypatch):
+        # with c = w the correction leaves v alone, and with zeta' = 0 the
+        # residual v + zeta' w no longer depends on it
+        st = init_from_background(sol, cfg0)
+        monkeypatch.setattr(simulator, "_sound", lambda v, w, gas: w)
+        monkeypatch.setattr(simulator, "shock_speed", lambda v, w, gas: (0.0, 1.0))
+        with pytest.raises(SimulationError, match="flat Newton derivative"):
+            simulator._apply_bcs(st.t, st.v.copy(), st.w.copy(), cfg0)
+
 
 # ---------------------------------------------------------------------------
 # full runs
@@ -205,9 +223,11 @@ class TestRun:
         for k in (0, 1):
             res = run(cfg, sol=sol)
             p = tmp_path / f"run{k}.csv"
-            res.to_csv(p)
+            _write_csv(p, {"t": res.t, "zeta": res.zeta, "sigma": res.sigma,
+                           "sup_dev": res.sup_dev, "rh_residual": res.rh_residual,
+                           "entropy_margin": res.entropy_margin})
             paths.append(p.read_bytes())
-            res.to_json(tmp_path / f"run{k}.json")
+            _write_json(res.summary(), tmp_path / f"run{k}.json")
         assert paths[0] == paths[1]
         data = json.loads((tmp_path / "run0.json").read_text())
         assert data["completed"] is True
