@@ -162,7 +162,11 @@ def _cubic_event(xi_a, w_a, dw_a, xi_b, w_b, dw_b):
     return brentq(hermite, min(xi_a, xi_b), max(xi_a, xi_b), rtol=8.9e-16)
 
 
-def _piston_offset(delta: float, b0: float, gas: GasParams, n: int, steps: int) -> float:
+#: fixed RK4 steps of one shooting shot across [s0 - 2 delta, s0]
+SHOOT_STEPS = 512
+
+
+def _piston_offset(delta: float, b0: float, gas: GasParams, n: int) -> float:
     """Integrate down from the shock s0 = b0 + delta; return (event - b0).
 
     The event is the abscissa where u = s.  Works in the offset coordinate
@@ -176,9 +180,9 @@ def _piston_offset(delta: float, b0: float, gas: GasParams, n: int, steps: int) 
     # w at the shock from the mass jump: u+ - s0 = -s0 * rho0 / rho+
     w = -s0 * gas.rho0 / jump.rho_plus
     rho = jump.rho_plus
-    h = -2.0 * delta / steps
+    h = -2.0 * delta / SHOOT_STEPS
     xi = 0.0
-    for _ in range(steps):
+    for _ in range(SHOOT_STEPS):
         rho1, w1 = _rk4_step(s0 + xi, rho, w, h, gas, n)
         xi1 = xi + h
         if w1 >= 0.0:
@@ -294,7 +298,6 @@ def solve_background(
     gas: GasParams,
     n: int = 3,
     grid_size: int = 2048,
-    shoot_steps: int = 512,
 ) -> SelfSimilarSolution:
     """Solve the piston boundary-value problem by shooting on the shock speed.
 
@@ -311,8 +314,8 @@ def solve_background(
     # shock layers (stand-off many orders below b0) are still resolvable
     # because the shooting works in offset coordinates.
     lo, hi = 16.0 * np.finfo(float).eps * b0, 2.0 * b0
-    g_lo = _piston_offset(lo, b0, gas, n, shoot_steps)
-    g_hi = _piston_offset(hi, b0, gas, n, shoot_steps)
+    g_lo = _piston_offset(lo, b0, gas, n)
+    g_hi = _piston_offset(hi, b0, gas, n)
     if not (g_lo < 0.0 < g_hi):
         raise BracketError(
             f"no shooting bracket for b0={b0}: mismatch at endpoints ({g_lo:.3e}, {g_hi:.3e})"
@@ -322,7 +325,7 @@ def solve_background(
     # 16 eps b0, so the width falls below 1e-12 hi within 89 passes
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        if _piston_offset(mid, b0, gas, n, shoot_steps) < 0.0:
+        if _piston_offset(mid, b0, gas, n) < 0.0:
             lo = mid
         else:
             hi = mid

@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
@@ -94,25 +93,6 @@ def _output_dir(cli_value, cfg: dict) -> Path:
     return out
 
 
-def _gas(A: float, gamma: float, rho0: float) -> GasParams:
-    """Build gas parameters, mapping domain violations to usage errors."""
-    try:
-        return GasParams(A=A, gamma=gamma, rho0=rho0)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-def _check_n(n: int) -> None:
-    try:
-        check_n(n)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _write_json(obj, path: Path) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -127,56 +107,75 @@ def _write_csv(path: Path, columns: dict) -> None:
             wr.writerow([repr(float(v)) for v in row])
 
 
-@dataclass
-class RunManifest:
-    """Record of one CLI invocation: what ran, with which resolved
-    parameters and inputs, and the content hash of every artifact written."""
-
-    command: str
-    params: dict
-    inputs: list
-    output_dir: str
-    version: str = __version__
-    wall_clock: float = 0.0
-    artifacts: dict = field(default_factory=dict)
-
-    def add(self, path: Path) -> None:
-        self.artifacts[path.name] = _sha256(path)
-
-    def write(self, out: Path) -> Path:
-        path = out / "manifest.json"
-        _write_json(
-            {
-                "command": self.command,
-                "params": self.params,
-                "inputs": self.inputs,
-                "output_dir": self.output_dir,
-                "version": self.version,
-                "wall_clock": self.wall_clock,
-                "artifacts": self.artifacts,
-            },
-            path,
-        )
-        return path
-
-
 # ---------------------------------------------------------------------------
-# command group
+# command skeleton
 # ---------------------------------------------------------------------------
+
+#: options that are not floats; every other option is cast with float
+_CASTS = {"n": int, "grid_size": int, "grid_points": int, "mu": str}
+
+
+def _common_options(fn):
+    """Gas, dimension, config file and output directory: every command."""
+    for option in reversed((
+        click.option("--gamma", type=float, default=None, help="Adiabatic exponent."),
+        click.option("--A", "A", type=float, default=None, help="Pressure coefficient."),
+        click.option("--rho0", type=float, default=None, help="Ambient density."),
+        click.option("--n", type=int, default=None, help="Space dimension (2 or 3)."),
+        click.option("--config", "config_path",
+                     type=click.Path(exists=True, dir_okay=False), default=None,
+                     help="Key-value config file; flags override its entries."),
+        click.option("--output-dir", default=None,
+                     help=f"Artifact directory (overridden by ${OUTPUT_DIR_ENV})."),
+    )):
+        fn = option(fn)
+    return fn
+
+
+def _setup(config_path, output_dir, gamma, A, rho0, n, **flags):
+    """Shared set-up of a command.
+
+    Each keyword of ``flags`` is a (flag value, default) pair; it and the
+    gas and dimension options resolve as flag > config file > default.  A
+    command that takes a single ``b0`` requires it.  Returns the resolved
+    parameters, the gas, the output directory (created) and the input
+    files.
+    """
+    cfg = _load_config(config_path) if config_path else {}
+    flags.update(gamma=(gamma, 1.4), A=(A, 1.0), rho0=(rho0, 1.0), n=(n, 3))
+    params = {key: _resolve(value, cfg, key, _CASTS.get(key, float), default)
+              for key, (value, default) in flags.items()}
+    if "b0" in params and params["b0"] is None:
+        raise click.UsageError("--b0 is required (flag or config)")
+    try:
+        check_n(params["n"])
+        gas = GasParams(A=params["A"], gamma=params["gamma"], rho0=params["rho0"])
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    out = _output_dir(output_dir, cfg)
+    return params, gas, out, [config_path] if config_path else []
+
+
+def _finish(command: str, params: dict, inputs: list, out: Path,
+            artifacts: list, t_start: float) -> None:
+    """Write manifest.json: what ran, with which resolved parameters and
+    inputs, and the SHA-256 of every artifact written."""
+    _write_json({
+        "command": command,
+        "params": params,
+        "inputs": inputs,
+        "output_dir": str(out),
+        "version": __version__,
+        "wall_clock": time.perf_counter() - t_start,
+        "artifacts": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                      for p in artifacts},
+    }, out / "manifest.json")
+
 
 @click.group()
 @click.version_option(version=__version__)
 def main():
     """Numerical laboratory for conic piston-driven shock waves."""
-
-
-_config_option = click.option(
-    "--config", "config_path",
-    type=click.Path(exists=True, dir_okay=False),
-    default=None, help="Key-value config file; flags override its entries.")
-_output_option = click.option(
-    "--output-dir", default=None,
-    help=f"Artifact directory (overridden by ${OUTPUT_DIR_ENV}).")
 
 
 # ---------------------------------------------------------------------------
@@ -185,51 +184,24 @@ _output_option = click.option(
 
 @main.command()
 @click.option("--b0", type=float, default=None, help="Piston speed.")
-@click.option("--gamma", type=float, default=None, help="Adiabatic exponent.")
-@click.option("--A", "A", type=float, default=None, help="Pressure coefficient.")
-@click.option("--rho0", type=float, default=None, help="Ambient density.")
-@click.option("--n", type=int, default=None, help="Space dimension (2 or 3).")
 @click.option("--grid-size", type=int, default=None, help="Profile samples.")
-@_config_option
-@_output_option
-def background(b0, gamma, A, rho0, n, grid_size, config_path, output_dir):
+@_common_options
+def background(b0, grid_size, **common):
     """Solve the self-similar background and write profile CSV + summary."""
     t_start = time.perf_counter()
-    cfg = _load_config(config_path) if config_path else {}
-    b0 = _resolve(b0, cfg, "b0", float, None)
-    if b0 is None:
-        raise click.UsageError("--b0 is required (flag or config)")
-    gamma = _resolve(gamma, cfg, "gamma", float, 1.4)
-    A = _resolve(A, cfg, "A", float, 1.0)
-    rho0 = _resolve(rho0, cfg, "rho0", float, 1.0)
-    n = _resolve(n, cfg, "n", int, 3)
-    grid_size = _resolve(grid_size, cfg, "grid_size", int, 2048)
-    _check_n(n)
-    gas = _gas(A, gamma, rho0)
-    out = _output_dir(output_dir, cfg)
+    p, gas, out, inputs = _setup(b0=(b0, None), grid_size=(grid_size, 2048), **common)
 
     try:
-        sol = solve_background(b0, gas, n=n, grid_size=grid_size)
+        sol = solve_background(p["b0"], gas, n=p["n"], grid_size=p["grid_size"])
     except COMPUTATION_ERRORS as exc:
         raise click.ClickException(f"background solve failed: {exc}")
 
-    tag = f"b{b0:g}_g{gamma:g}_n{n}"
+    tag = f"b{p['b0']:g}_g{p['gamma']:g}_n{p['n']}"
     csv_path = out / f"background_{tag}.csv"
     json_path = out / f"background_{tag}.json"
     _write_csv(csv_path, {"s": sol.s, "rho": sol.rho, "u": sol.u, "phi": sol.phi})
     _write_json(sol.summary(), json_path)
-
-    manifest = RunManifest(
-        command="background",
-        params={"b0": b0, "gamma": gamma, "A": A, "rho0": rho0, "n": n,
-                "grid_size": grid_size},
-        inputs=[config_path] if config_path else [],
-        output_dir=str(out),
-    )
-    manifest.add(csv_path)
-    manifest.add(json_path)
-    manifest.wall_clock = time.perf_counter() - t_start
-    manifest.write(out)
+    _finish("background", p, inputs, out, [csv_path, json_path], t_start)
     click.echo(f"wrote {csv_path} and {json_path} (s0 = {float(sol.s0)!r})")
 
 
@@ -299,26 +271,26 @@ def _suite_asymptotics(sols) -> dict:
 
 def _suite_ellipticity(sols) -> dict:
     per_b0, passed = {}, True
-    for b0, sol in sols.items():
+    for sol in sols:
         rep = check_ellipticity(sol)
-        per_b0[f"{b0:g}"] = {"passed": rep.passed, "margin": float(rep.margin)}
-        if b0 >= ASYMPTOTIC_B0:
+        per_b0[f"{sol.b0:g}"] = {"passed": rep.passed, "margin": float(rep.margin)}
+        if sol.b0 >= ASYMPTOTIC_B0:
             passed = passed and rep.passed
     return {"passed": bool(passed), "per_b0": per_b0}
 
 
 def _suite_profile(sols) -> dict:
-    per_b0 = {f"{b0:g}": _profile_checks(sol, piston_tol=1e-9)
-              for b0, sol in sols.items()}
+    per_b0 = {f"{sol.b0:g}": _profile_checks(sol, piston_tol=1e-9)
+              for sol in sols}
     return {"passed": all(v["passed"] for v in per_b0.values()),
             "per_b0": per_b0}
 
 
 def _suite_boundary(sols) -> dict:
     per_b0 = {}
-    for b0, sol in sols.items():
+    for sol in sols:
         rep = boundary_signs(sol)
-        per_b0[f"{b0:g}"] = {
+        per_b0[f"{sol.b0:g}"] = {
             "passed": rep.passed,
             "degenerate": rep.degenerate,
             "E_min": {str(k): float(v) for k, v in rep.E_min.items()},
@@ -332,9 +304,9 @@ def _suite_boundary(sols) -> dict:
 
 def _suite_stability(sols) -> dict:
     per_b0 = {}
-    for b0, sol in sols.items():
+    for sol in sols:
         rep = local_stability(sol)
-        per_b0[f"{b0:g}"] = {
+        per_b0[f"{sol.b0:g}"] = {
             "passed": rep.passed,
             "transversal": rep.transversal,
             "timelike": rep.timelike,
@@ -349,75 +321,47 @@ def _suite_stability(sols) -> dict:
 @main.command()
 @click.option("--b0", "b0_list", type=float, multiple=True,
               help="Piston speeds to sweep (default 10 20 40 80).")
-@click.option("--gamma", type=float, default=None)
-@click.option("--A", "A", type=float, default=None)
-@click.option("--rho0", type=float, default=None)
-@click.option("--n", type=int, default=None)
 @click.option("--suite", "suites", type=click.Choice(SUITES), multiple=True,
               help="Restrict to these suites (default: all).")
 @click.option("--profile", "profile_path",
               type=click.Path(exists=True, dir_okay=False), default=None,
               help="Check a profile CSV instead of solving.")
-@_config_option
-@_output_option
-def verify(b0_list, gamma, A, rho0, n, suites, profile_path, config_path,
-           output_dir):
+@_common_options
+def verify(b0_list, suites, profile_path, **common):
     """Run the verification suites over a piston-speed sweep."""
     t_start = time.perf_counter()
-    cfg = _load_config(config_path) if config_path else {}
-    gamma = _resolve(gamma, cfg, "gamma", float, 1.4)
-    A = _resolve(A, cfg, "A", float, 1.0)
-    rho0 = _resolve(rho0, cfg, "rho0", float, 1.0)
-    n = _resolve(n, cfg, "n", int, 3)
-    _check_n(n)
-    gas = _gas(A, gamma, rho0)
-    out = _output_dir(output_dir, cfg)
-    b0_list = list(b0_list) or [10.0, 20.0, 40.0, 80.0]
-    suites = tuple(suites) or SUITES
+    p, gas, out, inputs = _setup(**common)
+    p["b0_list"] = list(b0_list) or [10.0, 20.0, 40.0, 80.0]
+    p["suites"] = list(suites or SUITES)
 
-    report = {
-        "gamma": gamma, "A": A, "rho0": rho0, "n": n,
-        "b0_list": b0_list, "suites": list(suites),
-    }
+    report = dict(p)
     if profile_path:
         # file-checking mode: validate the supplied profile only
-        sol = _load_profile(profile_path, gas, n)
+        inputs.append(profile_path)
+        sol = _load_profile(profile_path, gas, p["n"])
         report["profile_file"] = str(profile_path)
         report["results"] = {"profile": _profile_checks(sol, piston_tol=1e-6)}
     else:
+        run_suite = {
+            "asymptotics": _suite_asymptotics,
+            "ellipticity": _suite_ellipticity,
+            "profile": _suite_profile,
+            "boundary": _suite_boundary,
+            "stability": _suite_stability,
+        }
         try:
-            sols = {b0: solve_background(b0, gas, n=n) for b0 in b0_list}
-            results = {}
-            if "asymptotics" in suites:
-                results["asymptotics"] = _suite_asymptotics(
-                    [sols[b0] for b0 in b0_list])
-            if "ellipticity" in suites:
-                results["ellipticity"] = _suite_ellipticity(sols)
-            if "profile" in suites:
-                results["profile"] = _suite_profile(sols)
-            if "boundary" in suites:
-                results["boundary"] = _suite_boundary(sols)
-            if "stability" in suites:
-                results["stability"] = _suite_stability(sols)
+            sols = [solve_background(b0, gas, n=p["n"]) for b0 in p["b0_list"]]
+            report["results"] = {name: run_suite[name](sols)
+                                 for name in SUITES if name in p["suites"]}
         except COMPUTATION_ERRORS as exc:
             raise click.ClickException(f"verification sweep failed: {exc}")
-        report["results"] = results
 
     all_pass = all(v["passed"] for v in report["results"].values())
     report["passed"] = bool(all_pass)
 
     json_path = out / "verify_report.json"
     _write_json(report, json_path)
-    manifest = RunManifest(
-        command="verify",
-        params={"gamma": gamma, "A": A, "rho0": rho0, "n": n,
-                "b0_list": b0_list, "suites": list(suites)},
-        inputs=[p for p in (config_path, profile_path) if p],
-        output_dir=str(out),
-    )
-    manifest.add(json_path)
-    manifest.wall_clock = time.perf_counter() - t_start
-    manifest.write(out)
+    _finish("verify", p, inputs, out, [json_path], t_start)
 
     for name, res in sorted(report["results"].items()):
         click.echo(f"{name}: {'pass' if res['passed'] else 'FAIL'}")
@@ -451,60 +395,36 @@ def _violated_condition(cert) -> str:
 
 
 @main.command("certify")
-@click.option("--n", type=int, default=None)
-@click.option("--gamma", type=float, default=None)
 @click.option("--b0", type=float, default=None)
 @click.option("--mu", default=None,
               help="Multiplier time exponent, or 'auto' for the window midpoint.")
-@click.option("--A", "A", type=float, default=None)
-@click.option("--rho0", type=float, default=None)
 @click.option("--grid-size", type=int, default=None)
-@_config_option
-@_output_option
-def certify_cmd(n, gamma, b0, mu, A, rho0, grid_size, config_path, output_dir):
+@_common_options
+def certify_cmd(b0, mu, grid_size, **common):
     """Evaluate the energy-multiplier sign certificate on a background."""
     t_start = time.perf_counter()
-    cfg = _load_config(config_path) if config_path else {}
-    n = _resolve(n, cfg, "n", int, 3)
-    gamma = _resolve(gamma, cfg, "gamma", float, 1.4)
-    b0 = _resolve(b0, cfg, "b0", float, None)
-    if b0 is None:
-        raise click.UsageError("--b0 is required (flag or config)")
-    mu = _resolve(mu, cfg, "mu", str, "auto")
-    A = _resolve(A, cfg, "A", float, 1.0)
-    rho0 = _resolve(rho0, cfg, "rho0", float, 1.0)
-    grid_size = _resolve(grid_size, cfg, "grid_size", int, 1024)
-    _check_n(n)
-    gas = _gas(A, gamma, rho0)
-    out = _output_dir(output_dir, cfg)
+    p, gas, out, inputs = _setup(b0=(b0, None), mu=(mu, "auto"),
+                                 grid_size=(grid_size, 1024), **common)
+    n, gamma, b0 = p["n"], p["gamma"], p["b0"]
 
-    if mu == "auto":
-        mu_value = float(admissible_mu(n, gamma).midpoint)
+    if p["mu"] == "auto":
+        p["mu"] = float(admissible_mu(n, gamma).midpoint)
     else:
         try:
-            mu_value = float(mu)
+            p["mu"] = float(p["mu"])
         except ValueError:
-            raise click.UsageError(f"--mu must be a number or 'auto', got {mu!r}")
+            raise click.UsageError(f"--mu must be a number or 'auto', got {p['mu']!r}")
 
     try:
-        cert = certify(n, gamma, b0, mu_value, gas=gas, grid_size=grid_size)
+        cert = certify(n, gamma, b0, p["mu"], gas=gas, grid_size=p["grid_size"])
     except COMPUTATION_ERRORS as exc:
         raise click.ClickException(f"certificate evaluation failed: {exc}")
 
     json_path = out / f"certificate_n{n}_g{gamma:g}_b{b0:g}.json"
     _write_json(cert.summary(), json_path)
-    manifest = RunManifest(
-        command="certify",
-        params={"n": n, "gamma": gamma, "b0": b0, "mu": mu_value,
-                "A": A, "rho0": rho0, "grid_size": grid_size},
-        inputs=[config_path] if config_path else [],
-        output_dir=str(out),
-    )
-    manifest.add(json_path)
-    manifest.wall_clock = time.perf_counter() - t_start
-    manifest.write(out)
+    _finish("certify", p, inputs, out, [json_path], t_start)
 
-    click.echo(f"mu = {mu_value!r}, status: {cert.status}; "
+    click.echo(f"mu = {p['mu']!r}, status: {cert.status}; "
                f"certificate at {json_path}")
     if cert.status == "fail":
         raise click.ClickException(f"certificate failed: {_violated_condition(cert)}")
@@ -515,10 +435,6 @@ def certify_cmd(n, gamma, b0, mu, A, rho0, grid_size, config_path, output_dir):
 # ---------------------------------------------------------------------------
 
 @main.command()
-@click.option("--n", type=int, default=None)
-@click.option("--gamma", type=float, default=None)
-@click.option("--A", "A", type=float, default=None)
-@click.option("--rho0", type=float, default=None)
 @click.option("--b0", type=float, default=None)
 @click.option("--eps", type=float, default=None, help="Perturbation amplitude.")
 @click.option("--grid-points", type=int, default=None)
@@ -527,39 +443,24 @@ def certify_cmd(n, gamma, b0, mu, A, rho0, grid_size, config_path, output_dir):
 @click.option("--t0", type=float, default=None)
 @click.option("--budget", type=float, default=None,
               help="Wall-clock budget in seconds (truncates the run).")
-@_config_option
-@_output_option
-def simulate(n, gamma, A, rho0, b0, eps, grid_points, cfl, t_end, t0, budget,
-             config_path, output_dir):
+@_common_options
+def simulate(b0, eps, grid_points, cfl, t_end, t0, budget, **common):
     """Run the free-boundary simulation and write the deviation series."""
     t_start = time.perf_counter()
-    cfg = _load_config(config_path) if config_path else {}
-    n = _resolve(n, cfg, "n", int, 3)
-    gamma = _resolve(gamma, cfg, "gamma", float, 1.4)
-    A = _resolve(A, cfg, "A", float, 1.0)
-    rho0 = _resolve(rho0, cfg, "rho0", float, 1.0)
-    b0 = _resolve(b0, cfg, "b0", float, None)
-    if b0 is None:
-        raise click.UsageError("--b0 is required (flag or config)")
-    eps = _resolve(eps, cfg, "eps", float, 0.0)
-    grid_points = _resolve(grid_points, cfg, "grid_points", int, 128)
-    cfl = _resolve(cfl, cfg, "cfl", float, 0.4)
-    t_end = _resolve(t_end, cfg, "t_end", float, 50.0)
-    t0 = _resolve(t0, cfg, "t0", float, 1.0)
-    budget = _resolve(budget, cfg, "budget", float, None)
-    _check_n(n)
-    gas = _gas(A, gamma, rho0)
-    out = _output_dir(output_dir, cfg)
+    p, gas, out, inputs = _setup(
+        b0=(b0, None), eps=(eps, 0.0), grid_points=(grid_points, 128),
+        cfl=(cfl, 0.4), t_end=(t_end, 50.0), t0=(t0, 1.0), budget=(budget, None),
+        **common)
 
     try:
-        config = SimConfig(n=n, gas=gas, b0=b0, eps=eps,
-                           grid_points=grid_points, cfl=cfl,
-                           t_end=t_end, t0=t0)
+        config = SimConfig(n=p["n"], gas=gas, b0=p["b0"], eps=p["eps"],
+                           grid_points=p["grid_points"], cfl=p["cfl"],
+                           t_end=p["t_end"], t0=p["t0"])
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
     try:
-        res = sim_run(config, wall_clock_budget=budget)
+        res = sim_run(config, wall_clock_budget=p["budget"])
     except COMPUTATION_ERRORS as exc:
         raise click.ClickException(f"simulation failed: {exc}")
 
@@ -575,11 +476,11 @@ def simulate(n, gamma, A, rho0, b0, eps, grid_points, cfl, t_end, t0, budget,
     _write_json(summary, json_path)
     artifacts = [csv_path, json_path]
 
-    if eps > 0.0:
+    if p["eps"] > 0.0:
         fit_path = out / "decay_fit.json"
         try:
             fit = fit_decay(res.t, res.sup_dev,
-                            window=(max(5.0, 2.0 * t0), None))
+                            window=(max(5.0, 2.0 * p["t0"]), None))
             _write_json({"m0_est": fit.m0_est, "residual": fit.residual,
                          "window": list(fit.window)}, fit_path)
             click.echo(f"decay fit: m0_est = {fit.m0_est!r}")
@@ -588,18 +489,7 @@ def simulate(n, gamma, A, rho0, b0, eps, grid_points, cfl, t_end, t0, budget,
             click.echo(f"decay fit unavailable: {exc}")
         artifacts.append(fit_path)
 
-    manifest = RunManifest(
-        command="simulate",
-        params={"n": n, "gamma": gamma, "A": A, "rho0": rho0, "b0": b0,
-                "eps": eps, "grid_points": grid_points, "cfl": cfl,
-                "t_end": t_end, "t0": t0, "budget": budget},
-        inputs=[config_path] if config_path else [],
-        output_dir=str(out),
-    )
-    for p in artifacts:
-        manifest.add(p)
-    manifest.wall_clock = time.perf_counter() - t_start
-    manifest.write(out)
+    _finish("simulate", p, inputs, out, artifacts, t_start)
 
     if not res.completed:
         raise click.ClickException(

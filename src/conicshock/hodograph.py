@@ -397,13 +397,13 @@ class EllipticityReport:
     passed: bool
 
 
-def check_ellipticity(sol: SelfSimilarSolution, n_points: int = 129) -> EllipticityReport:
+def check_ellipticity(sol: SelfSimilarSolution) -> EllipticityReport:
     """Check that the profile equation is elliptic on the whole slab:
 
     A4_2 < 0 and the angular second-order block negative definite at every
     grid point of the straightened background.
     """
-    ph = psi_hat_from_background(sol, n_points)
+    ph = psi_hat_from_background(sol)
     cs = second_order_coeffs(ph.states(), ph.gas, ph.b0)
     A62 = np.moveaxis(cs.A6_2, -1, 0)  # (N, 3, 3)
     eigmax = np.array([np.max(np.linalg.eigvalsh(m)) for m in A62])
@@ -472,6 +472,10 @@ def _shock_row(ph: PsiHat, T: float = 1.0):
     }
 
 
+#: boundary_signs checks the layers k = 0 .. K_MAX
+K_MAX = 3
+
+
 @dataclass
 class BoundarySignReport:
     """Signs of the layer-k boundary/zeroth-order coefficients at the
@@ -508,13 +512,13 @@ class BoundarySignReport:
     passed: bool
 
 
-def boundary_signs(sol: SelfSimilarSolution, k_max: int = 3, n_points: int = 129) -> BoundarySignReport:
+def boundary_signs(sol: SelfSimilarSolution) -> BoundarySignReport:
     """Evaluate the layer-k sign pattern on the radial background.
 
     Directional derivatives with respect to the psi-slots use centered
     differences with step 1e-5 * psi.
     """
-    ph = psi_hat_from_background(sol, n_points)
+    ph = psi_hat_from_background(sol)
     gas, b0 = ph.gas, ph.b0
     T = 1.0
 
@@ -538,7 +542,7 @@ def boundary_signs(sol: SelfSimilarSolution, k_max: int = 3, n_points: int = 129
     d2 = ph.d2psi
     dpsi_E = _directional(lambda s: interior_row(s, d2), st_all, "psi", step)
     dTpsi_E = _directional(lambda s: interior_row_layer1(s, d2), st_all, "dTpsi", step)
-    for k in range(k_max + 1):
+    for k in range(K_MAX + 1):
         Ek = k * (k - 1) * ph.psi + dpsi_E + k * dTpsi_E
         E[k] = float(np.min(Ek))
 
@@ -548,7 +552,7 @@ def boundary_signs(sol: SelfSimilarSolution, k_max: int = 3, n_points: int = 129
     d_dR = _directional(shock_row, st2, "dRpsi", step2)
     d_psi = _directional(shock_row, st2, "psi", step2)
     d_dT = _directional(shock_row, st2, "dTpsi", step2)
-    for k in range(k_max + 1):
+    for k in range(K_MAX + 1):
         D21[k] = float(d_dR)
         D22[k] = float(d_psi + k * d_dT / T)
 
@@ -565,7 +569,7 @@ def boundary_signs(sol: SelfSimilarSolution, k_max: int = 3, n_points: int = 129
         and np.all(B22 == 0.0)
     )
     return BoundarySignReport(
-        k_values=list(range(k_max + 1)),
+        k_values=list(range(K_MAX + 1)),
         E_min=E, D21=D21, D22=D22, n=sol.n, B20=B20, B21=B21, B22=B22,
         degenerate=degenerate, passed=bool(passed),
     )
@@ -615,7 +619,7 @@ class StabilityReport:
                 and max(self.neumann_residuals) < 1e-10)
 
 
-def local_stability(sol: SelfSimilarSolution, n_points: int = 129) -> StabilityReport:
+def local_stability(sol: SelfSimilarSolution) -> StabilityReport:
     """Evaluate the evolution-form symbol on the background (unit time scale)
     and run the shock-side local stability checks.
 
@@ -629,7 +633,7 @@ def local_stability(sol: SelfSimilarSolution, n_points: int = 129) -> StabilityR
     change of the speed unit, (b0, A) -> (lam b0, lam^2 A), delta scales by
     lam and the report is unchanged.
     """
-    ph = psi_hat_from_background(sol, n_points)
+    ph = psi_hat_from_background(sol)
     gas, b0 = ph.gas, ph.b0
     T = 1.0
 

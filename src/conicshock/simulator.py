@@ -67,7 +67,6 @@ class SimConfig:
     cfl: float = 0.4
     t_end: float = 50.0
     t0: float = 1.0
-    outputs_per_decade: int = 200
     h: Callable = _default_h
     dh: Callable = _default_dh
 
@@ -133,7 +132,6 @@ class BackgroundSampler:
         self.gas = sol.gas
         self._u = CubicSpline(x, sol.u_off[sl], bc_type="natural", extrapolate=False)
         self._phi = CubicSpline(x, sol.phi[sl], bc_type="natural", extrapolate=False)
-        self._rho = CubicSpline(x, sol.rho[sl], bc_type="natural", extrapolate=False)
         self._lo = x[0]
         self._hi = x[-1]
         self._du_lo = float(sol.du[sl][0])
@@ -194,10 +192,6 @@ class ModifiedBackground:
 
     def f_a(self, t, r):
         return self.E(t) * (np.asarray(r, dtype=float) - self.config.sigma(t))
-
-    def phi_a(self, t, r):
-        s = np.asarray(r, dtype=float) / t
-        return (1.0 + self.f_a(t, r)) * t * self.sampler.phi(s)
 
     def grad_phi_a(self, t, r):
         """(dt Phi_a, dr Phi_a) at fixed x; dE/dt by a centered difference
@@ -617,6 +611,10 @@ class SelfSimilarStepper:
 # run driver
 # ---------------------------------------------------------------------------
 
+#: logarithmically spaced output times per decade of t
+OUTPUTS_PER_DECADE = 200
+
+
 @dataclass
 class SimResult:
     """Output series of a run; one row per output time."""
@@ -689,30 +687,28 @@ def run(config: SimConfig, sol: SelfSimilarSolution | None = None,
     state = init_from_background(sol, config)
     gas = config.gas
 
-    n_out = max(2, int(np.log10(config.t_end / config.t0) * config.outputs_per_decade))
+    n_out = max(2, int(np.log10(config.t_end / config.t0) * OUTPUTS_PER_DECADE))
     out_times = np.geomspace(config.t0, config.t_end, n_out)
 
     rows = {k: [] for k in ("t", "zeta", "sigma", "sup_dev", "rh", "margin",
                             "phi_shock", "mass")}
-    prev_mass = None
-    prev = None
+    prev_mass = prev_zeta = None
 
     def record(st: SimState):
-        nonlocal prev_mass, prev
+        nonlocal prev_mass, prev_zeta
         zdot, margin = shock_speed(st.v[-1], st.w[-1], gas)
         H = margin + gas.rho0
         rh = abs(H * st.w[-1] - (H - gas.rho0) * zdot)
         d_t, d_r = mb.grad_phi_a(st.t, st.r)
         sup_dev = float(max(np.max(np.abs(st.v - d_t)), np.max(np.abs(st.w - d_r))))
         mass = _mass_integral(st, gas, config.n)
-        if prev is None:
+        if prev_mass is None:
             mres = 0.0
         else:
             # weak mass balance: d/dt int rho r^{n-1} dr = rho0 zeta^{n-1} zeta'
-            dt_out = st.t - prev[0]
-            swept = gas.rho0 * (st.zeta ** config.n - prev[1] ** config.n) / config.n
+            swept = gas.rho0 * (st.zeta ** config.n - prev_zeta ** config.n) / config.n
             mres = abs((mass - prev_mass) - swept) / max(abs(mass), 1.0)
-        prev_mass, prev = mass, (st.t, st.zeta)
+        prev_mass, prev_zeta = mass, st.zeta
         rows["t"].append(st.t)
         rows["zeta"].append(st.zeta)
         rows["sigma"].append(st.sigma)
@@ -724,33 +720,33 @@ def run(config: SimConfig, sol: SelfSimilarSolution | None = None,
 
     record(state)
     start = _time.monotonic()
-    steps = 0
-    completed = True
     if projected_explicit_steps(state, config) > IMPLICIT_STEP_THRESHOLD:
         stepper = "implicit"
         implicit = SelfSimilarStepper(state, config)
+        # sub equal steps in tau per output interval, landing on each output
         sub = math.ceil(math.log(out_times[1] / out_times[0]) / IMPLICIT_MAX_DTAU)
-        for next_out in range(1, n_out):
-            t_a, t_b = out_times[next_out - 1], out_times[next_out]
-            for j in range(1, sub + 1):
-                state = implicit.step(t_a * (t_b / t_a) ** (j / sub) if j < sub else t_b)
-                steps += 1
-            record(state)
-            if wall_clock_budget is not None and _time.monotonic() - start > wall_clock_budget:
-                completed = next_out == n_out - 1
-                break
+        targets = iter([t_a * (t_b / t_a) ** (j / sub) if j < sub else t_b
+                        for t_a, t_b in zip(out_times[:-1], out_times[1:])
+                        for j in range(1, sub + 1)])
+
+        def advance(st: SimState) -> SimState:
+            return implicit.step(next(targets))
     else:
         stepper = "explicit"
-        next_out = 1
-        while state.t < config.t_end:
-            state = step(state, config)
-            steps += 1
-            while next_out < n_out and state.t >= out_times[next_out]:
-                record(state)
-                next_out += 1
-            if wall_clock_budget is not None and _time.monotonic() - start > wall_clock_budget:
-                completed = bool(state.t >= config.t_end)
-                break
+
+        def advance(st: SimState) -> SimState:
+            return step(st, config)
+
+    steps, next_out, completed = 0, 1, True
+    while state.t < config.t_end:
+        state = advance(state)
+        steps += 1
+        while next_out < n_out and state.t >= out_times[next_out]:
+            record(state)
+            next_out += 1
+        if wall_clock_budget is not None and _time.monotonic() - start > wall_clock_budget:
+            completed = bool(state.t >= config.t_end)
+            break
     if completed and (not rows["t"] or rows["t"][-1] < state.t):
         record(state)
 

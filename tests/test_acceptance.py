@@ -149,7 +149,7 @@ class TestStraightenedFormulation:
 
 @pytest.fixture(scope="module")
 def signs80(sol80):
-    return boundary_signs(sol80, k_max=3)
+    return boundary_signs(sol80)
 
 
 @pytest.fixture(scope="module")

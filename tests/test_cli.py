@@ -106,6 +106,42 @@ class TestBackground:
 
 
 # ---------------------------------------------------------------------------
+# manifests of config-file runs
+# ---------------------------------------------------------------------------
+
+GAS_KEYS = {"gamma", "A", "rho0", "n"}
+
+CONFIG_RUNS = {
+    "background": ("b0 = 20\n", [], {"b0", "grid_size"}),
+    "verify": ("gamma = 1.4\n", ["--suite", "ellipticity", "--b0", "40"],
+               {"b0_list", "suites"}),
+    "certify": ("n = 3\nb0 = 80\nmu = auto\n", [],
+                {"b0", "mu", "grid_size"}),
+    "simulate": ("b0 = 4\ngamma = 2.0\ngrid_points = 32\nt_end = 3\n", [],
+                 {"b0", "eps", "grid_points", "cfl", "t_end", "t0", "budget"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_RUNS))
+def test_config_run_manifest(runner, tmp_path, command):
+    text, args, keys = CONFIG_RUNS[command]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    res = _invoke(runner, [command, "--config", str(cfg),
+                           "--output-dir", str(out)] + args)
+    assert res.exit_code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert set(manifest["params"]) == GAS_KEYS | keys
+    assert manifest["inputs"] == [str(cfg)]
+    assert manifest["artifacts"]
+    for name, digest in manifest["artifacts"].items():
+        data = (out / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 

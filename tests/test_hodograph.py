@@ -230,7 +230,7 @@ class TestProfileResidual:
 
 @pytest.fixture(scope="module")
 def signs_report(sol80):
-    return boundary_signs(sol80, k_max=3)
+    return boundary_signs(sol80)
 
 
 class TestBoundarySigns:
@@ -271,7 +271,7 @@ class TestBoundarySigns:
         # D22_k -> rho0 (1 - (2+k)/n) is negative only for k >= n - 1; the
         # verdict follows that pattern on both dimensions
         sol = solve_background(80.0, GAS, n=n, grid_size=1024)
-        report = boundary_signs(sol, k_max=3)
+        report = boundary_signs(sol)
         assert report.n == n
         assert all(report.D22[k] < 0.0 for k in range(n - 1, 4))
         assert report.passed

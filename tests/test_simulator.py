@@ -289,6 +289,16 @@ class TestImplicitStep:
         implicit = fit_decay(res.t, res.sup_dev, window=(5.0, 50.0))
         assert abs(implicit.m0_est - explicit.m0_est) <= 0.05
 
+    def test_wall_clock_budget_truncates(self, sol, monkeypatch):
+        # a zero budget stops the implicit path after its first output
+        monkeypatch.setattr(simulator, "IMPLICIT_STEP_THRESHOLD", 0.0)
+        cfg = SimConfig(n=3, gas=GAS, b0=B0, eps=0.0, grid_points=32, t_end=10.0)
+        res = run(cfg, sol=sol, wall_clock_budget=0.0)
+        assert res.stepper == "implicit"
+        assert res.completed is False
+        assert len(res.t) >= 2
+        assert res.t[-1] < cfg.t_end
+
 
 # ---------------------------------------------------------------------------
 # modified background
