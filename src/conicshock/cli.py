@@ -339,7 +339,10 @@ def verify(b0_list, suites, profile_path, **common):
         # file-checking mode: validate the supplied profile only
         inputs.append(profile_path)
         sol = _load_profile(profile_path, gas, p["n"])
-        report["profile_file"] = str(profile_path)
+        # name and content, not the path, so the report does not depend
+        # on where the profile lives
+        report["profile_file"] = Path(profile_path).name
+        report["profile_sha256"] = hashlib.sha256(Path(profile_path).read_bytes()).hexdigest()
         report["results"] = {"profile": _profile_checks(sol, piston_tol=1e-6)}
     else:
         run_suite = {

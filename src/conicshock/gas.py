@@ -89,6 +89,12 @@ def enthalpy_inverse(hval, gas: GasParams):
     hval = np.asarray(hval, dtype=float)
     if np.any(hval <= 0):
         raise ValueError("enthalpy must be positive")
+    return _density_at(hval, gas)
+
+
+def _density_at(hval, gas: GasParams):
+    """The closed form of enthalpy_inverse on a float or array already
+    known to be positive."""
     return ((gas.gamma - 1.0) * hval / (gas.A * gas.gamma)) ** (1.0 / (gas.gamma - 1.0))
 
 

@@ -34,7 +34,8 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from .background import SelfSimilarSolution, check_n, solve_background
-from .gas import GasParams, density_from_state
+from .gas import (VACUUM_REL_THRESHOLD, GasParams, VacuumError, _density_at,
+                  density_from_state)
 from .hodograph import _fd_derivative
 
 
@@ -141,6 +142,11 @@ class BackgroundSampler:
         self._phi_lo = float(sol.phi[sl][0])
         self._phi_hi = float(sol.phi[sl][-1])
 
+    def extrapolates(self, s: float) -> bool:
+        """Whether s lies outside the solved span, where u and phi are the
+        linear extrapolations."""
+        return not self._lo <= s - self.b0 <= self._hi
+
     def u(self, s):
         """Velocity profile u(s); linear in s outside the solved span."""
         x = np.asarray(s, dtype=float) - self.b0
@@ -200,13 +206,14 @@ class ModifiedBackground:
         s = r / t
         u = self.sampler.u(s)
         phi = self.sampler.phi(s)          # per-unit-time potential
-        fa = self.f_a(t, r)
+        E = self.E(t)
+        fa = E * (r - self.config.sigma(t))
         dt = 1e-6 * t
         dE = (self.E(t + dt) - self.E(t - dt)) / (2.0 * dt)
-        dfa_dt = dE * (r - self.config.sigma(t)) - self.E(t) * self.config.dsigma(t)
+        dfa_dt = dE * (r - self.config.sigma(t)) - E * self.config.dsigma(t)
         # Phi_hat = t * phi(r/t): dt Phi_hat = phi - s u, dr Phi_hat = u
         d_t = (1.0 + fa) * (phi - s * u) + dfa_dt * t * phi
-        d_r = (1.0 + fa) * u + self.E(t) * t * phi
+        d_r = (1.0 + fa) * u + E * t * phi
         return d_t, d_r
 
     def piston_residual(self, t):
@@ -263,13 +270,31 @@ def init_from_background(sol: SelfSimilarSolution, config: SimConfig) -> SimStat
 # stepping
 # ---------------------------------------------------------------------------
 
-def shock_speed(v, w, gas: GasParams):
-    """Radial Rankine-Hugoniot shock velocity H w / (H - rho0) from the
-    boundary state; raises on entropy violation H <= rho0."""
-    H = density_from_state(v, w ** 2, gas)
+def _bernoulli(v, w, gas: GasParams):
+    """Bernoulli argument B0 - v - w^2/2 (the enthalpy, so c^2 is
+    (gamma-1) times it) on floats or arrays; raises VacuumError, as
+    density_from_state does, where it reaches the vacuum threshold."""
+    arg = gas.B0 - v - 0.5 * w * w
+    low = arg.min() if isinstance(arg, np.ndarray) else arg
+    if low <= VACUUM_REL_THRESHOLD * gas.B0:
+        raise VacuumError("Bernoulli argument reached vacuum; flow state is not admissible")
+    return arg
+
+
+def _entropy_margin(H: float, gas: GasParams) -> float:
+    """H - rho0 of the post-shock density H; raises on entropy violation."""
     margin = H - gas.rho0
     if margin <= 0.0:
         raise SimulationError(f"entropy condition violated at shock: H - rho0 = {margin}")
+    return margin
+
+
+def shock_speed(v, w, gas: GasParams):
+    """Radial Rankine-Hugoniot shock velocity H w / (H - rho0) from the
+    boundary state; raises on entropy violation H <= rho0."""
+    v, w = float(v), float(w)
+    H = _density_at(_bernoulli(v, w, gas), gas)
+    margin = _entropy_margin(H, gas)
     return H * w / margin, margin
 
 
@@ -280,8 +305,7 @@ def _rates(t, sigma, zeta, y, v, w, phi, config: SimConfig):
     if L <= 0.0:
         raise SimulationError(f"piston overtook the shock at t={t}")
     dy = y[1] - y[0]
-    rho = density_from_state(v, w ** 2, gas)
-    csq = gas.A * gas.gamma * rho ** (gas.gamma - 1.0)
+    csq = (gas.gamma - 1.0) * _bernoulli(v, w, gas)
     r = sigma + y * L
 
     zdot, _ = shock_speed(v[-1], w[-1], gas)
@@ -297,44 +321,56 @@ def _rates(t, sigma, zeta, y, v, w, phi, config: SimConfig):
 
 
 def _sound(v, w, gas: GasParams):
-    rho = density_from_state(v, w ** 2, gas)
-    return np.sqrt(gas.A * gas.gamma * rho ** (gas.gamma - 1.0))
+    return np.sqrt((gas.gamma - 1.0) * _bernoulli(v, w, gas))
+
+
+def _closure_residual(v, w, slope, gas: GasParams):
+    """Shock compatibility residual g = v + zeta' w at the boundary state
+    (v, w), zeta' = H w/(H - rho0), and its derivative along the
+    correction direction (dv, dw) = (-slope, 1).
+
+    With arg = B0 - v - w^2/2: d arg = slope - w, dH = H/c^2 d arg with
+    c^2 = (gamma-1) arg, d zeta' = H/(H - rho0) - rho0 w dH/(H - rho0)^2,
+    and dg = -slope + w d zeta' + zeta'.
+    """
+    arg = _bernoulli(v, w, gas)
+    H = _density_at(arg, gas)
+    margin = _entropy_margin(H, gas)
+    zdot = H * w / margin
+    dH = H / ((gas.gamma - 1.0) * arg) * (slope - w)
+    dzdot = H / margin - gas.rho0 * w * dH / (margin * margin)
+    return v + zdot * w, -slope + w * dzdot + zdot
 
 
 def _apply_bcs(t, v, w, config: SimConfig):
     """Impose the wall and shock conditions by correcting the boundary state
     along the incoming characteristic direction (dv, dw) = (-(w -+ c), 1),
-    which leaves the outgoing Riemann combination untouched.  Raises
-    SimulationError if the Newton solve at the shock does not converge.
+    which leaves the outgoing Riemann combination untouched.  Works on
+    floats; the shock Newton step uses the closed-form derivative of
+    _closure_residual.  Raises SimulationError if the Newton solve at the
+    shock does not converge.
     """
     gas = config.gas
+    g1 = gas.gamma - 1.0
     # piston: prescribe w = dsigma/dt along the (w + c)-characteristic
-    c0 = float(_sound(v[0], w[0], gas))
-    alpha = config.dsigma(t) - w[0]
-    v[0] -= (w[0] + c0) * alpha
-    w[0] += alpha
+    v0, w0 = float(v[0]), float(w[0])
+    c0 = math.sqrt(g1 * _bernoulli(v0, w0, gas))
+    alpha = config.dsigma(t) - w0
+    v[0] = v0 - (w0 + c0) * alpha
+    w[0] = w0 + alpha
     # shock: enforce potential-continuity compatibility v = -zeta' w with
     # zeta' from the Rankine-Hugoniot relation; Newton in the correction
     # amplitude along the (w - c)-characteristic direction
     v1, w1 = float(v[-1]), float(w[-1])
-    c1 = float(_sound(v1, w1, gas))
-    slope = w1 - c1
+    slope = w1 - math.sqrt(g1 * _bernoulli(v1, w1, gas))
     alpha = 0.0
-
-    def g(a):
-        vv, ww = v1 - slope * a, w1 + a
-        zdot, _ = shock_speed(vv, ww, gas)
-        return vv + zdot * ww
-
-    ga = g(alpha)
-    h = 1e-8 * max(1.0, abs(w1))
+    ga, dg = _closure_residual(v1, w1, slope, gas)
     for _ in range(12):
-        dg = (g(alpha + h) - ga) / h
         if dg == 0.0:
             raise SimulationError(
                 f"shock closure at t={t}: flat Newton derivative, residual {float(ga)!r}")
         alpha -= ga / dg
-        ga = g(alpha)
+        ga, dg = _closure_residual(v1 - slope * alpha, w1 + alpha, slope, gas)
         if abs(ga) < 1e-12 * max(1.0, abs(v1)):
             break
     else:
@@ -486,8 +522,8 @@ class SelfSimilarStepper:
         config, gas = self.config, self.config.gas
         g1 = gas.gamma - 1.0
         y, m, ns = self.y, len(self.y), self._ns
-        rho = density_from_state(v, w * w, gas)
-        csq = gas.A * gas.gamma * rho ** g1      # = (gamma-1)(B0 - v - w^2/2)
+        arg = _bernoulli(v, w, gas)
+        csq = g1 * arg
         sdot = config.dsigma(t)
         V = sdot + y * q
         rr = config.b(t) + y * ell          # r/t
@@ -538,7 +574,7 @@ class SelfSimilarStepper:
         Cwq[-1] = w[-1]
 
         # shock-speed and layer-width rows
-        H = rho[-1]
+        H = _density_at(arg[-1], gas)
         Rq = zdot * (H - gas.rho0) - H * w[-1]
         dH_dv = -H / csq[-1]
         dH_dw = -H * w[-1] / csq[-1]
@@ -633,6 +669,9 @@ class SimResult:
     wall_clock: float
     steps: int
     stepper: str = "explicit"   # or "implicit", chosen by run()
+    #: output rows whose piston sigma/t lies outside the background span,
+    #: so sup_dev was measured against an extrapolated comparator
+    extrapolated_records: int = 0
 
     @property
     def zeta_dev(self) -> np.ndarray:
@@ -654,6 +693,7 @@ class SimResult:
             "min_entropy_margin": float(np.min(self.entropy_margin)),
             "max_mass_residual": float(np.max(self.mass_residual[1:]))
             if len(self.mass_residual) > 1 else 0.0,
+            "extrapolated_records": self.extrapolated_records,
         }
 
 
@@ -693,9 +733,11 @@ def run(config: SimConfig, sol: SelfSimilarSolution | None = None,
     rows = {k: [] for k in ("t", "zeta", "sigma", "sup_dev", "rh", "margin",
                             "phi_shock", "mass")}
     prev_mass = prev_zeta = None
+    extrapolated = 0
 
     def record(st: SimState):
-        nonlocal prev_mass, prev_zeta
+        nonlocal prev_mass, prev_zeta, extrapolated
+        extrapolated += mb.sampler.extrapolates(st.sigma / st.t)
         zdot, margin = shock_speed(st.v[-1], st.w[-1], gas)
         H = margin + gas.rho0
         rh = abs(H * st.w[-1] - (H - gas.rho0) * zdot)
@@ -765,6 +807,7 @@ def run(config: SimConfig, sol: SelfSimilarSolution | None = None,
         wall_clock=_time.monotonic() - start,
         steps=steps,
         stepper=stepper,
+        extrapolated_records=extrapolated,
     )
 
 

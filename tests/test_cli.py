@@ -176,6 +176,25 @@ class TestVerify:
                                "--output-dir", str(tmp_path)])
         assert res.exit_code == 0
 
+    def test_profile_report_independent_of_location(self, runner, tmp_path):
+        _invoke(runner, ["background", "--b0", "40",
+                         "--output-dir", str(tmp_path)])
+        name = "background_b40_g1.4_n3.csv"
+        data = (tmp_path / name).read_bytes()
+        reports = []
+        for where in ("a", "b/c"):
+            (tmp_path / where).mkdir(parents=True)
+            (tmp_path / where / name).write_bytes(data)
+            out = tmp_path / where / "out"
+            res = _invoke(runner, ["verify", "--profile", str(tmp_path / where / name),
+                                   "--output-dir", str(out)])
+            assert res.exit_code == 0
+            reports.append((out / "verify_report.json").read_bytes())
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
+        assert report["profile_file"] == name
+        assert report["profile_sha256"] == hashlib.sha256(data).hexdigest()
+
     def test_corrupted_profile_fails(self, runner, tmp_path):
         _invoke(runner, ["background", "--b0", "40",
                          "--output-dir", str(tmp_path)])

@@ -7,7 +7,7 @@ import pytest
 from conicshock import simulator
 from conicshock.background import solve_background
 from conicshock.cli import _write_csv, _write_json
-from conicshock.gas import GasParams
+from conicshock.gas import GasParams, VacuumError, density_from_state, enthalpy
 from conicshock.simulator import (
     DecayFit,
     SimConfig,
@@ -146,21 +146,83 @@ class TestStep:
             step(st, cfg0, dt=-1.0)
 
     def test_shock_closure_raises_without_convergence(self, sol, cfg0, monkeypatch):
-        # a NaN shock speed keeps the Newton residual NaN on every pass
+        # a NaN closure residual stays NaN on every Newton pass
         st = init_from_background(sol, cfg0)
-        monkeypatch.setattr(simulator, "shock_speed",
-                            lambda v, w, gas: (float("nan"), 1.0))
+        monkeypatch.setattr(simulator, "_closure_residual",
+                            lambda v, w, slope, gas: (float("nan"), 1.0))
         with pytest.raises(SimulationError, match="did not converge: residual nan"):
             simulator._apply_bcs(st.t, st.v.copy(), st.w.copy(), cfg0)
 
     def test_shock_closure_raises_on_flat_derivative(self, sol, cfg0, monkeypatch):
         # with c = w the correction leaves v alone, and with zeta' = 0 the
-        # residual v + zeta' w no longer depends on it
+        # residual v + zeta' w = v no longer depends on it: dg/da = 0
         st = init_from_background(sol, cfg0)
-        monkeypatch.setattr(simulator, "_sound", lambda v, w, gas: w)
-        monkeypatch.setattr(simulator, "shock_speed", lambda v, w, gas: (0.0, 1.0))
+        monkeypatch.setattr(simulator, "_closure_residual",
+                            lambda v, w, slope, gas: (v, 0.0))
         with pytest.raises(SimulationError, match="flat Newton derivative"):
             simulator._apply_bcs(st.t, st.v.copy(), st.w.copy(), cfg0)
+
+    def test_vacuum_node_raises(self, sol, cfg0):
+        # B0 - v - w^2/2 < 0 at one interior node: the CFL step and the
+        # stage rates both validate every node
+        st = init_from_background(sol, cfg0)
+        st.v[len(st.v) // 2] = GAS.B0
+        with pytest.raises(VacuumError):
+            step(st, cfg0)
+        with pytest.raises(VacuumError):
+            step(st, cfg0, dt=1e-4)
+
+    def test_shock_closure_raises_on_entropy_violation(self, sol, cfg0):
+        # a shock state whose Bernoulli density is rho0 / 2
+        st = init_from_background(sol, cfg0)
+        v, w = st.v.copy(), st.w.copy()
+        v[-1] = GAS.B0 - enthalpy(0.5 * GAS.rho0, GAS) - 0.5 * w[-1] ** 2
+        with pytest.raises(SimulationError, match="entropy condition violated"):
+            simulator._apply_bcs(st.t, v, w, cfg0)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the stepping hot path, cross-checked
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def stepped_states():
+    """(config, state) after 20 CFL steps of perturbed runs at gamma 1.4
+    and 2."""
+    out = []
+    for gamma in (1.4, 2.0):
+        gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
+        cfg = SimConfig(n=3, gas=gas, b0=B0, eps=0.01, grid_points=64)
+        st = init_from_background(solve_background(B0, gas, n=3, grid_size=512), cfg)
+        for _ in range(20):
+            st = step(st, cfg)
+        out.append((cfg, st))
+    return out
+
+
+class TestClosedForms:
+    def test_closure_derivative_matches_central_difference(self, stepped_states):
+        for cfg, st in stepped_states:
+            gas = cfg.gas
+            v1, w1 = float(st.v[-1]), float(st.w[-1])
+            slope = w1 - float(simulator._sound(v1, w1, gas))
+
+            def g(a):
+                return simulator._closure_residual(v1 - slope * a, w1 + a, slope, gas)
+
+            h = 1e-5 * max(1.0, abs(w1))
+            for a in (-0.01 * abs(w1), 0.0, 0.01 * abs(w1)):
+                fd = (g(a + h)[0] - g(a - h)[0]) / (2.0 * h)
+                assert g(a)[1] == pytest.approx(fd, rel=1e-6)
+
+    def test_sound_speed_identity(self, stepped_states):
+        # c^2 = (gamma-1)(B0 - v - w^2/2) = A gamma rho^(gamma-1)
+        for cfg, st in stepped_states:
+            gas = cfg.gas
+            closed = (gas.gamma - 1.0) * simulator._bernoulli(st.v, st.w, gas)
+            rho = density_from_state(st.v, st.w ** 2, gas)
+            np.testing.assert_allclose(closed, gas.A * gas.gamma * rho ** (gas.gamma - 1.0),
+                                       rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +249,8 @@ class TestRun:
 
     def test_perturbed_run_diagnostics(self, res_eps):
         assert res_eps.completed
+        # the piston stays inside the background span
+        assert res_eps.summary()["extrapolated_records"] == 0
         assert np.min(res_eps.entropy_margin) > 0
         mask = res_eps.t >= 5.0
         # deviation decays monotonically after the transient
@@ -200,6 +264,17 @@ class TestRun:
         margin = B0 ** (-4.0 / (GAS.gamma - 1.0)) * sol.delta
         assert np.all(res.zeta / res.t >= B0)
         assert np.all(res.zeta / res.t <= sol.s0 + margin)
+
+    def test_extrapolated_comparator_counted(self):
+        # at b0 40 the stand-off (1.7e-5 t) is thinner than the piston
+        # displacement eps/(1+t), so the piston runs ahead of the solved
+        # span and sup_dev is measured against the linear extrapolation
+        gas = GasParams(A=1.0, gamma=1.4, rho0=1.0)
+        s40 = solve_background(40.0, gas, n=3, grid_size=256)
+        cfg = SimConfig(n=3, gas=gas, b0=40.0, eps=0.01, grid_points=64, t_end=1.5)
+        res = run(cfg, sol=s40)
+        assert res.completed
+        assert 0 < res.summary()["extrapolated_records"] <= len(res.t)
 
     def test_n2_short_run(self):
         gas = GasParams(A=1.0, gamma=2.0, rho0=1.0)
