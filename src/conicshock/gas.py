@@ -64,7 +64,8 @@ class GasParams:
 
 
 def _check_density(rho) -> None:
-    if np.any(np.asarray(rho) <= 0):
+    # negated so that NaN fails the check too
+    if not np.all(np.asarray(rho) > 0):
         raise ValueError("density must be positive")
 
 
@@ -87,7 +88,7 @@ def enthalpy_inverse(hval, gas: GasParams):
     exact and branch-free for the polytropic law.
     """
     hval = np.asarray(hval, dtype=float)
-    if np.any(hval <= 0):
+    if not np.all(hval > 0):
         raise ValueError("enthalpy must be positive")
     return _density_at(hval, gas)
 
@@ -110,9 +111,10 @@ def density_from_state(phi_t, grad_sq, gas: GasParams):
     ------
     VacuumError
         If the enthalpy argument falls below the vacuum threshold
-        (1e-14 * B0), which distinguishes physical vacuum from round-off.
+        (1e-14 * B0), which distinguishes physical vacuum from round-off,
+        or is NaN.
     """
     arg = gas.B0 - np.asarray(phi_t, dtype=float) - 0.5 * np.asarray(grad_sq, dtype=float)
-    if np.any(arg <= VACUUM_REL_THRESHOLD * gas.B0):
+    if not np.all(arg > VACUUM_REL_THRESHOLD * gas.B0):
         raise VacuumError("Bernoulli argument reached vacuum; flow state is not admissible")
     return enthalpy_inverse(arg, gas)

@@ -291,6 +291,7 @@ class PsiHat:
     b0: float
     delta: float
     gas: GasParams
+    n: int
 
     def states(self, idx=slice(None)) -> HodographState:
         """Radial background states on the grid (or a sub-slice)."""
@@ -347,6 +348,7 @@ def psi_hat_from_background(sol: SelfSimilarSolution, n_points: int = 129) -> Ps
         R=R, psi=psi, psi_off=psi_off,
         dpsi=_fd_derivative(psi_off, h), d2psi=_fd_second(psi_off, h),
         s_of_R=s_of_R, u_off=u_off, w=w, b0=sol.b0, delta=sol.delta, gas=sol.gas,
+        n=sol.n,
     )
 
 
@@ -397,13 +399,12 @@ class EllipticityReport:
     passed: bool
 
 
-def check_ellipticity(sol: SelfSimilarSolution) -> EllipticityReport:
+def check_ellipticity(ph: PsiHat) -> EllipticityReport:
     """Check that the profile equation is elliptic on the whole slab:
 
     A4_2 < 0 and the angular second-order block negative definite at every
-    grid point of the straightened background.
+    grid point of the straightened background ``ph``.
     """
-    ph = psi_hat_from_background(sol)
     cs = second_order_coeffs(ph.states(), ph.gas, ph.b0)
     A62 = np.moveaxis(cs.A6_2, -1, 0)  # (N, 3, 3)
     eigmax = np.array([np.max(np.linalg.eigvalsh(m)) for m in A62])
@@ -512,13 +513,13 @@ class BoundarySignReport:
     passed: bool
 
 
-def boundary_signs(sol: SelfSimilarSolution) -> BoundarySignReport:
-    """Evaluate the layer-k sign pattern on the radial background.
+def boundary_signs(ph: PsiHat) -> BoundarySignReport:
+    """Evaluate the layer-k sign pattern on the straightened radial
+    background ``ph``.
 
     Directional derivatives with respect to the psi-slots use centered
     differences with step 1e-5 * psi.
     """
-    ph = psi_hat_from_background(sol)
     gas, b0 = ph.gas, ph.b0
     T = 1.0
 
@@ -564,13 +565,13 @@ def boundary_signs(sol: SelfSimilarSolution) -> BoundarySignReport:
         not degenerate
         and all(v > 0.0 for v in E.values())
         and all(v < 0.0 for v in D21.values())
-        and all(v < 0.0 for k, v in D22.items() if k >= sol.n - 1)
+        and all(v < 0.0 for k, v in D22.items() if k >= ph.n - 1)
         and B21 < 0.0
         and np.all(B22 == 0.0)
     )
     return BoundarySignReport(
         k_values=list(range(K_MAX + 1)),
-        E_min=E, D21=D21, D22=D22, n=sol.n, B20=B20, B21=B21, B22=B22,
+        E_min=E, D21=D21, D22=D22, n=ph.n, B20=B20, B21=B21, B22=B22,
         degenerate=degenerate, passed=bool(passed),
     )
 
@@ -619,9 +620,9 @@ class StabilityReport:
                 and max(self.neumann_residuals) < 1e-10)
 
 
-def local_stability(sol: SelfSimilarSolution) -> StabilityReport:
-    """Evaluate the evolution-form symbol on the background (unit time scale)
-    and run the shock-side local stability checks.
+def local_stability(ph: PsiHat) -> StabilityReport:
+    """Evaluate the evolution-form symbol on the straightened background
+    ``ph`` (unit time scale) and run the shock-side local stability checks.
 
     The checks compare against the floor delta0 = (gamma-1) delta^2/(4 b0^2)
     with delta = s0 - b0.  Every symbol entry is a coefficient family times
@@ -633,7 +634,6 @@ def local_stability(sol: SelfSimilarSolution) -> StabilityReport:
     change of the speed unit, (b0, A) -> (lam b0, lam^2 A), delta scales by
     lam and the report is unchanged.
     """
-    ph = psi_hat_from_background(sol)
     gas, b0 = ph.gas, ph.b0
     T = 1.0
 

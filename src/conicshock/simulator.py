@@ -273,10 +273,11 @@ def init_from_background(sol: SelfSimilarSolution, config: SimConfig) -> SimStat
 def _bernoulli(v, w, gas: GasParams):
     """Bernoulli argument B0 - v - w^2/2 (the enthalpy, so c^2 is
     (gamma-1) times it) on floats or arrays; raises VacuumError, as
-    density_from_state does, where it reaches the vacuum threshold."""
+    density_from_state does, where it reaches the vacuum threshold or is
+    NaN (the min of an array holding a NaN is NaN)."""
     arg = gas.B0 - v - 0.5 * w * w
     low = arg.min() if isinstance(arg, np.ndarray) else arg
-    if low <= VACUUM_REL_THRESHOLD * gas.B0:
+    if not low > VACUUM_REL_THRESHOLD * gas.B0:
         raise VacuumError("Bernoulli argument reached vacuum; flow state is not admissible")
     return arg
 

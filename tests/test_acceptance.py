@@ -131,14 +131,14 @@ class TestStraightenedFormulation:
 
     @pytest.mark.parametrize("b0", (40.0, 80.0))
     def test_ellipticity_for_fast_pistons(self, sweep_sols, b0):
-        assert check_ellipticity(sweep_sols[b0]).passed
+        assert check_ellipticity(psi_hat_from_background(sweep_sols[b0])).passed
 
     def test_mixed_coefficient_vanishes(self, sol80):
-        rep = check_ellipticity(sol80)
+        rep = check_ellipticity(psi_hat_from_background(sol80))
         assert np.max(np.abs(rep.A5_2)) < 1e-10
 
     def test_angular_coefficient_magnitude(self, sol80):
-        rep = check_ellipticity(sol80)
+        rep = check_ellipticity(psi_hat_from_background(sol80))
         target = -(GAS14.gamma - 1.0) * sol80.delta / 2.0
         assert np.all(np.abs(rep.A6_2_eigmax / target - 1.0) < 0.2)
 
@@ -149,12 +149,12 @@ class TestStraightenedFormulation:
 
 @pytest.fixture(scope="module")
 def signs80(sol80):
-    return boundary_signs(sol80)
+    return boundary_signs(psi_hat_from_background(sol80))
 
 
 @pytest.fixture(scope="module")
 def stability80(sol80):
-    return local_stability(sol80)
+    return local_stability(psi_hat_from_background(sol80))
 
 
 class TestBoundaryStability:
@@ -199,14 +199,14 @@ class TestBoundaryStability:
         # the form is unit-free, about 2 delta^2/((gamma-1) b0^2), so it
         # exceeds the floor (gamma-1) delta^2/(4 b0^2) by 8/(gamma-1)^2
         gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
-        st = local_stability(solve_background(80.0, gas, n=3))
+        st = local_stability(psi_hat_from_background(solve_background(80.0, gas, n=3)))
         delta0 = st.delta0
         assert st.quad_form > delta0
 
     @pytest.mark.parametrize("gamma", (1.2, 1.4, 2.0))
     def test_transversality_and_timelike(self, gamma):
         gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
-        st = local_stability(solve_background(80.0, gas, n=3))
+        st = local_stability(psi_hat_from_background(solve_background(80.0, gas, n=3)))
         assert st.transversal
         assert st.timelike
         assert st.quad_form > 0.0

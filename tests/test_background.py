@@ -5,15 +5,21 @@ import numpy as np
 import pytest
 from scipy.optimize import bisect
 
+from click.testing import CliRunner
+
+from conicshock import background
 from conicshock.background import (
     BracketError,
+    ShootingError,
     asymptotic_report,
     extend_background,
     ode_residual,
     shock_jump_from_speed,
     solve_background,
     _jump_function,
+    _piston_offset,
 )
+from conicshock.cli import main
 from conicshock.gas import GasParams, enthalpy, sound_speed
 
 GAS = GasParams(A=1.0, gamma=1.4, rho0=1.0)
@@ -129,6 +135,84 @@ class TestSolveBackground:
         sol = solve_background(40.0, GAS, n=2, grid_size=256)
         assert abs(sol.u[0] - sol.b0) <= 1e-9 * sol.b0
         assert sol.delta > solve_background(40.0, GAS, n=3, grid_size=256).delta
+
+
+# ---------------------------------------------------------------------------
+# shooting: Brent on log(delta) against a bisection oracle
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+#: gamma x b0 at n = 3; gamma 1.2, b0 80 has delta = 6.1e-13, about 43 ulp(b0)
+SHOOTING_CASES = [(g, b0) for g in (1.2, 1.4, 2.0) for b0 in (10.0, 40.0, 80.0)]
+
+
+class TestShooting:
+    @pytest.mark.parametrize("gamma, b0", SHOOTING_CASES)
+    def test_matches_bisection_oracle(self, gamma, b0):
+        gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
+        oracle = bisect(lambda d: _piston_offset(d, b0, gas, 3),
+                        16.0 * EPS * b0, 2.0 * b0, xtol=1e-300, rtol=1e-14,
+                        maxiter=300)
+        delta = solve_background(b0, gas, n=3, grid_size=256).delta
+        assert delta == pytest.approx(oracle, rel=1e-11, abs=0.0)
+
+    def test_shot_changes_sign_once_at_root(self):
+        # an event tolerance fixed at 2e-12 made the sign flip back and
+        # forth over a band of 6e-8 relative around this root
+        b0 = 40.0
+        delta = solve_background(b0, GAS, n=3, grid_size=256).delta
+        signs = [_piston_offset(delta * (1.0 + k * 1e-9), b0, GAS, 3) > 0.0
+                 for k in range(-10, 11)]
+        assert sum(a != b for a, b in zip(signs, signs[1:])) == 1
+        assert not signs[0] and signs[-1]
+
+    def test_surrogate_offset_below_event_range(self):
+        # no event within 2 delta: the finite surrogate -delta, not -inf
+        lo = 16.0 * EPS * 40.0
+        assert _piston_offset(lo, 40.0, GAS, 3) == -lo
+
+    def test_shots_per_solve(self, monkeypatch):
+        calls = []
+
+        def counting(delta, *args):
+            calls.append(delta)
+            return _piston_offset(delta, *args)
+
+        monkeypatch.setattr(background, "_piston_offset", counting)
+        for gamma, b0 in SHOOTING_CASES:
+            calls.clear()
+            solve_background(b0, GasParams(A=1.0, gamma=gamma, rho0=1.0), n=3,
+                             grid_size=256)
+            assert len(calls) <= 30, (gamma, b0, len(calls))
+            assert len(set(calls)) == len(calls)  # no shot repeated
+
+    @staticmethod
+    def _nan_inside_bracket(delta, b0, gas, n):
+        # a shot function that never settles: finite at the bracket ends
+        # only, so the root-find cannot converge
+        return _piston_offset(delta, b0, gas, n) if not 1e-9 < delta < b0 \
+            else float("nan")
+
+    def test_unconverged_shot_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(background, "_piston_offset", self._nan_inside_bracket)
+        with pytest.raises(ShootingError, match="returned nan"):
+            solve_background(40.0, GAS, n=3)
+
+    def test_iteration_cap_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(background, "SHOOT_MAXITER", 2)
+        with pytest.raises(ShootingError, match="did not converge"):
+            solve_background(40.0, GAS, n=3)
+
+    def test_unconverged_shot_fails_certify_cleanly(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(background, "_piston_offset", self._nan_inside_bracket)
+        res = CliRunner().invoke(
+            main, ["certify", "--n", "3", "--gamma", "1.4", "--b0", "40",
+                   "--mu", "auto", "--output-dir", str(tmp_path)],
+            catch_exceptions=False)
+        assert res.exit_code == 1
+        assert "certificate evaluation failed" in res.output
+        assert "returned nan" in res.output
 
 
 # ---------------------------------------------------------------------------

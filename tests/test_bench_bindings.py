@@ -54,3 +54,6 @@ def test_cli_calls_are_traced(tmp_path):
     names = {rec["name"] for rec in tracer.spans}
     assert {"background.solve_background", "hodograph.check_ellipticity",
             "hodograph.local_stability", "certificates.certify"} <= names
+    # verify straightens its one profile once for both suites
+    assert sum(rec["name"] == "hodograph.psi_hat_from_background"
+               for rec in tracer.spans) == 1

@@ -92,6 +92,20 @@ def test_density_from_state_vacuum():
         density_from_state(0.0, 3.0 * GAS.B0, GAS)
 
 
+def test_density_from_state_nan():
+    with pytest.raises(VacuumError):
+        density_from_state(np.nan, 0.0, GAS)
+    with pytest.raises(VacuumError):
+        density_from_state(np.array([0.0, np.nan]), np.zeros(2), GAS)
+
+
+def test_nan_density_and_enthalpy_rejected():
+    with pytest.raises(ValueError, match="density must be positive"):
+        sound_speed(np.nan, GAS)
+    with pytest.raises(ValueError, match="enthalpy must be positive"):
+        enthalpy_inverse(np.nan, GAS)
+
+
 @given(
     phi_t=st.floats(-2.0, 0.5),
     grad=st.floats(0.0, 2.0),

@@ -192,20 +192,20 @@ class TestCoefficientFamilies:
 class TestEllipticity:
     def test_passes_for_large_piston_speed(self, sol40, sol80):
         for sol in (sol40, sol80):
-            assert check_ellipticity(sol).passed
+            assert check_ellipticity(psi_hat_from_background(sol)).passed
 
     def test_radial_coefficient_magnitude(self, sol80):
-        rep = check_ellipticity(sol80)
+        rep = check_ellipticity(psi_hat_from_background(sol80))
         target = -(GAS.gamma - 1.0) * sol80.b0 ** 2 / (2.0 * sol80.delta)
         assert np.all(np.abs(rep.A4_2 / target - 1.0) < 0.3)
 
     def test_angular_block_magnitude(self, sol80):
-        rep = check_ellipticity(sol80)
+        rep = check_ellipticity(psi_hat_from_background(sol80))
         target = -(GAS.gamma - 1.0) * sol80.delta / 2.0
         assert np.all(np.abs(rep.A6_2_eigmax / target - 1.0) < 0.2)
 
     def test_mixed_coefficient_vanishes(self, sol80):
-        rep = check_ellipticity(sol80)
+        rep = check_ellipticity(psi_hat_from_background(sol80))
         assert np.max(np.abs(rep.A5_2)) < 1e-10
 
 
@@ -230,7 +230,7 @@ class TestProfileResidual:
 
 @pytest.fixture(scope="module")
 def signs_report(sol80):
-    return boundary_signs(sol80)
+    return boundary_signs(psi_hat_from_background(sol80))
 
 
 class TestBoundarySigns:
@@ -271,7 +271,7 @@ class TestBoundarySigns:
         # D22_k -> rho0 (1 - (2+k)/n) is negative only for k >= n - 1; the
         # verdict follows that pattern on both dimensions
         sol = solve_background(80.0, GAS, n=n, grid_size=1024)
-        report = boundary_signs(sol)
+        report = boundary_signs(psi_hat_from_background(sol))
         assert report.n == n
         assert all(report.D22[k] < 0.0 for k in range(n - 1, 4))
         assert report.passed
@@ -279,7 +279,7 @@ class TestBoundarySigns:
     def test_degeneracy_detected_for_unresolvable_layer(self):
         gas = GasParams(A=1.0, gamma=1.2, rho0=1.0)
         sol = solve_background(80.0, gas, n=3, grid_size=512)
-        assert boundary_signs(sol).degenerate
+        assert boundary_signs(psi_hat_from_background(sol)).degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +288,7 @@ class TestBoundarySigns:
 
 @pytest.fixture(scope="module")
 def stability_report(sol80):
-    return local_stability(sol80)
+    return local_stability(psi_hat_from_background(sol80))
 
 
 class TestLocalStability:
@@ -323,7 +323,8 @@ class TestLocalStability:
 
     def test_other_adiabatic_exponent(self):
         gas = GasParams(A=1.0, gamma=2.0, rho0=1.0)
-        rep = local_stability(solve_background(80.0, gas, n=3, grid_size=512))
+        rep = local_stability(psi_hat_from_background(
+            solve_background(80.0, gas, n=3, grid_size=512)))
         assert rep.transversal and rep.timelike
         for r in rep.neumann_residuals:
             assert r < 1e-10
@@ -336,8 +337,8 @@ def test_local_stability_independent_of_speed_unit(gamma):
     reports = []
     for lam in (0.01, 1.0, 2.0):
         gas = GasParams(A=lam ** 2, gamma=gamma, rho0=1.0)
-        reports.append(local_stability(
-            solve_background(80.0 * lam, gas, n=3, grid_size=1024)))
+        reports.append(local_stability(psi_hat_from_background(
+            solve_background(80.0 * lam, gas, n=3, grid_size=1024))))
     ref = reports[1]
     for rep in reports:
         assert rep.quad_form / rep.delta0 == pytest.approx(
@@ -359,8 +360,8 @@ def test_shock_row_gradient_prefactors(gamma, b0):
     # by psi instead of a0 = b0 + psi, so the two differ by H - rho0
     gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
     sol = solve_background(b0, gas, n=3)
-    signs, stab = boundary_signs(sol), local_stability(sol)
     ph = psi_hat_from_background(sol)
+    signs, stab = boundary_signs(ph), local_stability(ph)
     H = second_order_coeffs(ph.states(-1), gas, b0).H
     assert stab.CalB21 - signs.B21 == pytest.approx(H - gas.rho0, rel=1e-12)
     assert signs.B21 == pytest.approx(signs.D21[0], rel=1e-8)

@@ -172,6 +172,16 @@ class TestStep:
         with pytest.raises(VacuumError):
             step(st, cfg0, dt=1e-4)
 
+    def test_nan_node_raises(self, sol, cfg0):
+        # NaN compares false with every threshold, so the vacuum check must
+        # be a negated "above threshold" test, or the NaN spreads silently
+        st = init_from_background(sol, cfg0)
+        st.v[len(st.v) // 2] = np.nan
+        with pytest.raises(VacuumError):
+            step(st, cfg0)
+        with pytest.raises(VacuumError):
+            step(st, cfg0, dt=1e-4)
+
     def test_shock_closure_raises_on_entropy_violation(self, sol, cfg0):
         # a shock state whose Bernoulli density is rho0 / 2
         st = init_from_background(sol, cfg0)
