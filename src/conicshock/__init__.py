@@ -14,7 +14,6 @@ from .background import (
     AsymptoticsReport,
     shock_jump_from_speed,
     solve_background,
-    extend_background,
     asymptotic_report,
 )
 
@@ -43,7 +42,6 @@ from .certificates import (  # noqa: F401
     boundary_coeffs,
     certify,
     decay_exponent,
-    hardy_identity_check,
     multiplier_e,
 )
 
@@ -73,7 +71,6 @@ __all__ = [
     "AsymptoticsReport",
     "shock_jump_from_speed",
     "solve_background",
-    "extend_background",
     "asymptotic_report",
     # hodograph
     "CoeffSet",
@@ -98,7 +95,6 @@ __all__ = [
     "boundary_coeffs",
     "certify",
     "decay_exponent",
-    "hardy_identity_check",
     "multiplier_e",
     # simulator
     "DecayFit",

@@ -37,7 +37,6 @@ __all__ = [
     "check_n",
     "shock_jump_from_speed",
     "solve_background",
-    "extend_background",
     "ode_residual",
     "asymptotic_report",
 ]
@@ -212,30 +211,27 @@ def _piston_offset(delta: float, b0: float, gas: GasParams, n: int) -> float:
 
 @dataclass
 class SelfSimilarSolution:
-    """Sampled background profile on [b0 - tau0, s0 + tau0].
+    """Sampled background profile on [b0, s0], piston first.
 
-    ``i0``/``i1`` are the indices of s = b0 and s = s0 inside the (possibly
-    extended) grid.  ``s_off`` holds s - b0 exactly (built from grid indices),
-    ``w`` holds u - s; both avoid cancellation for fast pistons.  ``q`` is
-    the cumulative integral of (u - b0) from s0 down, so that the potential
-    is phi = -b0*(s0 - s) - q and the straightened profile needs only q.
+    ``s_off`` holds s - b0 exactly (built from grid indices), ``w`` holds
+    u - s; both avoid cancellation for fast pistons.  ``q`` is the
+    cumulative integral of (u - b0) from s0 down, so that the potential is
+    phi = -b0*(s0 - s) - q and the straightened profile needs only q.
     """
 
     gas: GasParams
     n: int
     b0: float
     delta: float            # s0 - b0, full precision
-    tau0: float
     s_off: np.ndarray       # s - b0
     rho: np.ndarray
     w: np.ndarray           # u - s
-    i0: int                 # index of s = b0
-    i1: int                 # index of s = s0
-    q: np.ndarray = field(default=None)  # int_s^{s0} (u - b0) ds
+    q: np.ndarray = field(init=False)  # int_s^{s0} (u - b0) ds
 
     def __post_init__(self):
-        if self.q is None:
-            self._compute_q()
+        # u - b0 = s_off + w, integrated from the shock end, so q(s0) = 0
+        rev = cumulative_simpson(self.u_off[::-1], x=-self.s_off[::-1], initial=0.0)
+        self.q = rev[::-1].copy()
 
     @property
     def s0(self) -> float:
@@ -278,15 +274,6 @@ class SelfSimilarSolution:
     def jump(self) -> ShockJump:
         return shock_jump_from_speed(self.s0, self.gas)
 
-    def _compute_q(self):
-        # q(s) = int_s^{s0} (u - b0);  u - b0 = s_off + w.
-        f = self.u_off
-        rev = cumulative_simpson(f[::-1], x=-self.s_off[::-1], initial=0.0)
-        q = rev[::-1].copy()
-        # shift so q(s0) = 0 even on extended grids
-        q -= q[self.i1]
-        self.q = q
-
     def summary(self) -> dict:
         j = self.jump
         return {
@@ -298,7 +285,6 @@ class SelfSimilarSolution:
             "s0": self.s0,
             "rho_plus": j.rho_plus,
             "u_plus": j.u_plus,
-            "tau0": self.tau0,
         }
 
 
@@ -385,8 +371,8 @@ def solve_background(
         rho[i - 1], w[i - 1] = _rk4_step(s[i], rho[i], w[i], -h, gas, n)
 
     sol = SelfSimilarSolution(
-        gas=gas, n=n, b0=b0, delta=delta, tau0=0.0,
-        s_off=s_off, rho=np.array(rho), w=np.array(w), i0=0, i1=N - 1,
+        gas=gas, n=n, b0=b0, delta=delta,
+        s_off=s_off, rho=np.array(rho), w=np.array(w),
     )
     if abs(sol.w[0]) > 1e-9 * b0:
         raise BracketError(
@@ -395,62 +381,14 @@ def solve_background(
     return sol
 
 
-def extend_background(sol: SelfSimilarSolution) -> SelfSimilarSolution:
-    """Continue the profile by the same ODE to [b0 - tau0, s0 + tau0].
-
-    The margin is tau0 = b0**(-4/(gamma-1)) * (s0 - b0); for very fast
-    pistons this is below floating-point resolution and the extension
-    degenerates gracefully to (numerically) repeated endpoint states.
-    """
-    b0, delta, gas, n = sol.b0, sol.delta, sol.gas, sol.n
-    tau0 = b0 ** (-4.0 / (gas.gamma - 1.0)) * delta
-    n_ext = 8
-    h_ext = tau0 / n_ext
-
-    # downward from the piston
-    lo_off, lo_rho, lo_w = [], [], []
-    s_off, rho, w = sol.s_off[0], sol.rho[0], sol.w[0]
-    for i in range(n_ext):
-        try:
-            rho, w = _rk4_step(b0 + s_off, rho, w, -h_ext, gas, n)
-        except DenominatorSignError:
-            tau0 = i * h_ext
-            break
-        s_off = s_off - h_ext
-        lo_off.append(s_off); lo_rho.append(rho); lo_w.append(w)
-
-    # upward from the shock
-    hi_off, hi_rho, hi_w = [], [], []
-    s_off, rho, w = sol.s_off[-1], sol.rho[-1], sol.w[-1]
-    for i in range(n_ext):
-        try:
-            rho, w = _rk4_step(b0 + s_off, rho, w, h_ext, gas, n)
-        except DenominatorSignError:
-            tau0 = min(tau0, i * h_ext)
-            break
-        s_off = s_off + h_ext
-        hi_off.append(s_off); hi_rho.append(rho); hi_w.append(w)
-
-    s_off = np.concatenate([lo_off[::-1], sol.s_off, hi_off])
-    rho = np.concatenate([lo_rho[::-1], sol.rho, hi_rho])
-    w = np.concatenate([lo_w[::-1], sol.w, hi_w])
-    return SelfSimilarSolution(
-        gas=gas, n=n, b0=b0, delta=delta, tau0=tau0,
-        s_off=s_off, rho=rho, w=w,
-        i0=len(lo_off), i1=len(lo_off) + len(sol.s_off) - 1,
-    )
-
-
-def ode_residual(sol: SelfSimilarSolution, lo: int = None, hi: int = None) -> float:
+def ode_residual(sol: SelfSimilarSolution) -> float:
     """Max pointwise residual of the profile ODE, scaled by b0.
 
     Fourth-order central differences of the sampled (rho, w) against the
     right-hand side, so the residual tracks the integrator's order under
-    refinement.  ``lo``/``hi`` restrict to a sub-range of grid indices.
+    refinement.
     """
-    s = sol.s[lo:hi]
-    rho = sol.rho[lo:hi]
-    w = sol.w[lo:hi]
+    s, rho, w = sol.s, sol.rho, sol.w
     if len(s) < 5:
         return 0.0
     h = s[1] - s[0]
@@ -501,8 +439,7 @@ def _deviations(sol: SelfSimilarSolution) -> dict:
     gas = sol.gas
     g = gas.gamma
     b0 = sol.b0
-    sl = slice(sol.i0, sol.i1 + 1)
-    s, rho, u, w = sol.s[sl], sol.rho[sl], sol.u[sl], sol.w[sl]
+    rho, u, w = sol.rho, sol.u, sol.w
     csq = gas.A * g * rho ** (g - 1.0)
     c = np.sqrt(csq)
     lead_rho = ((g - 1.0) / (2.0 * gas.A * g)) ** (1.0 / (g - 1.0)) * b0 ** (2.0 / (g - 1.0))
@@ -515,8 +452,8 @@ def _deviations(sol: SelfSimilarSolution) -> dict:
         "denominator": float(np.max(np.abs((w * w - csq) / (-(g - 1.0) / 2.0 * b0 * b0) - 1.0))),
         "char_plus": float(np.max(np.abs((w + c) / sq - 1.0))),
         "char_minus": float(np.max(np.abs((w - c) / (-sq) - 1.0))),
-        "drho_magnitude": float(np.max(np.abs(sol.drho[sl])) * b0),
-        "du_ratio": float(np.max(np.abs(sol.du[sl] / (-(sol.n - 1)) - 1.0))),
+        "drho_magnitude": float(np.max(np.abs(sol.drho)) * b0),
+        "du_ratio": float(np.max(np.abs(sol.du / (-(sol.n - 1)) - 1.0))),
     }
 
 

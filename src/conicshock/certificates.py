@@ -118,9 +118,10 @@ def symbolic_conditions(n: int, gamma: float, mu: float, e: float) -> dict:
 
 @dataclass(frozen=True)
 class MultiplierChoice:
-    """The concrete weighted multiplier A = t^mu r a(s), B = t^(mu+1) b_sigma(s).
+    """The concrete weighted multiplier A = t^mu r, B = t^(mu+1) b_sigma(s).
 
-    The radial factor a is identically 1; b_sigma carries the tilt constant e.
+    b_sigma carries the tilt constant e; _k_samples applies the chain rule
+    to these weights in closed form.
     """
 
     n: int
@@ -136,9 +137,6 @@ class MultiplierChoice:
             mu = admissible_mu(n, gamma).midpoint
         return cls(n=n, gamma=gamma, b0=b0, mu=float(mu), e=float(multiplier_e(n, gamma)))
 
-    def a(self, s):
-        return np.ones_like(np.asarray(s, dtype=float))
-
     def b_sigma(self, s):
         s = np.asarray(s, dtype=float)
         return s ** 2 * (1.0 + (self.e / self.b0) * (s - self.b0))
@@ -146,29 +144,6 @@ class MultiplierChoice:
     def db_sigma(self, s):
         s = np.asarray(s, dtype=float)
         return 2.0 * s * (1.0 + (self.e / self.b0) * (s - self.b0)) + s ** 2 * (self.e / self.b0)
-
-    # closed-form weights and their derivatives (s = r/t); these are the only
-    # place the chain rule is applied, and they are unit-tested against
-    # finite differences.
-
-    def A_weight(self, t, r):
-        return t ** self.mu * r
-
-    def B_weight(self, t, r):
-        return t ** (self.mu + 1.0) * self.b_sigma(r / t)
-
-    def dA_dt(self, t, r):
-        return self.mu * t ** (self.mu - 1.0) * r
-
-    def dA_dr(self, t, r):
-        return t ** self.mu * np.ones_like(np.asarray(r, dtype=float))
-
-    def dB_dt(self, t, r):
-        s = r / t
-        return t ** self.mu * ((self.mu + 1.0) * self.b_sigma(s) - s * self.db_sigma(s))
-
-    def dB_dr(self, t, r):
-        return t ** self.mu * self.db_sigma(r / t)
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +178,7 @@ def P_coeffs(sol: SelfSimilarSolution) -> PCoeffs:
     """
     g = sol.gas.gamma
     n = sol.n
-    sl = slice(sol.i0, sol.i1 + 1)
-    s = sol.s[sl]
-    u = sol.u[sl]
-    du = sol.du[sl]
-    rho = sol.rho[sl]
-    drho = sol.drho[sl]
-    csq = sol.csq[sl]
+    s, u, du, rho, drho, csq = sol.s, sol.u, sol.du, sol.rho, sol.drho, sol.csq
     dcsq = (g - 1.0) * csq * drho / rho
     return PCoeffs(
         s=s,
@@ -257,13 +226,11 @@ def boundary_coeffs(sol: SelfSimilarSolution) -> BoundaryCoeffs:
     what makes the oblique boundary condition dissipative).
     """
     gas = sol.gas
-    i = sol.i1
-    s0 = sol.s0
-    u = float(sol.u[i])
-    rho = float(sol.rho[i])
-    csq = float(sol.csq[i])
-    du = float(sol.du[i])
-    drho = float(sol.drho[i])
+    u = float(sol.u[-1])
+    rho = float(sol.rho[-1])
+    csq = float(sol.csq[-1])
+    du = float(sol.du[-1])
+    drho = float(sol.drho[-1])
     # Bernoulli deficit across the layer: (1/2) u^2 - h(rho) + h(rho0)
     q = 0.5 * u ** 2 - float(enthalpy(rho, gas)) + gas.B0
 
@@ -305,8 +272,8 @@ def shock_flux_betas(sol: SelfSimilarSolution, choice: MultiplierChoice,
     if bc is None:
         bc = boundary_coeffs(sol)
     s0 = sol.s0
-    u = float(sol.u[sol.i1])
-    p0 = float(sol.csq[sol.i1])
+    u = float(sol.u[-1])
+    p0 = float(sol.csq[-1])
     bs = float(choice.b_sigma(s0))
     beta11 = -0.5 * bs + u * s0 - 0.5 * s0 ** 2
     beta12 = s0 * (u ** 2 - p0 - bs)
@@ -522,58 +489,3 @@ def certify(n: int, gamma: float, b0: float, mu: float,
     sol = solve_background(b0, gas, n=n, grid_size=grid_size)
     choice = MultiplierChoice.standard(n, gamma, b0, mu=mu)
     return K_coeffs(sol, choice)
-
-
-# ---------------------------------------------------------------------------
-# Hardy-identity backbone of the boundary absorption step
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HardyReport:
-    identity_residual: float
-    inequality_slack: float
-    lhs: float
-    boundary_term: float
-
-
-def hardy_identity_check(phi, dphi, mu: float, T: float,
-                         n_points: int = 10001) -> HardyReport:
-    """Verify the weighted integration-by-parts identity on a trace phi(t).
-
-        int_1^T t^(mu-1) phi^2 dt
-          = (1/mu) [t^mu phi^2]_1^T - (2/mu) int_1^T t^mu phi phi' dt,
-
-    by Simpson quadrature, and the Cauchy-Schwarz consequence
-
-        int t^(mu-1) phi^2
-          <= (1/|mu|) |[t^mu phi^2]_1^T|
-             + (2/|mu|) (int t^(mu-1) phi^2)^(1/2) (int t^(mu+1) phi'^2)^(1/2).
-
-    phi and dphi are callables on [1, T]; mu must be < -1 so the weights
-    integrate at infinity.
-    """
-    if mu >= -1.0:
-        raise ValueError("hardy check requires mu < -1")
-    from scipy.integrate import simpson
-
-    # log-spaced nodes: the weights are steepest near t = 1, and Simpson on
-    # a graded mesh keeps the quadrature error near roundoff there
-    t = np.exp(np.linspace(0.0, np.log(T), n_points))
-    f = np.asarray(phi(t), dtype=float)
-    df = np.asarray(dphi(t), dtype=float)
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(df))):
-        raise ValueError("trace values must be finite on [1, T]")
-
-    lhs = simpson(t ** (mu - 1.0) * f ** 2, x=t)
-    cross = simpson(t ** mu * f * df, x=t)
-    bndry = T ** mu * f[-1] ** 2 - f[0] ** 2
-    rhs = bndry / mu - 2.0 * cross / mu
-    residual = abs(lhs - rhs) / max(1.0, abs(lhs))
-
-    grad = simpson(t ** (mu + 1.0) * df ** 2, x=t)
-    bound = (abs(bndry) + 2.0 * np.sqrt(max(lhs, 0.0) * max(grad, 0.0))) / abs(mu)
-    slack = bound - lhs
-    return HardyReport(identity_residual=float(residual),
-                       inequality_slack=float(slack),
-                       lhs=float(lhs),
-                       boundary_term=float(bndry))

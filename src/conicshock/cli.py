@@ -7,8 +7,9 @@ artifacts plus a run manifest with content hashes.
 
 Exit codes: 0 on success, 1 on computation failure (solver breakdown,
 failed verification, failed certificate), 2 on usage or configuration
-errors.  All floating-point output uses shortest round-trip formatting, so
-repeated runs with the same configuration produce byte-identical files.
+errors, a NaN or infinite float parameter among them.  All floating-point
+output uses shortest round-trip formatting, so repeated runs with the same
+configuration produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -134,19 +136,29 @@ def _common_options(fn):
     return fn
 
 
+def _check_finite(option: str, *values: float) -> None:
+    """Raise UsageError naming the option if a value is NaN or infinite."""
+    for value in values:
+        if not math.isfinite(value):
+            raise click.UsageError(f"{option} must be finite, got {value!r}")
+
+
 def _setup(config_path, output_dir, gamma, A, rho0, n, **flags):
     """Shared set-up of a command.
 
     Each keyword of ``flags`` is a (flag value, default) pair; it and the
-    gas and dimension options resolve as flag > config file > default.  A
-    command that takes a single ``b0`` requires it.  Returns the resolved
-    parameters, the gas, the output directory (created) and the input
-    files.
+    gas and dimension options resolve as flag > config file > default.
+    Every float must be finite.  A command that takes a single ``b0``
+    requires it.  Returns the resolved parameters, the gas, the output
+    directory (created) and the input files.
     """
     cfg = _load_config(config_path) if config_path else {}
     flags.update(gamma=(gamma, 1.4), A=(A, 1.0), rho0=(rho0, 1.0), n=(n, 3))
     params = {key: _resolve(value, cfg, key, _CASTS.get(key, float), default)
               for key, (value, default) in flags.items()}
+    for key, value in params.items():
+        if isinstance(value, float):
+            _check_finite("--" + key.replace("_", "-"), value)
     if "b0" in params and params["b0"] is None:
         raise click.UsageError("--b0 is required (flag or config)")
     try:
@@ -252,8 +264,8 @@ def _load_profile(path, gas: GasParams, n: int) -> SelfSimilarSolution:
     s, rho, u = data.T
     b0 = float(s[0])
     return SelfSimilarSolution(
-        gas=gas, n=n, b0=b0, delta=float(s[-1] - s[0]), tau0=0.0,
-        s_off=s - b0, rho=rho, w=u - s, i0=0, i1=len(s) - 1)
+        gas=gas, n=n, b0=b0, delta=float(s[-1] - s[0]),
+        s_off=s - b0, rho=rho, w=u - s)
 
 
 def _suite_asymptotics(sols) -> dict:
@@ -336,6 +348,7 @@ def verify(b0_list, suites, profile_path, **common):
     """Run the verification suites over a piston-speed sweep."""
     t_start = time.perf_counter()
     p, gas, out, inputs = _setup(**common)
+    _check_finite("--b0", *b0_list)
     p["b0_list"] = list(b0_list) or [10.0, 20.0, 40.0, 80.0]
     p["suites"] = list(suites or SUITES)
 
@@ -427,6 +440,7 @@ def certify_cmd(b0, mu, grid_size, **common):
             p["mu"] = float(p["mu"])
         except ValueError:
             raise click.UsageError(f"--mu must be a number or 'auto', got {p['mu']!r}")
+        _check_finite("--mu", p["mu"])
 
     try:
         cert = certify(n, gamma, b0, p["mu"], gas=gas, grid_size=p["grid_size"])

@@ -54,11 +54,12 @@ class GasParams:
     B0: float = field(init=False)
 
     def __post_init__(self) -> None:
+        # negated comparisons, so that NaN fails them too
         if not (1.0 < self.gamma < 3.0):
             raise ValueError(f"gamma must lie in (1, 3), got {self.gamma}")
-        if self.A <= 0:
+        if not self.A > 0:
             raise ValueError(f"A must be positive, got {self.A}")
-        if self.rho0 <= 0:
+        if not self.rho0 > 0:
             raise ValueError(f"rho0 must be positive, got {self.rho0}")
         object.__setattr__(self, "B0", enthalpy(self.rho0, self))
 

@@ -276,18 +276,16 @@ class PsiHat:
 
     ``psi``/``dpsi``/``d2psi`` are sampled on the uniform ``R``-grid;
     ``dpsi``/``d2psi`` use second-order finite differences (one-sided at the
-    ends).  ``u_off`` is u - b0 and ``w`` is u - s, both interpolated from
-    the shifted background profile so small combinations keep precision.
+    ends).  ``u_off`` is u - b0, interpolated from the shifted background
+    profile so small combinations keep precision.
     """
 
     R: np.ndarray
     psi: np.ndarray
-    psi_off: np.ndarray
     dpsi: np.ndarray
     d2psi: np.ndarray
     s_of_R: np.ndarray
     u_off: np.ndarray
-    w: np.ndarray
     b0: float
     delta: float
     gas: GasParams
@@ -325,9 +323,8 @@ def psi_hat_from_background(sol: SelfSimilarSolution, n_points: int = 129) -> Ps
     shifted profile arrays this is psi = delta + q/b0 with no cancellation.
     Resampling onto uniform R uses monotone (pchip) interpolation.
     """
-    sl = slice(sol.i0, sol.i1 + 1)
-    s_off = sol.s_off[sl]
-    psi_s = sol.delta + sol.q[sl] / sol.b0
+    s_off = sol.s_off
+    psi_s = sol.delta + sol.q / sol.b0
     if np.any(psi_s <= 0.0):
         raise ValueError("straightened profile not positive; corrupted background")
     R_s = s_off / psi_s + 1.0
@@ -338,17 +335,14 @@ def psi_hat_from_background(sol: SelfSimilarSolution, n_points: int = 129) -> Ps
     # interpolate the small offset psi - delta (= q/b0) so derivative stencils
     # act on full-precision values instead of quantized O(delta) floats; the
     # C2 spline keeps stencil noise below the stencil truncation error
-    psi_off = CubicSpline(R_s, sol.q[sl] / sol.b0)(R)
-    psi = sol.delta + psi_off
-    s_of_R = sol.b0 + CubicSpline(R_s, s_off)(R)
-    u_off = CubicSpline(R_s, sol.u_off[sl])(R)
-    w = CubicSpline(R_s, sol.w[sl])(R)
+    psi_off = CubicSpline(R_s, sol.q / sol.b0)(R)
     h = R[1] - R[0]
     return PsiHat(
-        R=R, psi=psi, psi_off=psi_off,
+        R=R, psi=sol.delta + psi_off,
         dpsi=_fd_derivative(psi_off, h), d2psi=_fd_second(psi_off, h),
-        s_of_R=s_of_R, u_off=u_off, w=w, b0=sol.b0, delta=sol.delta, gas=sol.gas,
-        n=sol.n,
+        s_of_R=sol.b0 + CubicSpline(R_s, s_off)(R),
+        u_off=CubicSpline(R_s, sol.u_off)(R),
+        b0=sol.b0, delta=sol.delta, gas=sol.gas, n=sol.n,
     )
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -43,11 +42,14 @@ class SimulationError(RuntimeError):
     """Fatal integration failure; the message carries the failing time."""
 
 
-def _default_h(t):
+def forcing(t):
+    """Piston perturbation profile h = 1/(1+t); it satisfies the
+    decaying-derivative bounds the stability theory assumes."""
     return 1.0 / (1.0 + t)
 
 
-def _default_dh(t):
+def dforcing(t):
+    """dh/dt of the piston perturbation profile."""
     return -1.0 / (1.0 + t) ** 2
 
 
@@ -55,9 +57,8 @@ def _default_dh(t):
 class SimConfig:
     """Run parameters for the free-boundary integration.
 
-    The piston speed is b(t) = b0 + eps * h(t) with h and its derivative
-    supplied as callables (default h = 1/(1+t), which satisfies the
-    decaying-derivative bounds the stability theory assumes).
+    The piston speed is b(t) = b0 + eps * h(t) with the fixed forcing
+    h = 1/(1+t).
     """
 
     n: int
@@ -68,28 +69,27 @@ class SimConfig:
     cfl: float = 0.4
     t_end: float = 50.0
     t0: float = 1.0
-    h: Callable = _default_h
-    dh: Callable = _default_dh
 
     def __post_init__(self):
         check_n(self.n)
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        # negated comparisons, so that NaN fails them too
+        if not self.eps >= 0:
+            raise ValueError(f"eps must be nonnegative, got {self.eps}")
         if not 0.0 < self.cfl < 1.0:
             raise ValueError("cfl must lie in (0, 1)")
         if self.grid_points < 32:
             raise ValueError("grid_points must be at least 32")
-        if self.t_end <= self.t0:
-            raise ValueError("t_end must exceed t0")
+        if not self.t_end > self.t0:
+            raise ValueError(f"t_end must exceed t0, got t0 = {self.t0}, t_end = {self.t_end}")
 
     def b(self, t):
-        return self.b0 + self.eps * self.h(t)
+        return self.b0 + self.eps * forcing(t)
 
     def sigma(self, t):
         return t * self.b(t)
 
     def dsigma(self, t):
-        return self.b(t) + t * self.eps * self.dh(t)
+        return self.b(t) + t * self.eps * dforcing(t)
 
 
 @dataclass
@@ -122,25 +122,22 @@ class BackgroundSampler:
     [b0, s0] (needed when the perturbed piston leaves the background span)."""
 
     def __init__(self, sol: SelfSimilarSolution):
-        sl = slice(sol.i0, sol.i1 + 1)
         # interpolate in the offset variable to keep precision on thin layers
-        x = sol.s_off[sl]
+        x = sol.s_off
         if x[-1] - x[0] <= 0:
             raise ValueError("background span insufficient for interpolation")
         self.b0 = sol.b0
-        self.s0 = sol.s0
-        self.delta = sol.delta
-        self.gas = sol.gas
-        self._u = CubicSpline(x, sol.u_off[sl], bc_type="natural", extrapolate=False)
-        self._phi = CubicSpline(x, sol.phi[sl], bc_type="natural", extrapolate=False)
+        u_off, phi, du = sol.u_off, sol.phi, sol.du
+        self._u = CubicSpline(x, u_off, bc_type="natural", extrapolate=False)
+        self._phi = CubicSpline(x, phi, bc_type="natural", extrapolate=False)
         self._lo = x[0]
         self._hi = x[-1]
-        self._du_lo = float(sol.du[sl][0])
-        self._du_hi = float(sol.du[sl][-1])
-        self._u_lo = float(sol.u_off[sl][0])
-        self._u_hi = float(sol.u_off[sl][-1])
-        self._phi_lo = float(sol.phi[sl][0])
-        self._phi_hi = float(sol.phi[sl][-1])
+        self._du_lo = float(du[0])
+        self._du_hi = float(du[-1])
+        self._u_lo = float(u_off[0])
+        self._u_hi = float(u_off[-1])
+        self._phi_lo = float(phi[0])
+        self._phi_hi = float(phi[-1])
 
     def extrapolates(self, s: float) -> bool:
         """Whether s lies outside the solved span, where u and phi are the

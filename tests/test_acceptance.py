@@ -26,7 +26,6 @@ from conicshock import (
     check_ellipticity,
     decay_exponent,
     fit_decay,
-    hardy_identity_check,
     local_stability,
     modified_background,
     psi_hat_from_background,
@@ -254,15 +253,6 @@ class TestCertificates:
 
     def test_decay_exponent_n2(self):
         assert abs(decay_exponent(2, 1.4) - 0.97613) < 1e-5
-
-    def test_hardy_identity_on_closed_form_trace(self):
-        T = 100.0
-        rep = hardy_identity_check(
-            lambda t: 1.0 / t, lambda t: -1.0 / t ** 2, mu=-2.5, T=T)
-        assert rep.identity_residual < 1e-8
-        exact = ((T ** (-4.5) - 1.0) / -4.5)
-        assert abs(rep.lhs - exact) < 1e-10
-        assert rep.inequality_slack >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Tests for the self-similar background solver: jump relations, shooting,
-extension, and large-piston-speed asymptotics."""
+and large-piston-speed asymptotics."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from conicshock.background import (
     BracketError,
     ShootingError,
     asymptotic_report,
-    extend_background,
     ode_residual,
     shock_jump_from_speed,
     solve_background,
@@ -213,48 +212,6 @@ class TestShooting:
         assert res.exit_code == 1
         assert "certificate evaluation failed" in res.output
         assert "returned nan" in res.output
-
-
-# ---------------------------------------------------------------------------
-# extension
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def pair():
-    gas = GasParams(A=1.0, gamma=2.5, rho0=1.0)
-    sol = solve_background(4.0, gas, n=3, grid_size=512)
-    return sol, extend_background(sol)
-
-
-class TestExtension:
-
-    def test_interior_samples_unchanged(self, pair):
-        sol, ext = pair
-        assert np.array_equal(ext.rho[ext.i0:ext.i1 + 1], sol.rho)
-        assert np.array_equal(ext.w[ext.i0:ext.i1 + 1], sol.w)
-
-    def test_margin_bound(self, pair):
-        sol, ext = pair
-        bound = sol.b0 ** (-4.0 / (sol.gas.gamma - 1.0)) * sol.delta
-        assert 0 < ext.tau0 <= bound * (1 + 1e-12)
-
-    def test_extension_residual(self, pair):
-        sol, ext = pair
-        interior = ode_residual(ext, ext.i0, ext.i1 + 1)
-        # stay on the uniformly spaced extension sub-grids (the extension
-        # step differs from the interior step)
-        low = ode_residual(ext, 0, ext.i0 + 1)
-        high = ode_residual(ext, ext.i1, None)
-        # extension grid is much coarser than the interior grid, so compare
-        # against the interior residual at a matching step instead
-        coarse = solve_background(4.0, sol.gas, n=3, grid_size=16)
-        ref = ode_residual(coarse)
-        assert low <= 10 * max(interior, ref)
-        assert high <= 10 * max(interior, ref)
-
-    def test_denominator_negative_on_extension(self, pair):
-        _, ext = pair
-        assert np.all(ext.w ** 2 - ext.csq < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Tests for the energy-multiplier certificates: closed-form constants,
-bulk K-coefficient signs, shock-flux coefficients, and the Hardy-identity
-quadrature backbone."""
+bulk K-coefficient signs and shock-flux coefficients."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from conicshock.background import solve_background
 from conicshock.certificates import (
@@ -18,7 +17,6 @@ from conicshock.certificates import (
     boundary_coeffs,
     certify,
     decay_exponent,
-    hardy_identity_check,
     multiplier_e,
     shock_flux_betas,
     symbolic_conditions,
@@ -108,7 +106,7 @@ class TestClosedForms:
 class TestPCoeffs:
     def test_p1_is_velocity(self, sol80):
         pc = P_coeffs(sol80)
-        assert np.array_equal(pc.P1, sol80.u[sol80.i0:sol80.i1 + 1])
+        assert np.array_equal(pc.P1, sol80.u)
 
     def test_p2_p3_positive(self, sol80):
         pc = P_coeffs(sol80)
@@ -152,23 +150,17 @@ class TestMultiplierChoice:
         w = admissible_mu(3, 1.4)
         assert ch.mu == w.midpoint
         assert ch.e == multiplier_e(3, 1.4)
-        assert np.all(ch.a(np.linspace(80, 81, 5)) == 1.0)
 
     def test_weight_derivatives_match_finite_differences(self):
+        # db_sigma, the only weight derivative _k_samples takes, against
+        # centred differences of b_sigma; dropping its tilt term moves it
+        # by about 1e-2 relative
         ch = MultiplierChoice.standard(3, 1.4, 80.0, mu=-2.5)
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            t = rng.uniform(1.0, 5.0)
-            r = rng.uniform(75.0 * t, 85.0 * t)
-            ht, hr = 1e-6 * t, 1e-6 * r
-            pairs = [
-                (ch.dA_dt(t, r), (ch.A_weight(t + ht, r) - ch.A_weight(t - ht, r)) / (2 * ht)),
-                (ch.dA_dr(t, r), (ch.A_weight(t, r + hr) - ch.A_weight(t, r - hr)) / (2 * hr)),
-                (ch.dB_dt(t, r), (ch.B_weight(t + ht, r) - ch.B_weight(t - ht, r)) / (2 * ht)),
-                (ch.dB_dr(t, r), (ch.B_weight(t, r + hr) - ch.B_weight(t, r - hr)) / (2 * hr)),
-            ]
-            for exact, fd in pairs:
-                assert abs(fd - exact) <= 1e-7 * max(1.0, abs(exact))
+        s = np.random.default_rng(7).uniform(75.0, 85.0, 20)
+        h = 1e-6 * s
+        fd = (ch.b_sigma(s + h) - ch.b_sigma(s - h)) / (2 * h)
+        exact = ch.db_sigma(s)
+        assert np.all(np.abs(fd - exact) <= 1e-7 * np.abs(exact))
 
     def test_time_scaling_exact(self, sol80):
         ch = MultiplierChoice.standard(3, 1.4, 80.0, mu=-2.5)
@@ -310,48 +302,3 @@ class TestCertify:
     def test_gamma_mismatch_rejected(self):
         with pytest.raises(ValueError):
             certify(3, 1.4, 80.0, -2.5, gas=GasParams(A=1.0, gamma=2.0, rho0=1.0))
-
-
-# ---------------------------------------------------------------------------
-# Hardy identity
-# ---------------------------------------------------------------------------
-
-class TestHardy:
-    def test_power_trace_oracle(self):
-        # phi = 1/t: both integrals have closed forms
-        mu, T = -2.5, 100.0
-        rep = hardy_identity_check(lambda t: 1.0 / t, lambda t: -1.0 / t ** 2, mu, T)
-        assert rep.identity_residual < 1e-8
-        lhs_exact = (T ** (mu - 2.0) - 1.0) / (mu - 2.0)
-        assert rep.lhs == pytest.approx(lhs_exact, abs=1e-10)
-        assert rep.inequality_slack >= 0.0
-
-    def test_zero_trace(self):
-        rep = hardy_identity_check(lambda t: 0.0 * t, lambda t: 0.0 * t, -2.5, 100.0)
-        assert rep.identity_residual == 0.0
-        assert rep.lhs == 0.0
-
-    def test_oscillatory_trace_inequality(self):
-        rep = hardy_identity_check(
-            lambda t: np.sin(t) / t,
-            lambda t: (t * np.cos(t) - np.sin(t)) / t ** 2,
-            -3.0, 50.0)
-        assert rep.identity_residual < 1e-7
-        assert rep.inequality_slack >= 0.0
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            hardy_identity_check(lambda t: 1.0 / t, lambda t: -1.0 / t ** 2, -0.5, 10.0)
-        with pytest.raises(ValueError):
-            hardy_identity_check(lambda t: np.full_like(t, np.nan), lambda t: t, -2.5, 10.0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.floats(min_value=-4.0, max_value=-1.5),
-           st.floats(min_value=0.2, max_value=3.0))
-    def test_identity_for_random_exponential_traces(self, mu, k):
-        rep = hardy_identity_check(
-            lambda t: np.exp(-k * (t - 1.0)),
-            lambda t: -k * np.exp(-k * (t - 1.0)),
-            mu, 30.0)
-        assert rep.identity_residual < 1e-7
-        assert rep.inequality_slack >= -1e-12

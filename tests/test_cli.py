@@ -348,3 +348,36 @@ class TestSimulate:
         _invoke(runner, args + ["--output-dir", str(out2)])
         for name in ("simulation.csv", "simulation.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs
+# ---------------------------------------------------------------------------
+
+NON_FINITE = {
+    "background A": (["background", "--b0", "40", "--A", "nan"], "--A"),
+    "background b0": (["background", "--b0", "nan"], "--b0"),
+    "background rho0": (["background", "--b0", "40", "--rho0", "inf"], "--rho0"),
+    "verify b0": (["verify", "--suite", "profile", "--b0", "40", "--b0", "nan"], "--b0"),
+    "certify mu": (["certify", "--n", "3", "--b0", "80", "--mu", "nan"], "--mu"),
+    "simulate eps": (SIM_ARGS + ["--eps", "nan", "--t-end", "3"], "--eps"),
+    "simulate t_end": (SIM_ARGS + ["--t-end", "nan"], "--t-end"),
+    "simulate budget": (SIM_ARGS + ["--t-end", "3", "--budget", "nan"], "--budget"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_option_is_usage_error(runner, tmp_path, case):
+    args, option = NON_FINITE[case]
+    res = runner.invoke(main, args + ["--output-dir", str(tmp_path)])
+    assert res.exit_code == 2
+    assert f"{option} must be finite" in res.output
+
+
+def test_non_finite_config_value_is_usage_error(runner, tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("b0 = 4\ngamma = 2.0\nt_end = inf\n")
+    res = runner.invoke(main, ["simulate", "--config", str(cfg),
+                               "--output-dir", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "--t-end must be finite" in res.output

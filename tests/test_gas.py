@@ -26,6 +26,9 @@ def test_params_validation():
         GasParams(A=-1.0)
     with pytest.raises(ValueError):
         GasParams(rho0=0.0)
+    for field in ("A", "rho0"):
+        with pytest.raises(ValueError, match=field):
+            GasParams(**{field: float("nan")})
 
 
 def test_bernoulli_constant_is_ambient_enthalpy():

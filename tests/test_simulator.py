@@ -63,6 +63,9 @@ class TestConfig:
             SimConfig(n=3, gas=GAS, b0=B0, grid_points=8)
         with pytest.raises(ValueError):
             SimConfig(n=3, gas=GAS, b0=B0, t_end=0.5)
+        for field in ("eps", "t_end", "t0"):
+            with pytest.raises(ValueError, match=field):
+                SimConfig(n=3, gas=GAS, b0=B0, **{field: float("nan")})
 
     def test_piston_path(self):
         cfg = SimConfig(n=3, gas=GAS, b0=B0, eps=0.01)
@@ -267,8 +270,9 @@ class TestRun:
         assert np.all(np.diff(res_eps.sup_dev[mask]) < 0)
 
     def test_shock_window_small_perturbation(self, sol):
-        # for perturbations below the extension margin the shock stays
-        # inside [b0 t, (s0 + tau0) t]
+        # for so small a perturbation the shock stays within the margin
+        # b0^(-4/(gamma-1)) delta of the background shock: inside
+        # [b0 t, (s0 + margin) t]
         cfg = SimConfig(n=3, gas=GAS, b0=B0, eps=1e-4, grid_points=64, t_end=10.0)
         res = run(cfg, sol=sol)
         margin = B0 ** (-4.0 / (GAS.gamma - 1.0)) * sol.delta
