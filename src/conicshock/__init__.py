@@ -58,55 +58,8 @@ from .simulator import (  # noqa: F401
     step,
 )
 
-__all__ = [
-    # gas
-    "GasParams",
-    "sound_speed",
-    "enthalpy",
-    "enthalpy_inverse",
-    "density_from_state",
-    # background
-    "ShockJump",
-    "SelfSimilarSolution",
-    "AsymptoticsReport",
-    "shock_jump_from_speed",
-    "solve_background",
-    "asymptotic_report",
-    # hodograph
-    "CoeffSet",
-    "HodographState",
-    "PsiHat",
-    "a_coeffs",
-    "boundary_signs",
-    "check_ellipticity",
-    "local_stability",
-    "profile_ode_residual",
-    "psi_hat_from_background",
-    "second_order_coeffs",
-    # certificates
-    "BoundaryCoeffs",
-    "MultiplierCertificate",
-    "MultiplierChoice",
-    "MuWindow",
-    "PCoeffs",
-    "K_coeffs",
-    "P_coeffs",
-    "admissible_mu",
-    "boundary_coeffs",
-    "certify",
-    "decay_exponent",
-    "multiplier_e",
-    # simulator
-    "DecayFit",
-    "SimConfig",
-    "SimResult",
-    "SimState",
-    "SimulationError",
-    "fit_decay",
-    "init_from_background",
-    "modified_background",
-    "run",
-    "step",
-]
+#: every name imported above from the package's modules
+__all__ = [name for name, value in globals().items()
+           if getattr(value, "__module__", "").startswith(__name__ + ".")]
 
 __version__ = "0.1.0"

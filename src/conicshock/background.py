@@ -35,6 +35,7 @@ __all__ = [
     "ShootingError",
     "DenominatorSignError",
     "check_n",
+    "check_grid_size",
     "shock_jump_from_speed",
     "solve_background",
     "ode_residual",
@@ -58,6 +59,17 @@ def check_n(n: int) -> None:
     """Raise ValueError unless the space dimension n is 2 or 3."""
     if n not in (2, 3):
         raise ValueError(f"dimension n must be 2 or 3, got {n}")
+
+
+#: fewest profile samples: the fourth-order stencil of ode_residual spans five
+MIN_GRID_SIZE = 5
+
+
+def check_grid_size(grid_size: int, name: str = "grid_size") -> None:
+    """Raise ValueError, naming the parameter, unless a profile of
+    grid_size samples has at least MIN_GRID_SIZE."""
+    if not grid_size >= MIN_GRID_SIZE:
+        raise ValueError(f"{name} must be at least {MIN_GRID_SIZE}, got {grid_size}")
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +333,7 @@ def solve_background(
     not finite or Brent does not converge in SHOOT_MAXITER iterations.
     """
     check_n(n)
+    check_grid_size(grid_size)
     b0 = float(b0)
     c0 = float(sound_speed(gas.rho0, gas))
     if b0 <= c0:
@@ -386,14 +399,14 @@ def ode_residual(sol: SelfSimilarSolution) -> float:
 
     Fourth-order central differences of the sampled (rho, w) against the
     right-hand side, so the residual tracks the integrator's order under
-    refinement.
+    refinement.  Raises ValueError below MIN_GRID_SIZE samples or where
+    the first two samples coincide in s.
     """
     s, rho, w = sol.s, sol.rho, sol.w
-    if len(s) < 5:
-        return 0.0
+    check_grid_size(len(s), "profile samples")
     h = s[1] - s[0]
     if h == 0.0:
-        return 0.0
+        raise ValueError("profile samples coincide in s: no finite-difference residual")
     d = slice(2, -2)
     drho_fd = (-rho[4:] + 8 * rho[3:-1] - 8 * rho[1:-3] + rho[:-4]) / (12 * h)
     dw_fd = (-w[4:] + 8 * w[3:-1] - 8 * w[1:-3] + w[:-4]) / (12 * h)

@@ -131,11 +131,13 @@ class MultiplierChoice:
     e: float
 
     @classmethod
-    def standard(cls, n: int, gamma: float, b0: float, mu: float | None = None) -> "MultiplierChoice":
-        """Tilt from the closed form; mu defaults to the window midpoint."""
+    def standard(cls, sol: SelfSimilarSolution, mu: float | None = None) -> "MultiplierChoice":
+        """The choice for a profile: n, gamma and b0 from it, the tilt from
+        the closed form; mu defaults to the window midpoint."""
+        n, gamma = sol.n, sol.gas.gamma
         if mu is None:
             mu = admissible_mu(n, gamma).midpoint
-        return cls(n=n, gamma=gamma, b0=b0, mu=float(mu), e=float(multiplier_e(n, gamma)))
+        return cls(n=n, gamma=gamma, b0=sol.b0, mu=float(mu), e=float(multiplier_e(n, gamma)))
 
     def b_sigma(self, s):
         s = np.asarray(s, dtype=float)
@@ -419,9 +421,14 @@ def K_coeffs(sol: SelfSimilarSolution, choice: MultiplierChoice,
     pointwise bulk signs K00 > 0, K0r^2 - 4 K00 Krr < 0, Knn > 0 on
     s in [b0, s0]; and the shock-flux coefficient signs
     beta_hat11 > 0 (vs the reference level (gamma-1) b0^2 / 8),
-    beta_hat13 < 0 (vs -(gamma-1) b0^4 / 2), beta_hat14 > 0.
+    beta_hat13 < 0 (vs -(gamma-1) b0^4 / 2), beta_hat14 > 0.  Raises
+    ValueError if the choice was made for another (n, gamma, b0).
     """
     g = sol.gas.gamma
+    made_for = (choice.n, choice.gamma, choice.b0)
+    if made_for != (sol.n, g, sol.b0):
+        raise ValueError(f"multiplier choice for (n, gamma, b0) = {made_for} "
+                         f"applied to a profile with {(sol.n, g, sol.b0)}")
     pc = P_coeffs(sol)
     K00, K0r, Krr, Knn = _k_samples(pc, choice, t=1.0)
     disc = K0r ** 2 - 4.0 * K00 * Krr
@@ -487,5 +494,5 @@ def certify(n: int, gamma: float, b0: float, mu: float,
     elif gas.gamma != gamma:
         raise ValueError("gas.gamma disagrees with the gamma argument")
     sol = solve_background(b0, gas, n=n, grid_size=grid_size)
-    choice = MultiplierChoice.standard(n, gamma, b0, mu=mu)
+    choice = MultiplierChoice.standard(sol, mu=mu)
     return K_coeffs(sol, choice)

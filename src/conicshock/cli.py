@@ -33,6 +33,7 @@ from .background import (
     SelfSimilarSolution,
     ShootingError,
     asymptotic_report,
+    check_grid_size,
     check_n,
     ode_residual,
     solve_background,
@@ -163,6 +164,8 @@ def _setup(config_path, output_dir, gamma, A, rho0, n, **flags):
         raise click.UsageError("--b0 is required (flag or config)")
     try:
         check_n(params["n"])
+        if "grid_size" in params:
+            check_grid_size(params["grid_size"], "--grid-size")
         gas = GasParams(A=params["A"], gamma=params["gamma"], rho0=params["rho0"])
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -237,7 +240,10 @@ def _profile_checks(sol: SelfSimilarSolution, piston_tol: float) -> dict:
     excess, supersonic denominator sign, small ODE residual."""
     finite = all(
         bool(np.all(np.isfinite(a))) for a in (sol.s, sol.rho, sol.w))
-    res = ode_residual(sol) if finite else float("nan")
+    try:
+        res = ode_residual(sol) if finite else float("nan")
+    except ValueError:          # samples that coincide in s
+        res = float("nan")
     checks = {
         "finite": finite,
         "piston_condition": finite

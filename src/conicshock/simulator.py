@@ -79,6 +79,8 @@ class SimConfig:
             raise ValueError("cfl must lie in (0, 1)")
         if self.grid_points < 32:
             raise ValueError("grid_points must be at least 32")
+        if not self.t0 > 0:
+            raise ValueError(f"t0 must be positive, got {self.t0}")
         if not self.t_end > self.t0:
             raise ValueError(f"t_end must exceed t0, got t0 = {self.t0}, t_end = {self.t_end}")
 
@@ -464,24 +466,15 @@ class SelfSimilarStepper:
     """L-stable implicit stepping in tau = log t and Z = zeta/t.
 
     Every term of _rates scales like 1/t, so t d/dt of (v, w) depends on t
-    only through the piston path.  The unknowns are v and w at the nodes,
+    only through the piston path.  The unknowns
+    x = (v0, w0, ..., v_{m-1}, w_{m-1}, ell, q) are v and w at the nodes,
     the layer width ell = Z - b = (zeta - sigma)/t and the relative shock
-    speed q = zeta' - sigma', with d ell/d tau = q - ell; phi follows by
-    quadrature.  Each step is BDF2 (BDF1 on the first), which damps the
-    acoustic modes of the stand-off layer rather than resolving them, so
-    the step size is set by the slow dynamics and not by the CFL limit.
-    For a steady piston the equations are autonomous in tau, and their
-    fixed point is the discrete self-similar background.
-
-    The node equations are the centred differences of _rates.  At each
-    boundary node the outgoing characteristic combination of the two
-    equations is kept (its weights frozen at the start of the step) and the
-    incoming one is replaced by the boundary condition, as _apply_bcs
-    does: w = sigma' at the wall, v + zeta' w = 0 at the shock.  The last
-    row is the Rankine-Hugoniot speed zeta' = H w/(H - rho0).  Newton's
-    matrix is banded in the node unknowns, bordered by the ell and q
-    columns; one solve_banded call with three right-hand sides and a 2x2
-    Schur complement give the update.
+    speed q = zeta' - sigma'; phi follows by quadrature.  Each step is BDF2
+    (BDF1 on the first) on the DAE M dx/dtau = F(x) of _system, which damps
+    the acoustic modes of the stand-off layer rather than resolving them, so
+    the step size is set by the slow dynamics and not by the CFL limit.  For
+    a steady piston the equations are autonomous in tau, and their fixed
+    point is the discrete self-similar background.
     """
 
     def __init__(self, state: SimState, config: SimConfig):
@@ -489,40 +482,51 @@ class SelfSimilarStepper:
         self.y = state.y
         m = len(self.y)
         self.t = state.t
-        self.v, self.w, self.phi = state.v.copy(), state.w.copy(), state.phi.copy()
-        self.ell = (state.zeta - state.sigma) / state.t
-        zdot, _ = shock_speed(self.v[-1], self.w[-1], config.gas)
-        self.q = zdot - config.dsigma(state.t)
-        self._prev = None       # (dtau, v, w, ell, phi) one step back
-        # centred first-derivative stencil of _fd_derivative as (row, col,
-        # weight) triplets, followed by one diagonal triplet per node
-        i = np.arange(1, m - 1)
-        nodes = np.arange(m)
-        self._rows = np.concatenate([i, i, [0, 0, 0], [m - 1] * 3, nodes])
-        self._cols = np.concatenate([i - 1, i + 1, [0, 1, 2],
-                                     [m - 1, m - 2, m - 3], nodes])
-        self._wts = np.concatenate([np.full(m - 2, -0.5), np.full(m - 2, 0.5),
-                                    [-1.5, 2.0, -0.5, 1.5, -2.0, 0.5]]) / (self.y[1] - self.y[0])
-        self._ns = len(self._wts)
-        # flat index into the (v, w)-interleaved banded matrix of each
-        # triplet's vv, vw, wv, ww entry
+        zdot, _ = shock_speed(state.v[-1], state.w[-1], config.gas)
+        self.x = np.concatenate([np.column_stack([state.v, state.w]).ravel(),
+                                 [(state.zeta - state.sigma) / state.t,
+                                  zdot - config.dsigma(state.t)]])
+        self.phi = state.phi.copy()
+        self._prev = None       # (dtau, x, phi) one step back
+        # diagonal of M: zero on the algebraic wall, shock and RH rows
+        self._mdiag = np.ones(2 * m + 2)
+        self._mdiag[[1, -3, -1]] = 0.0
+        # (row, col) node pairs of the _fd_derivative stencil, the weight
+        # of each, and the pairs in each boundary row
+        D = _fd_derivative(np.eye(m), self.y[1] - self.y[0])
+        self._rows, cols = np.nonzero(D)
+        self._wts = D[self._rows, cols]
+        self._ends = [np.flatnonzero(self._rows == node) for node in (0, m - 1)]
+        # flat index into the (v, w)-interleaved band storage of each
+        # pair's vv, vw, wv, ww entry
         lo, up = _BANDS
-        r2 = np.concatenate([2 * self._rows, 2 * self._rows,
-                             2 * self._rows + 1, 2 * self._rows + 1])
-        c2 = np.concatenate([2 * self._cols, 2 * self._cols + 1,
-                             2 * self._cols, 2 * self._cols + 1])
+        r2 = np.concatenate([2 * self._rows] * 2 + [2 * self._rows + 1] * 2)
+        c2 = np.concatenate([2 * cols, 2 * cols + 1] * 2)
         self._band_index = (up + r2 - c2) * (2 * m) + c2
         self._band_shape = (lo + up + 1, 2 * m)
 
-    def _newton_update(self, t, v, w, ell, q, hist, k, a_wall, a_shock):
-        """Newton correction (dv, dw, d ell, dq) of the step equations
-        x - hist - k F(x) = 0 with the boundary rows described above."""
+    def _system(self, t, x, a):
+        """Right-hand side F(x) of M dx/dtau = F(x) and its Jacobian J.
+
+        The node rows are the centred differences of _rates times t.  At
+        each boundary node the outgoing characteristic combination is kept,
+        v row + a w row with the weights a = (a_wall, a_shock), and the w
+        row is the algebraic boundary condition, as in _apply_bcs:
+        w - sigma' = 0 at the wall, v + zeta' w = 0 at the shock.  Then come
+        the ell row q - ell and the algebraic Rankine-Hugoniot row
+        zeta' (H - rho0) - H w.  J is (Jb, C, B, D): the band storage
+        (bands _BANDS) of its node block, its ell and q columns on the node
+        rows, its ell and RH rows on the node columns, and the 2x2 corner.
+        """
         config, gas = self.config, self.config.gas
         g1 = gas.gamma - 1.0
-        y, m, ns = self.y, len(self.y), self._ns
+        y, m = self.y, len(self.y)
+        v, w = x[:-2].reshape(m, 2).T.copy()
+        ell, q = x[-2], x[-1]
         arg = _bernoulli(v, w, gas)
         csq = g1 * arg
         sdot = config.dsigma(t)
+        zdot = sdot + q
         V = sdot + y * q
         rr = config.b(t) + y * ell          # r/t
         dy = y[1] - y[0]
@@ -530,115 +534,111 @@ class SelfSimilarStepper:
         dw = _fd_derivative(w, dy)
         flux = (V - 2.0 * w) * dv - (w * w - csq) * dw
         src = (config.n - 1) * csq * w / rr
-        Fw = (dv + V * dw) / ell
-        hv, hw, hl = hist
-        Rv = v - hv - k * (flux / ell + src)
-        Rw = w - hw - k * Fw
+        F = np.empty(2 * m + 2)
+        Fv, Fw = F[0:-2:2], F[1:-2:2]
+        Fv[:] = flux / ell + src
+        Fw[:] = (dv + V * dw) / ell
 
-        # Jacobian in triplets: d/dv_j, d/dw_j of the v and w rows of node i
-        si, sd = self._rows[:ns], self._wts
-        ones, zeros = np.ones(m), np.zeros(m)
-        Jvv = np.concatenate([-k * (V - 2.0 * w)[si] * sd / ell,
-                              1.0 + k * g1 * (dw / ell + (config.n - 1) * w / rr)])
-        Jvw = np.concatenate([k * (w * w - csq)[si] * sd / ell,
-                              k * ((2.0 * dv + (gas.gamma + 1.0) * w * dw) / ell
-                                   - (config.n - 1) * (csq - g1 * w * w) / rr)])
-        Jwv = np.concatenate([-k * sd / ell, zeros])
-        Jww = np.concatenate([-k * V[si] * sd / ell, ones])
-        # border columns d/d ell and d/dq
-        Cvl = k * (flux / ell ** 2 + src * y / rr)
-        Cwl = k * Fw / ell
-        Cvq = -k * y * dv / ell
-        Cwq = -k * y * dw / ell
+        # node block: the stencil terms on the pairs
+        si, sd = self._rows, self._wts / ell
+        Jvv = (V - 2.0 * w)[si] * sd
+        Jvw = -(w * w - csq)[si] * sd
+        Jwv = sd.copy()
+        Jww = V[si] * sd
+        C = np.empty((2 * m, 2))
+        C[0::2, 0] = -flux / ell ** 2 - src * y / rr
+        C[1::2, 0] = -Fw / ell
+        C[0::2, 1] = y * dv / ell
+        C[1::2, 1] = y * dw / ell
+        for node, a_node, sel in zip((0, m - 1), a, self._ends):
+            Jvv[sel] += a_node * Jwv[sel]
+            Jvw[sel] += a_node * Jww[sel]
+            Jwv[sel] = Jww[sel] = 0.0
+            Fv[node] += a_node * Fw[node]
+            C[2 * node] += a_node * C[2 * node + 1]
+            C[2 * node + 1] = 0.0
+        Fw[0] = w[0] - sdot
+        Fw[-1] = v[-1] + zdot * w[-1]
+        C[-1, 1] = w[-1]
+        # in band storage, where entry (i, j) sits at [up + i - j, j]: the
+        # node-local terms of the v rows, then the wall and shock rows
+        up = _BANDS[1]
+        Jb = np.bincount(self._band_index, weights=np.concatenate([Jvv, Jvw, Jwv, Jww]),
+                         minlength=math.prod(self._band_shape)).reshape(self._band_shape)
+        Jb[up, 0::2] -= g1 * (dw / ell + (config.n - 1) * w / rr)
+        Jb[up - 1, 1::2] += ((config.n - 1) * (csq - g1 * w * w) / rr
+                             - (2.0 * dv + (gas.gamma + 1.0) * w * dw) / ell)
+        Jb[up, 1] = 1.0
+        Jb[up + 1, -2], Jb[up, -1] = 1.0, zdot
 
-        # boundary nodes: keep the outgoing combination (v row + a * w row),
-        # replace the w row by the boundary condition
-        for node, a in ((0, a_wall), (m - 1, a_shock)):
-            sel = self._rows == node
-            Jvv[sel] += a * Jwv[sel]
-            Jvw[sel] += a * Jww[sel]
-            Jwv[sel] = 0.0
-            Jww[sel] = 0.0
-            Rv[node] += a * Rw[node]
-            Cvl[node] += a * Cwl[node]
-            Cvq[node] += a * Cwq[node]
-            Cwl[node] = Cwq[node] = 0.0
-        zdot = sdot + q
-        Rw[0] = w[0] - sdot
-        Jww[ns] = 1.0
-        Rw[-1] = v[-1] + zdot * w[-1]
-        Jwv[ns + m - 1] = 1.0
-        Jww[ns + m - 1] = zdot
-        Cwq[-1] = w[-1]
-
-        # shock-speed and layer-width rows
         H = _density_at(arg[-1], gas)
-        Rq = zdot * (H - gas.rho0) - H * w[-1]
-        dH_dv = -H / csq[-1]
-        dH_dw = -H * w[-1] / csq[-1]
-        Dq_v = (zdot - w[-1]) * dH_dv
-        Dq_w = (zdot - w[-1]) * dH_dw - H
-        Rl = ell - hl - k * (q - ell)
-
-        ab = np.bincount(self._band_index, weights=np.concatenate([Jvv, Jvw, Jwv, Jww]),
-                         minlength=self._band_shape[0] * self._band_shape[1])
-        rhs = np.empty((2 * m, 3))
-        for col, (fv, fw) in enumerate(((Rv, Rw), (Cvl, Cwl), (Cvq, Cwq))):
-            rhs[0::2, col] = fv
-            rhs[1::2, col] = fw
-        X = solve_banded(_BANDS, ab.reshape(self._band_shape), rhs)
-        Xq = Dq_v * X[-2] + Dq_w * X[-1]
-        S = np.array([[1.0 + k, -k], [-Xq[1], H - gas.rho0 - Xq[2]]])
-        d_ell, d_q = np.linalg.solve(S, [Rl, Rq - Xq[0]])
-        dx = X[:, 0] - X[:, 1] * d_ell - X[:, 2] * d_q
-        return dx[0::2], dx[1::2], d_ell, d_q
+        dH = -H / csq[-1] * np.array([1.0, w[-1]])      # dH/dv, dH/dw
+        B = np.zeros((2, 2 * m))
+        B[1, -2:] = (zdot - w[-1]) * dH - [0.0, H]
+        D = np.array([[-1.0, 1.0], [0.0, H - gas.rho0]])
+        F[-2:] = q - ell, zdot * (H - gas.rho0) - H * w[-1]
+        return F, (Jb, C, B, D)
 
     def step(self, t_new: float) -> SimState:
-        """Advance to t_new; raises SimulationError if Newton stalls."""
-        config = self.config
+        """Advance to t_new; raises SimulationError if Newton stalls.
+
+        M is the identity on the differential rows, zero on the algebraic
+        ones, and couples each boundary v row to its w by the outgoing
+        weight.  Newton solves M (x - hist) = k F(x) with M - k J: one
+        solve_banded call with three right-hand sides and a 2x2 Schur
+        complement for the ell and q columns give each update.
+        """
+        config, gas, up = self.config, self.config.gas, _BANDS[1]
         dtau = math.log(t_new / self.t)
-        cur = (self.v, self.w, self.ell, self.phi)
+        x = self.x
         if self._prev is None:
-            k, hist = dtau, cur
-            v, w, ell = self.v.copy(), self.w.copy(), self.ell
+            k, hist, phi_hist = dtau, x, self.phi
         else:
             om = dtau / self._prev[0]
             c1, c2 = (1.0 + om) ** 2 / (1.0 + 2.0 * om), om ** 2 / (1.0 + 2.0 * om)
             k = (1.0 + om) / (1.0 + 2.0 * om) * dtau
-            hist = tuple(c1 * a - c2 * b for a, b in zip(cur, self._prev[1:]))
-            # linear extrapolation in tau as the Newton start
-            v, w, ell = ((1.0 + om) * a - om * b
-                         for a, b in zip(cur[:3], self._prev[1:4]))
-        q = self.q
-        c = _sound(self.v[[0, -1]], self.w[[0, -1]], config.gas)
-        a_wall, a_shock = self.w[0] + c[0], self.w[-1] - c[1]
+            hist, phi_hist = c1 * x - c2 * self._prev[1], c1 * self.phi - c2 * self._prev[2]
+            # linear extrapolation in tau of all but q as the Newton start
+            x = (1.0 + om) * x - om * self._prev[1]
+            x[-1] = self.x[-1]
+        # outgoing characteristic weights w + c at the wall, w - c at the
+        # shock, frozen at the start of the step; M in J's band layout
+        a = self.x[[1, -3]] + [1.0, -1.0] * _sound(self.x[[0, -4]], self.x[[1, -3]], gas)
+        Mb = np.zeros(self._band_shape)
+        Mb[up] = self._mdiag[:-2]
+        Mb[up - 1, [1, -1]] = a
+        Mc = np.diag(self._mdiag[-2:])
 
         for _ in range(_NEWTON_MAXITER):
-            dv, dw, d_ell, d_q = self._newton_update(
-                t_new, v, w, ell, q, hist[:3], k, a_wall, a_shock)
-            v, w, ell, q = v - dv, w - dw, ell - d_ell, q - d_q
+            F, (Jb, C, B, D) = self._system(t_new, x, a)
+            d = x - hist
+            R = self._mdiag * d - k * F
+            R[[0, -4]] += a * d[[1, -3]]
+            X = solve_banded(_BANDS, Mb - k * Jb, np.column_stack([R[:-2], -k * C]))
+            BX = k * B @ X
+            dz = np.linalg.solve(Mc - k * D + BX[:, 1:], R[-2:] + BX[:, 0])
+            dx = np.concatenate([X[:, 0] - X[:, 1:] @ dz, dz])
+            x = x - dx
             # q = zeta' - sigma' is a difference of speeds and carries
             # their rounding, so it is measured against zeta', not ell
-            err = max(max(np.max(np.abs(dv)), np.max(np.abs(dw)))
-                      / max(np.max(np.abs(v)), np.max(np.abs(w))),
-                      abs(d_ell) / ell,
-                      abs(d_q) / abs(config.dsigma(t_new) + q))
+            err = max(np.max(np.abs(dx[:-2])) / np.max(np.abs(x[:-2])),
+                      abs(dx[-2]) / x[-2],
+                      abs(dx[-1]) / abs(config.dsigma(t_new) + x[-1]))
             if err <= _NEWTON_RTOL:
                 break
         else:
             raise SimulationError(
                 f"implicit step to t={t_new} did not converge: relative "
                 f"Newton update {err:.3e} after {_NEWTON_MAXITER} iterations")
+        v, w, ell, q = x[0:-2:2], x[1:-2:2], x[-2], x[-1]
         if not ell > 0.0:
             raise SimulationError(f"piston overtook the shock at t={t_new}")
 
-        V = config.dsigma(t_new) + self.y * q
-        phi = hist[3] + k * t_new * (v + w * V)
-        self._prev = (dtau,) + cur
-        self.t, self.v, self.w, self.ell, self.q, self.phi = t_new, v, w, ell, q, phi
-        sigma = config.sigma(t_new)
-        return SimState(t=t_new, sigma=sigma, zeta=t_new * (config.b(t_new) + ell),
-                        y=self.y, v=v, w=w, phi=phi)
+        phi = phi_hist + k * t_new * (v + w * (config.dsigma(t_new) + self.y * q))
+        self._prev = (dtau, self.x, self.phi)
+        self.t, self.x, self.phi = t_new, x, phi
+        return SimState(t=t_new, sigma=config.sigma(t_new),
+                        zeta=t_new * (config.b(t_new) + ell), y=self.y, v=v, w=w, phi=phi)
 
 
 # ---------------------------------------------------------------------------

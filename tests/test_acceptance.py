@@ -242,7 +242,7 @@ class TestCertificates:
     def test_sign_pattern_pointwise(self, n):
         gas = GasParams(A=1.0, gamma=1.4, rho0=1.0)
         sol = solve_background(80.0, gas, n=n)
-        choice = MultiplierChoice.standard(n, 1.4, 80.0)
+        choice = MultiplierChoice.standard(sol)
         cert = K_coeffs(sol, choice)
         assert np.all(cert.K00 > 0.0)
         assert np.all(cert.discriminant < 0.0)

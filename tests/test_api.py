@@ -20,6 +20,27 @@ def test_star_import(module):
         assert name in namespace
 
 
+#: the package exports; a change to this set is an API change
+PUBLIC = {
+    "AsymptoticsReport", "BoundaryCoeffs", "CoeffSet", "DecayFit", "GasParams",
+    "HodographState", "K_coeffs", "MuWindow", "MultiplierCertificate",
+    "MultiplierChoice", "PCoeffs", "P_coeffs", "PsiHat", "SelfSimilarSolution",
+    "ShockJump", "SimConfig", "SimResult", "SimState", "SimulationError",
+    "a_coeffs", "admissible_mu", "asymptotic_report", "boundary_coeffs",
+    "boundary_signs", "certify", "check_ellipticity", "decay_exponent",
+    "density_from_state", "enthalpy", "enthalpy_inverse", "fit_decay",
+    "init_from_background", "local_stability", "modified_background",
+    "multiplier_e", "profile_ode_residual", "psi_hat_from_background", "run",
+    "second_order_coeffs", "shock_jump_from_speed", "solve_background",
+    "sound_speed", "step",
+}
+
+
+def test_package_exports():
+    assert len(conicshock.__all__) == len(set(conicshock.__all__))
+    assert set(conicshock.__all__) == PUBLIC
+
+
 @pytest.mark.parametrize("name", conicshock.__all__)
 def test_package_export_resolves(name):
     assert hasattr(conicshock, name)

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from conicshock import background
 from conicshock.background import (
     BracketError,
+    SelfSimilarSolution,
     ShootingError,
     asymptotic_report,
     ode_residual,
@@ -116,11 +117,23 @@ class TestSolveBackground:
             solve_background(40.0, GAS, n=5)
 
     def test_piston_condition_missed_on_coarse_grid(self):
-        # two RK4 steps across the thick gamma 2.5 layer miss u(b0) = b0 by
-        # about 2e-6 b0, far above the 1e-9 b0 the final pass allows
+        # four RK4 steps across the thick gamma 2.5 layer, the fewest
+        # allowed, miss u(b0) = b0 by about 1e-7 b0, far above the 1e-9 b0
+        # the final pass allows
         gas = GasParams(A=1.0, gamma=2.5, rho0=1.0)
         with pytest.raises(BracketError, match="piston condition missed"):
-            solve_background(4.0, gas, n=3, grid_size=3)
+            solve_background(4.0, gas, n=3, grid_size=5)
+
+    @pytest.mark.parametrize("grid_size", [1, 2, 4])
+    def test_rejects_grid_below_five_samples(self, grid_size):
+        with pytest.raises(ValueError, match="grid_size must be at least 5"):
+            solve_background(40.0, GAS, n=3, grid_size=grid_size)
+
+    def test_ode_residual_rejects_short_profile(self, sol40):
+        short = SelfSimilarSolution(gas=GAS, n=3, b0=sol40.b0, delta=sol40.s_off[3],
+                                    s_off=sol40.s_off[:4], rho=sol40.rho[:4], w=sol40.w[:4])
+        with pytest.raises(ValueError, match="profile samples must be at least 5"):
+            ode_residual(short)
 
     def test_residual_fourth_order(self):
         # halving the step must shrink the ODE residual by >= 8 (4th-order

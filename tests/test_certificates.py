@@ -145,17 +145,17 @@ class TestPCoeffs:
 # ---------------------------------------------------------------------------
 
 class TestMultiplierChoice:
-    def test_standard_defaults(self):
-        ch = MultiplierChoice.standard(3, 1.4, 80.0)
+    def test_standard_defaults(self, sol80):
+        ch = MultiplierChoice.standard(sol80)
         w = admissible_mu(3, 1.4)
         assert ch.mu == w.midpoint
         assert ch.e == multiplier_e(3, 1.4)
 
-    def test_weight_derivatives_match_finite_differences(self):
+    def test_weight_derivatives_match_finite_differences(self, sol80):
         # db_sigma, the only weight derivative _k_samples takes, against
         # centred differences of b_sigma; dropping its tilt term moves it
         # by about 1e-2 relative
-        ch = MultiplierChoice.standard(3, 1.4, 80.0, mu=-2.5)
+        ch = MultiplierChoice.standard(sol80, mu=-2.5)
         s = np.random.default_rng(7).uniform(75.0, 85.0, 20)
         h = 1e-6 * s
         fd = (ch.b_sigma(s + h) - ch.b_sigma(s - h)) / (2 * h)
@@ -163,7 +163,7 @@ class TestMultiplierChoice:
         assert np.all(np.abs(fd - exact) <= 1e-7 * np.abs(exact))
 
     def test_time_scaling_exact(self, sol80):
-        ch = MultiplierChoice.standard(3, 1.4, 80.0, mu=-2.5)
+        ch = MultiplierChoice.standard(sol80, mu=-2.5)
         pc = P_coeffs(sol80)
         base = _k_samples(pc, ch, t=1.0)
         for t in (2.0, 4.0):
@@ -178,7 +178,7 @@ class TestMultiplierChoice:
 
 class TestKCoeffs:
     def test_signs_at_reference_choice(self, sol80):
-        cert = K_coeffs(sol80, MultiplierChoice.standard(3, 1.4, 80.0, mu=-2.5))
+        cert = K_coeffs(sol80, MultiplierChoice.standard(sol80, mu=-2.5))
         assert cert.k00_positive
         assert cert.disc_negative
         assert cert.knn_positive
@@ -189,7 +189,7 @@ class TestKCoeffs:
         # K00 ~ (2+e-mu) b0/2, K0r ~ ((gamma+3)/2+e-mu) b0^2,
         # Knn ~ -(gamma-1)(2+e+mu) b0^3/4 at the piston end
         g, b0 = GAS.gamma, sol80.b0
-        ch = MultiplierChoice.standard(3, g, b0, mu=-2.5)
+        ch = MultiplierChoice.standard(sol80, mu=-2.5)
         cert = K_coeffs(sol80, ch)
         assert cert.K00[0] == pytest.approx(0.5 * (2 + ch.e - ch.mu) * b0, rel=5e-2)
         assert cert.K0r[0] == pytest.approx(((g + 3) / 2 + ch.e - ch.mu) * b0 ** 2, rel=5e-2)
@@ -200,7 +200,7 @@ class TestKCoeffs:
 
     def test_leading_order_table_n2(self, sol80_n2):
         g, b0 = GAS.gamma, sol80_n2.b0
-        ch = MultiplierChoice.standard(2, g, b0, mu=-1.5)
+        ch = MultiplierChoice.standard(sol80_n2, mu=-1.5)
         cert = K_coeffs(sol80_n2, ch)
         assert cert.K00[0] == pytest.approx(0.5 * (1 + ch.e - ch.mu) * b0, rel=5e-2)
         assert cert.K0r[0] == pytest.approx(((g + 1) / 2 + ch.e - ch.mu) * b0 ** 2, rel=5e-2)
@@ -210,13 +210,17 @@ class TestKCoeffs:
     def test_near_window_endpoint(self, sol80):
         # just inside the upper endpoint the sign pattern still closes
         w = admissible_mu(3, 1.4)
-        cert = K_coeffs(sol80, MultiplierChoice.standard(3, 1.4, 80.0, mu=w.hi - 1e-3))
+        cert = K_coeffs(sol80, MultiplierChoice.standard(sol80, mu=w.hi - 1e-3))
         assert cert.k00_positive and cert.disc_negative and cert.knn_positive
+
+    def test_rejects_choice_for_another_profile(self, sol80, sol80_n2):
+        with pytest.raises(ValueError, match="applied to a profile"):
+            K_coeffs(sol80, MultiplierChoice.standard(sol80_n2))
 
     def test_summary_roundtrip(self, sol80, tmp_path):
         import json
 
-        cert = K_coeffs(sol80, MultiplierChoice.standard(3, 1.4, 80.0, mu=-2.5))
+        cert = K_coeffs(sol80, MultiplierChoice.standard(sol80, mu=-2.5))
         path = tmp_path / "cert.json"
         _write_json(cert.summary(), path)
         data = json.loads(path.read_text())
@@ -253,7 +257,7 @@ class TestBoundary:
 
     def test_beta_hats(self, sol80):
         g, b0 = GAS.gamma, sol80.b0
-        ch = MultiplierChoice.standard(3, g, b0, mu=-2.5)
+        ch = MultiplierChoice.standard(sol80, mu=-2.5)
         betas = shock_flux_betas(sol80, ch)
         assert betas["beta_hat11"] == pytest.approx((g - 1) * b0 ** 2 / 8, rel=0.05)
         assert betas["beta_hat13"] == pytest.approx(-(g - 1) * b0 ** 4 / 2, rel=0.05)
@@ -263,7 +267,7 @@ class TestBoundary:
 
     def test_raw_beta_leading_orders(self, sol80):
         g, b0 = GAS.gamma, sol80.b0
-        ch = MultiplierChoice.standard(3, g, b0, mu=-2.5)
+        ch = MultiplierChoice.standard(sol80, mu=-2.5)
         betas = shock_flux_betas(sol80, ch)
         assert betas["beta12"] == pytest.approx(-(g - 1) * b0 ** 3 / 2, rel=0.05)
         assert betas["beta13"] == pytest.approx(-(g - 1) * b0 ** 4 / 2, rel=0.05)

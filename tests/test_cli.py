@@ -195,6 +195,16 @@ class TestVerify:
         assert report["profile_file"] == name
         assert report["profile_sha256"] == hashlib.sha256(data).hexdigest()
 
+    def test_unresolved_sample_spacing_fails(self, runner, tmp_path):
+        # at gamma 1.2, b0 80 the stand-off is 6.1e-13, so the first two of
+        # 2048 samples coincide in s and the ODE residual cannot be formed
+        res = runner.invoke(main, ["verify", "--suite", "profile", "--gamma", "1.2",
+                                   "--b0", "80", "--output-dir", str(tmp_path)])
+        assert res.exit_code == 1
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        checks = report["results"]["profile"]["per_b0"]["80"]["checks"]
+        assert checks["ode_residual_small"] is False
+
     def test_corrupted_profile_fails(self, runner, tmp_path):
         _invoke(runner, ["background", "--b0", "40",
                          "--output-dir", str(tmp_path)])
@@ -364,6 +374,24 @@ NON_FINITE = {
     "simulate t_end": (SIM_ARGS + ["--t-end", "nan"], "--t-end"),
     "simulate budget": (SIM_ARGS + ["--t-end", "3", "--budget", "nan"], "--budget"),
 }
+
+
+OUT_OF_RANGE = {
+    "background grid_size": (["background", "--b0", "40", "--grid-size", "1"],
+                             "--grid-size must be at least 5"),
+    "certify grid_size": (["certify", "--b0", "80", "--grid-size", "2"],
+                          "--grid-size must be at least 5"),
+    "simulate t0 zero": (SIM_ARGS + ["--t0", "0", "--t-end", "1"], "t0 must be positive"),
+    "simulate t0 negative": (SIM_ARGS + ["--t0", "-1", "--t-end", "1"], "t0 must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_option_is_usage_error(runner, tmp_path, case):
+    args, message = OUT_OF_RANGE[case]
+    res = runner.invoke(main, args + ["--output-dir", str(tmp_path)])
+    assert res.exit_code == 2
+    assert message in res.output
 
 
 @pytest.mark.parametrize("case", sorted(NON_FINITE))

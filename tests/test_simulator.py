@@ -66,6 +66,9 @@ class TestConfig:
         for field in ("eps", "t_end", "t0"):
             with pytest.raises(ValueError, match=field):
                 SimConfig(n=3, gas=GAS, b0=B0, **{field: float("nan")})
+        for t0 in (0.0, -1.0):
+            with pytest.raises(ValueError, match="t0"):
+                SimConfig(n=3, gas=GAS, b0=B0, t0=t0)
 
     def test_piston_path(self):
         cfg = SimConfig(n=3, gas=GAS, b0=B0, eps=0.01)
@@ -304,23 +307,28 @@ class TestRun:
         res = run(cfg, sol=sol, wall_clock_budget=0.2)
         assert not res.completed
 
-    def test_csv_and_json_deterministic(self, sol, tmp_path):
+    def test_csv_and_json_deterministic(self, sol, tmp_path, monkeypatch):
+        # the explicit path, then the implicit one forced as in implicit_runs
         import json
 
         cfg = SimConfig(n=3, gas=GAS, b0=B0, eps=0.0, grid_points=32, t_end=2.0)
-        paths = []
-        for k in (0, 1):
-            res = run(cfg, sol=sol)
-            p = tmp_path / f"run{k}.csv"
-            _write_csv(p, {"t": res.t, "zeta": res.zeta, "sigma": res.sigma,
-                           "sup_dev": res.sup_dev, "rh_residual": res.rh_residual,
-                           "entropy_margin": res.entropy_margin})
-            paths.append(p.read_bytes())
-            _write_json(res.summary(), tmp_path / f"run{k}.json")
-        assert paths[0] == paths[1]
-        data = json.loads((tmp_path / "run0.json").read_text())
-        assert data["completed"] is True
-        assert data["min_entropy_margin"] > 0
+        for stepper, threshold in (("explicit", simulator.IMPLICIT_STEP_THRESHOLD),
+                                   ("implicit", 0.0)):
+            monkeypatch.setattr(simulator, "IMPLICIT_STEP_THRESHOLD", threshold)
+            paths = []
+            for k in (0, 1):
+                res = run(cfg, sol=sol)
+                assert res.stepper == stepper
+                p = tmp_path / f"{stepper}{k}.csv"
+                _write_csv(p, {"t": res.t, "zeta": res.zeta, "sigma": res.sigma,
+                               "sup_dev": res.sup_dev, "rh_residual": res.rh_residual,
+                               "entropy_margin": res.entropy_margin})
+                paths.append(p.read_bytes())
+                _write_json(res.summary(), tmp_path / f"{stepper}{k}.json")
+            assert paths[0] == paths[1]
+            data = json.loads((tmp_path / f"{stepper}0.json").read_text())
+            assert data["completed"] is True
+            assert data["min_entropy_margin"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +385,37 @@ class TestImplicitStep:
         res = implicit_runs["eps"]
         implicit = fit_decay(res.t, res.sup_dev, window=(5.0, 50.0))
         assert abs(implicit.m0_est - explicit.m0_est) <= 0.05
+
+    @pytest.mark.parametrize("gamma, b0", [(2.0, 4.0), (1.4, 40.0)])
+    def test_jacobian_matches_finite_differences(self, gamma, b0):
+        # every column of J, node block and border alike, against centred
+        # differences of F; an inexact J passes the run tests above and
+        # only slows Newton.  (1.4, 40) is the thin layer of the pinned case
+        gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
+        cfg = SimConfig(n=3, gas=gas, b0=b0, eps=0.01, grid_points=32, t_end=2.0)
+        stepper = simulator.SelfSimilarStepper(
+            init_from_background(solve_background(b0, gas, n=3, grid_size=256), cfg), cfg)
+        for t in (1.05, 1.1):
+            stepper.step(t)
+        x = stepper.x
+        a = x[[1, -3]] + [1.0, -1.0] * simulator._sound(x[[0, -4]], x[[1, -3]], gas)
+        F, (Jb, C, B, D) = stepper._system(1.1, x, a)
+        n = len(x) - 2
+        lo, up = simulator._BANDS
+        i, j = np.indices((n, n))
+        band = (j - i <= up) & (i - j <= lo)
+        J = np.zeros((n + 2, n + 2))
+        J[:n, :n][band] = Jb[(up + i - j)[band], j[band]]
+        J[:n, n:], J[n:, :n], J[n:, n:] = C, B, D
+        # steps relative to each unknown; q relative to zeta', as in Newton
+        scale = np.abs(x)
+        scale[-1] = abs(cfg.dsigma(1.1) + x[-1])
+        for col in range(n + 2):
+            h = 1e-6 * scale[col]
+            e = np.zeros_like(x)
+            e[col] = h
+            fd = (stepper._system(1.1, x + e, a)[0] - stepper._system(1.1, x - e, a)[0]) / (2 * h)
+            assert np.max(np.abs(J[:, col] - fd)) <= 1e-6 * np.max(np.abs(J[:, col])), col
 
     def test_wall_clock_budget_truncates(self, sol, monkeypatch):
         # a zero budget stops the implicit path after its first output
