@@ -268,6 +268,10 @@ def _load_profile(path, gas: GasParams, n: int) -> SelfSimilarSolution:
     except ValueError as exc:
         raise click.ClickException(f"{path}: unparsable profile: {exc}")
     s, rho, u = data.T
+    if not np.all(np.diff(s) > 0.0):
+        # a stand-off below the float spacing of b0 makes written samples coincide
+        raise click.ClickException(
+            f"{path}: profile samples coincide in s or are out of order")
     b0 = float(s[0])
     return SelfSimilarSolution(
         gas=gas, n=n, b0=b0, delta=float(s[-1] - s[0]),

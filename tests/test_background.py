@@ -158,6 +158,13 @@ EPS = np.finfo(float).eps
 #: gamma x b0 at n = 3; gamma 1.2, b0 80 has delta = 6.1e-13, about 43 ulp(b0)
 SHOOTING_CASES = [(g, b0) for g in (1.2, 1.4, 2.0) for b0 in (10.0, 40.0, 80.0)]
 
+#: thick, thin and unbracketed layers at the ends of the gamma range
+SEEDED_CASES = [(g, b0) for g in (1.05, 2.9) for b0 in (1.5, 4.0, 100.0)]
+
+#: gamma 2.9 at b0 1.2 and 1.5 is subsonic, gamma 1.2 at b0 100 has no root
+#: above 16 eps b0; the rest solve
+PARITY_CASES = [(g, b0) for g in (1.2, 1.4, 2.9) for b0 in (1.2, 1.5, 4.0, 100.0)]
+
 
 class TestShooting:
     @pytest.mark.parametrize("gamma, b0", SHOOTING_CASES)
@@ -198,6 +205,55 @@ class TestShooting:
                              grid_size=256)
             assert len(calls) <= 30, (gamma, b0, len(calls))
             assert len(set(calls)) == len(calls)  # no shot repeated
+
+    @pytest.mark.parametrize("gamma, b0", SHOOTING_CASES + SEEDED_CASES)
+    def test_seeded_shots_per_solve(self, monkeypatch, gamma, b0):
+        # the seed at the thin-layer mass balance and the steps
+        # delta <- delta - g reach a sign change in a few shots, then Brent
+        # closes the last two; a case without a bracket stops at its end
+        calls = []
+
+        def counting(delta, *args):
+            calls.append(delta)
+            return _piston_offset(delta, *args)
+
+        monkeypatch.setattr(background, "_piston_offset", counting)
+        try:
+            solve_background(b0, GasParams(A=1.0, gamma=gamma, rho0=1.0), n=3,
+                             grid_size=256)
+        except BracketError:
+            pass
+        assert len(calls) <= 8
+        assert len(set(calls)) == len(calls)  # no shot repeated
+
+    @pytest.mark.parametrize("gamma, b0", PARITY_CASES)
+    def test_bracket_error_parity_with_endpoint_shots(self, gamma, b0):
+        # the clamp [16 eps b0, 2 b0] fails exactly where its two end shots
+        # do not bracket the piston condition (no admissible shock at the
+        # lower end counts as no bracket)
+        gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
+        lo, hi = 16.0 * EPS * b0, 2.0 * b0
+        try:
+            bracketed = _piston_offset(lo, b0, gas, 3) < 0.0 < _piston_offset(hi, b0, gas, 3)
+        except ValueError:
+            bracketed = False
+        if not bracketed:
+            with pytest.raises(BracketError):
+                solve_background(b0, gas, n=3, grid_size=256)
+            return
+        oracle = bisect(lambda d: _piston_offset(d, b0, gas, 3), lo, hi,
+                        xtol=1e-300, rtol=1e-14, maxiter=300)
+        delta = solve_background(b0, gas, n=3, grid_size=256).delta
+        assert delta == pytest.approx(oracle, rel=1e-11, abs=0.0)
+
+    def test_errors_report_progress(self, monkeypatch):
+        # shots taken, the last delta and its mismatch
+        progress = r"\d+ shots, last delta = \S+ with mismatch \S+"
+        with pytest.raises(BracketError, match="no shooting bracket for b0=100.0: .*" + progress):
+            solve_background(100.0, GasParams(A=1.0, gamma=1.2, rho0=1.0), n=3)
+        monkeypatch.setattr(background, "SHOOT_MAXITER", 2)
+        with pytest.raises(ShootingError, match="did not converge .*" + progress):
+            solve_background(40.0, GAS, n=3)
 
     @staticmethod
     def _nan_inside_bracket(delta, b0, gas, n):

@@ -238,6 +238,18 @@ class TestVerify:
                                    "--output-dir", str(tmp_path)])
         assert res.exit_code == 1
 
+    def test_coinciding_samples_are_a_clean_failure(self, runner, tmp_path):
+        # the stand-off 6.1e-13 at gamma 1.2, b0 80 is about 43 ulp of b0,
+        # so 2048 samples of s = b0 + (s - b0) repeat values
+        _invoke(runner, ["background", "--b0", "80", "--gamma", "1.2",
+                         "--output-dir", str(tmp_path)])
+        path = tmp_path / "background_b80_g1.2_n3.csv"
+        res = _invoke(runner, ["verify", "--profile", str(path),
+                               "--output-dir", str(tmp_path)])
+        assert res.exit_code == 1
+        assert f"{path}: profile samples coincide in s" in res.output
+        assert "Traceback" not in res.output
+
     def test_missing_profile_is_usage_error(self, runner, tmp_path):
         res = runner.invoke(main, ["verify", "--profile",
                                    str(tmp_path / "nope.csv"),
