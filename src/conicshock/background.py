@@ -487,8 +487,7 @@ def _deviations(sol: SelfSimilarSolution) -> dict:
     gas = sol.gas
     g = gas.gamma
     b0 = sol.b0
-    rho, u, w = sol.rho, sol.u, sol.w
-    csq = gas.A * g * rho ** (g - 1.0)
+    rho, u, w, csq = sol.rho, sol.u, sol.w, sol.csq
     c = np.sqrt(csq)
     lead_rho = ((g - 1.0) / (2.0 * gas.A * g)) ** (1.0 / (g - 1.0)) * b0 ** (2.0 / (g - 1.0))
     sq = np.sqrt((g - 1.0) / 2.0) * b0

@@ -18,7 +18,7 @@ simply pass zeros there.  Evaluations are pure functions of the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -420,13 +420,9 @@ def check_ellipticity(ph: PsiHat) -> EllipticityReport:
 def _directional(f, st: HodographState, slot: str, step: float):
     """Centered finite-difference derivative of f with respect to one state
     slot (slot in {'psi', 'dRpsi', 'dTpsi'})."""
-    import copy
-
-    up = copy.copy(st)
-    dn = copy.copy(st)
-    setattr(up, slot, getattr(st, slot) + step)
-    setattr(dn, slot, getattr(st, slot) - step)
-    return (f(up) - f(dn)) / (2.0 * step)
+    value = getattr(st, slot)
+    return (f(replace(st, **{slot: value + step}))
+            - f(replace(st, **{slot: value - step}))) / (2.0 * step)
 
 
 def _shock_row(ph: PsiHat, T: float = 1.0):

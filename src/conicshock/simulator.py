@@ -119,8 +119,8 @@ class SimState:
 # ---------------------------------------------------------------------------
 
 class BackgroundSampler:
-    """Cubic-spline samplers for the self-similar profile as functions of
-    s = r/t, with linear extrapolation using the endpoint slopes outside
+    """Cubic-spline sampler of the self-similar profile (u, phi) as functions
+    of s = r/t, with linear extrapolation using the endpoint slopes outside
     [b0, s0] (needed when the perturbed piston leaves the background span)."""
 
     def __init__(self, sol: SelfSimilarSolution):
@@ -129,42 +129,28 @@ class BackgroundSampler:
         if x[-1] - x[0] <= 0:
             raise ValueError("background span insufficient for interpolation")
         self.b0 = sol.b0
-        u_off, phi, du = sol.u_off, sol.phi, sol.du
-        self._u = CubicSpline(x, u_off, bc_type="natural", extrapolate=False)
-        self._phi = CubicSpline(x, phi, bc_type="natural", extrapolate=False)
-        self._lo = x[0]
-        self._hi = x[-1]
-        self._du_lo = float(du[0])
-        self._du_hi = float(du[-1])
-        self._u_lo = float(u_off[0])
-        self._u_hi = float(u_off[-1])
-        self._phi_lo = float(phi[0])
-        self._phi_hi = float(phi[-1])
+        cols = np.column_stack([sol.u_off, sol.phi])
+        self._spline = CubicSpline(x, cols, bc_type="natural", extrapolate=False)
+        # piston (0) and shock (-1) ends: x, (u - b0, phi) and u'
+        self._x_end, self._cols_end, self._du_end = x[[0, -1]], cols[[0, -1]], sol.du[[0, -1]]
 
     def extrapolates(self, s: float) -> bool:
         """Whether s lies outside the solved span, where u and phi are the
         linear extrapolations."""
-        return not self._lo <= s - self.b0 <= self._hi
+        return not self._x_end[0] <= s - self.b0 <= self._x_end[1]
 
-    def u(self, s):
-        """Velocity profile u(s); linear in s outside the solved span."""
+    def __call__(self, s):
+        """(u(s), phi(s)) with phi(s0) = 0; outside the solved span both are
+        linear in s with the end slopes (u', u)."""
         x = np.asarray(s, dtype=float) - self.b0
-        out = self.b0 + self._u(np.clip(x, self._lo, self._hi))
-        lo, hi = x < self._lo, x > self._hi
-        out = np.where(lo, self.b0 + self._u_lo + self._du_lo * (x - self._lo), out)
-        out = np.where(hi, self.b0 + self._u_hi + self._du_hi * (x - self._hi), out)
-        return out
-
-    def phi(self, s):
-        """Potential profile phi(s) with phi(s0) = 0; linear outside."""
-        x = np.asarray(s, dtype=float) - self.b0
-        out = self._phi(np.clip(x, self._lo, self._hi))
-        lo, hi = x < self._lo, x > self._hi
-        u_lo = self.b0 + self._u_lo
-        u_hi = self.b0 + self._u_hi
-        out = np.where(lo, self._phi_lo + u_lo * (x - self._lo), out)
-        out = np.where(hi, self._phi_hi + u_hi * (x - self._hi), out)
-        return out
+        inside = self._spline(np.clip(x, *self._x_end))
+        u, phi = self.b0 + inside[..., 0], inside[..., 1]
+        for end, outside in ((0, x < self._x_end[0]), (-1, x > self._x_end[1])):
+            dx = x - self._x_end[end]
+            u_end = self.b0 + self._cols_end[end, 0]
+            u = np.where(outside, u_end + self._du_end[end] * dx, u)
+            phi = np.where(outside, self._cols_end[end, 1] + u_end * dx, phi)
+        return u, phi
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +173,13 @@ class ModifiedBackground:
 
     def E(self, t):
         t = np.asarray(t, dtype=float)
-        s_p = self.config.sigma(t) / t
-        phi_hat = t * self.sampler.phi(s_p)
+        u, phi = self.sampler(self.config.sigma(t) / t)
+        phi_hat = t * phi
         if np.any(np.abs(phi_hat) < 1e-300):
             raise ZeroDivisionError("background potential vanishes at the piston")
         if self.config.eps == 0.0:
             return np.zeros_like(t)
-        return (self.config.dsigma(t) - self.sampler.u(s_p)) / phi_hat
+        return (self.config.dsigma(t) - u) / phi_hat
 
     def f_a(self, t, r):
         return self.E(t) * (np.asarray(r, dtype=float) - self.config.sigma(t))
@@ -203,8 +189,7 @@ class ModifiedBackground:
         (diagnostic accuracy only)."""
         r = np.asarray(r, dtype=float)
         s = r / t
-        u = self.sampler.u(s)
-        phi = self.sampler.phi(s)          # per-unit-time potential
+        u, phi = self.sampler(s)           # phi: per-unit-time potential
         E = self.E(t)
         fa = E * (r - self.config.sigma(t))
         dt = 1e-6 * t
@@ -253,16 +238,14 @@ def init_from_background(sol: SelfSimilarSolution, config: SimConfig) -> SimStat
     y = np.linspace(0.0, 1.0, config.grid_points)
     r = sigma + y * (zeta - sigma)
     s = r / t0
-    u = sampler.u(s)
-    phi = t0 * sampler.phi(s)
+    w, phi = sampler(s)                 # dr Phi = u(s)
     # self-similar time derivative of t*phi(r/t) at fixed x
-    v = sampler.phi(s) - s * u
-    w = u.copy()
+    v = phi - s * w
     # make the sampled data compatible with the wall and shock conditions at
     # t0 (the perturbed piston speed differs from the profile wall speed by
     # O(eps)); the correction acts along the incoming characteristics only
     _apply_bcs(t0, v, w, config)
-    return SimState(t=t0, sigma=sigma, zeta=zeta, y=y, v=v, w=w, phi=phi)
+    return SimState(t=t0, sigma=sigma, zeta=zeta, y=y, v=v, w=w, phi=t0 * phi)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +281,9 @@ def shock_speed(v, w, gas: GasParams):
     return H * w / margin, margin
 
 
-def _rates(t, sigma, zeta, y, v, w, phi, config: SimConfig):
-    """Tendencies of (v, w, phi, zeta) in the mapped frame."""
+def _rates(t, sigma, zeta, y, v, w, config: SimConfig):
+    """Tendencies of the state (v, w, phi, zeta), concatenated in that
+    order, in the mapped frame."""
     gas = config.gas
     L = zeta - sigma
     if L <= 0.0:
@@ -315,9 +299,7 @@ def _rates(t, sigma, zeta, y, v, w, phi, config: SimConfig):
     dv = _fd_derivative(v, dy)
     dw = _fd_derivative(w, dy)
     v_t = ((V - 2.0 * w) * dv - (w ** 2 - csq) * dw) / L + csq * (config.n - 1) * w / r
-    w_t = (dv + V * dw) / L
-    phi_t = v + w * V
-    return v_t, w_t, phi_t, zdot, sdot
+    return np.concatenate([v_t, (dv + V * dw) / L, v + w * V, [zdot]])
 
 
 def _sound(v, w, gas: GasParams):
@@ -411,38 +393,29 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
     stability region covers the imaginary axis, which neutral centered
     differences require; accuracy order exceeds the 2nd-order target.
     """
-    t, y = state.t, state.y
+    t, y, m = state.t, state.y, len(state.y)
     if dt is None:
         dt = _cfl_dt(state, config)
     if not np.isfinite(dt) or dt <= 0:
         raise SimulationError(f"CFL step size invalid at t={t}: dt={dt}")
 
-    def rhs(tt, zz, vv, ww, pp):
-        sig = config.sigma(tt)
-        return _rates(tt, sig, zz, y, vv, ww, pp, config)
+    def rates(tt, X):
+        # X = (v, w, phi, zeta), as _rates returns it
+        return _rates(tt, config.sigma(tt), X[-1], y, X[:m], X[m:2 * m], config)
 
-    v0, w0, p0, z0 = state.v, state.w, state.phi, state.zeta
-    k1 = rhs(t, z0, v0, w0, p0)
-    v1, w1 = v0 + 0.5 * dt * k1[0], w0 + 0.5 * dt * k1[1]
-    _apply_bcs(t + 0.5 * dt, v1, w1, config)
-    k2 = rhs(t + 0.5 * dt, z0 + 0.5 * dt * k1[3], v1, w1, p0 + 0.5 * dt * k1[2])
-    v2, w2 = v0 + 0.5 * dt * k2[0], w0 + 0.5 * dt * k2[1]
-    _apply_bcs(t + 0.5 * dt, v2, w2, config)
-    k3 = rhs(t + 0.5 * dt, z0 + 0.5 * dt * k2[3], v2, w2, p0 + 0.5 * dt * k2[2])
-    v3, w3 = v0 + dt * k3[0], w0 + dt * k3[1]
-    _apply_bcs(t + dt, v3, w3, config)
-    k4 = rhs(t + dt, z0 + dt * k3[3], v3, w3, p0 + dt * k3[2])
-
+    X0 = np.concatenate([state.v, state.w, state.phi, [state.zeta]])
+    k = [rates(t, X0)]
+    for frac in (0.5, 0.5, 1.0):
+        X = X0 + frac * dt * k[-1]
+        _apply_bcs(t + frac * dt, X[:m], X[m:2 * m], config)
+        k.append(rates(t + frac * dt, X))
     tn = t + dt
-    vn = v0 + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    wn = w0 + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    pn = p0 + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    zn = z0 + dt / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-    _apply_bcs(tn, vn, wn, config)
-    sn = config.sigma(tn)
+    X = X0 + dt / 6.0 * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
+    _apply_bcs(tn, X[:m], X[m:2 * m], config)
+    sn, zn = config.sigma(tn), X[-1]
     if not sn < zn:
         raise SimulationError(f"piston overtook the shock at t={tn}")
-    return SimState(t=tn, sigma=sn, zeta=zn, y=y, v=vn, w=wn, phi=pn)
+    return SimState(t=tn, sigma=sn, zeta=zn, y=y, v=X[:m], w=X[m:2 * m], phi=X[2 * m:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +701,9 @@ def run(config: SimConfig, sol: SelfSimilarSolution | None = None,
     n_out = max(2, int(np.log10(config.t_end / config.t0) * OUTPUTS_PER_DECADE))
     out_times = np.geomspace(config.t0, config.t_end, n_out)
 
-    rows = {k: [] for k in ("t", "zeta", "sigma", "sup_dev", "rh", "margin",
-                            "phi_shock", "mass")}
+    # keyed by the SimResult fields they fill
+    rows = {k: [] for k in ("t", "zeta", "sigma", "sup_dev", "rh_residual",
+                            "entropy_margin", "phi_shock", "mass_residual")}
     prev_mass = prev_zeta = None
     extrapolated = 0
 
@@ -749,14 +723,9 @@ def run(config: SimConfig, sol: SelfSimilarSolution | None = None,
             swept = gas.rho0 * (st.zeta ** config.n - prev_zeta ** config.n) / config.n
             mres = abs((mass - prev_mass) - swept) / max(abs(mass), 1.0)
         prev_mass, prev_zeta = mass, st.zeta
-        rows["t"].append(st.t)
-        rows["zeta"].append(st.zeta)
-        rows["sigma"].append(st.sigma)
-        rows["sup_dev"].append(sup_dev)
-        rows["rh"].append(rh)
-        rows["margin"].append(margin)
-        rows["phi_shock"].append(abs(st.phi[-1]))
-        rows["mass"].append(mres)
+        for col, value in zip(rows.values(), (st.t, st.zeta, st.sigma, sup_dev, rh,
+                                              margin, abs(st.phi[-1]), mres)):
+            col.append(value)
 
     record(state)
     start = _time.monotonic()
@@ -793,14 +762,7 @@ def run(config: SimConfig, sol: SelfSimilarSolution | None = None,
     return SimResult(
         config=config,
         s0=sol.s0,
-        t=np.array(rows["t"]),
-        zeta=np.array(rows["zeta"]),
-        sigma=np.array(rows["sigma"]),
-        sup_dev=np.array(rows["sup_dev"]),
-        rh_residual=np.array(rows["rh"]),
-        entropy_margin=np.array(rows["margin"]),
-        phi_shock=np.array(rows["phi_shock"]),
-        mass_residual=np.array(rows["mass"]),
+        **{k: np.array(col) for k, col in rows.items()},
         completed=completed,
         wall_clock=_time.monotonic() - start,
         steps=steps,

@@ -4,6 +4,7 @@ must look it up at call time, or a traced benchmark run fails or silently
 stops recording a layer."""
 
 import importlib.util
+import json
 from importlib import import_module
 from pathlib import Path
 
@@ -57,3 +58,28 @@ def test_cli_calls_are_traced(tmp_path):
     # verify straightens its one profile once for both suites
     assert sum(rec["name"] == "hodograph.psi_hat_from_background"
                for rec in tracer.spans) == 1
+
+
+def test_simulator_calls_are_traced(tmp_path):
+    # the explicit stepper reaches _rates and _apply_bcs through a closure
+    # and the diagnostics through the modified background; each must look
+    # the swapped binding up at call time
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        res = CliRunner().invoke(
+            main, ["simulate", "--gamma", "2", "--b0", "4", "--grid-points", "32",
+                   "--eps", "0.01", "--t-end", "1.2", "--output-dir", str(tmp_path)],
+            catch_exceptions=False)
+    finally:
+        tracer.uninstall()
+    assert res.exit_code == 0
+    steps = json.loads((tmp_path / "simulation.json").read_text())["steps"]
+    assert steps > 0
+    assert sum(rec["name"] == "simulator.step" for rec in tracer.spans) == steps
+    calls = {name: st[0] for name, st in tracer.stats.items()}
+    assert calls["simulator._rates"] == 4 * steps
+    # three RK4 stages and the step's end, plus the initial state
+    assert calls["simulator._apply_bcs"] == 4 * steps + 1
+    for name in ("simulator.grad_phi_a", "simulator._mass_integral"):
+        assert calls.get(name, 0) > 0, name

@@ -9,6 +9,7 @@ from conicshock.background import solve_background
 from conicshock.cli import _write_csv, _write_json
 from conicshock.gas import GasParams, VacuumError, density_from_state, enthalpy
 from conicshock.simulator import (
+    BackgroundSampler,
     DecayFit,
     SimConfig,
     SimState,
@@ -431,6 +432,37 @@ class TestImplicitStep:
 # ---------------------------------------------------------------------------
 # modified background
 # ---------------------------------------------------------------------------
+
+class TestBackgroundSampler:
+    def test_reproduces_nodes(self, sol):
+        u, phi = BackgroundSampler(sol)(sol.s)
+        np.testing.assert_allclose(u, sol.u, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(phi, sol.phi, rtol=0.0,
+                                   atol=1e-13 * np.max(np.abs(sol.phi)))
+
+    @pytest.mark.parametrize("end, side", [(0, -1.0), (-1, 1.0)])
+    def test_linear_extrapolation(self, sol, end, side):
+        # outside [b0, s0] both columns continue the end value along the
+        # end slopes: u' for u and u for phi (phi' = u)
+        sampler = BackgroundSampler(sol)
+        s_end, h = sol.b0 + sol.s_off[end], 0.1 * sol.delta
+        (u0, u1, u2), (p0, p1, p2) = sampler(s_end + side * np.array([0.0, h, 2 * h]))
+        assert 2 * u1 - u2 == pytest.approx(u0, rel=1e-10)
+        assert 2 * p1 - p2 == pytest.approx(p0, rel=1e-10, abs=1e-10 * abs(sol.phi[0]))
+        assert side * (u2 - u1) / h == pytest.approx(sol.du[end], rel=1e-10)
+        assert side * (p2 - p1) / h == pytest.approx(sol.u[end], rel=1e-10)
+
+    def test_extrapolates_exactly_outside_span(self, sol):
+        sampler = BackgroundSampler(sol)
+        h = 0.1 * sol.delta
+        probes = np.concatenate([
+            sol.s, [sol.b0 - h, sol.s0 + h, np.nextafter(sol.b0, -np.inf),
+                    np.nextafter(sol.s0, np.inf), np.nextafter(sol.s0, -np.inf)]])
+        x = probes - sol.b0
+        outside = (x < 0.0) | (x > sol.delta)
+        assert outside.sum() >= 3
+        assert [sampler.extrapolates(s) for s in probes] == list(outside)
+
 
 class TestModifiedBackground:
     def test_identity_at_zero_amplitude(self, sol):
