@@ -26,7 +26,7 @@ conditions are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,9 +39,21 @@ class DegenerateShockError(RuntimeError):
     reduction of the shock condition is undefined."""
 
 
+#: piston speed from which the thin-layer sign checks are expected to hold
+ASYMPTOTIC_B0 = 40.0
+
+
 # ---------------------------------------------------------------------------
 # closed-form constants: decay exponent, mu-window, tilt constant
 # ---------------------------------------------------------------------------
+
+def _closed_form(n: int, gamma: float):
+    """(k, G, r) with k = n - 1, G = gamma + 1 for n=2 and gamma + 7 for
+    n=3, and r = sqrt(G/2): every closed form below is built from these."""
+    check_n(n)
+    G = gamma + (1.0 if n == 2 else 7.0)
+    return n - 1, G, np.sqrt(G / 2.0)
+
 
 def decay_exponent(n: int, gamma: float) -> float:
     """Supremum of certified decay rates m0 for the perturbation potential.
@@ -50,10 +62,8 @@ def decay_exponent(n: int, gamma: float) -> float:
     m0 < 5/4 - sqrt((gamma+1)/2)/4 in dimension 2 and
     m0 < 3/2 - sqrt((gamma+7)/2)/4 in dimension 3.
     """
-    check_n(n)
-    if n == 2:
-        return 1.25 - 0.25 * np.sqrt((gamma + 1.0) / 2.0)
-    return 1.5 - 0.25 * np.sqrt((gamma + 7.0) / 2.0)
+    k, _, r = _closed_form(n, gamma)
+    return (1.0 + 0.25 * k) - 0.25 * r
 
 
 @dataclass(frozen=True)
@@ -76,10 +86,8 @@ def admissible_mu(n: int, gamma: float) -> MuWindow:
 
     n=3: (-4, -1 - sqrt((gamma+7)/2)/2);  n=2: (-3, -1/2 - sqrt((gamma+1)/2)/2).
     """
-    check_n(n)
-    if n == 2:
-        return MuWindow(-3.0, -0.5 - 0.5 * np.sqrt((gamma + 1.0) / 2.0))
-    return MuWindow(-4.0, -1.0 - 0.5 * np.sqrt((gamma + 7.0) / 2.0))
+    k, _, r = _closed_form(n, gamma)
+    return MuWindow(-(k + 2.0), -0.5 * k - 0.5 * r)
 
 
 def multiplier_e(n: int, gamma: float) -> float:
@@ -89,10 +97,8 @@ def multiplier_e(n: int, gamma: float) -> float:
     The tilt makes the bulk quadratic form strictly definite inside the
     mu-window.
     """
-    check_n(n)
-    if n == 2:
-        return 0.5 * np.sqrt((gamma + 1.0) / 2.0) - 0.5
-    return 0.5 * np.sqrt((gamma + 7.0) / 2.0) - 1.0
+    k, _, r = _closed_form(n, gamma)
+    return 0.5 * r - 0.5 * k
 
 
 def symbolic_conditions(n: int, gamma: float, mu: float, e: float) -> dict:
@@ -102,13 +108,11 @@ def symbolic_conditions(n: int, gamma: float, mu: float, e: float) -> dict:
     n=3: 2+e-mu > 0, 2+e+mu < 0, gamma+7-2(e-mu)^2 < 0; for n=2 the same
     with 2 -> 1 and gamma+7 -> gamma+1.
     """
-    check_n(n)
-    base = 2.0 if n == 3 else 1.0
-    gshift = 7.0 if n == 3 else 1.0
+    k, G, _ = _closed_form(n, gamma)
     return {
-        "k00_leading": base + e - mu,
-        "knn_leading": -(base + e + mu),
-        "disc_leading": -(gamma + gshift - 2.0 * (e - mu) ** 2),
+        "k00_leading": k + e - mu,
+        "knn_leading": -(k + e + mu),
+        "disc_leading": -(G - 2.0 * (e - mu) ** 2),
     }
 
 
@@ -120,24 +124,27 @@ def symbolic_conditions(n: int, gamma: float, mu: float, e: float) -> dict:
 class MultiplierChoice:
     """The concrete weighted multiplier A = t^mu r, B = t^(mu+1) b_sigma(s).
 
-    b_sigma carries the tilt constant e; _k_samples applies the chain rule
-    to these weights in closed form.
+    b_sigma carries the tilt constant e, fixed by (n, gamma); _k_samples
+    applies the chain rule to these weights in closed form.
     """
 
     n: int
     gamma: float
     b0: float
     mu: float
-    e: float
 
     @classmethod
     def standard(cls, sol: SelfSimilarSolution, mu: float | None = None) -> "MultiplierChoice":
-        """The choice for a profile: n, gamma and b0 from it, the tilt from
-        the closed form; mu defaults to the window midpoint."""
+        """The choice for a profile: n, gamma and b0 from it; mu defaults to
+        the window midpoint."""
         n, gamma = sol.n, sol.gas.gamma
         if mu is None:
             mu = admissible_mu(n, gamma).midpoint
-        return cls(n=n, gamma=gamma, b0=sol.b0, mu=float(mu), e=float(multiplier_e(n, gamma)))
+        return cls(n=n, gamma=gamma, b0=sol.b0, mu=float(mu))
+
+    @property
+    def e(self) -> float:
+        return float(multiplier_e(self.n, self.gamma))
 
     def b_sigma(self, s):
         s = np.asarray(s, dtype=float)
@@ -168,8 +175,6 @@ class PCoeffs:
     dP2: np.ndarray
     dP3: np.ndarray
     n: int
-    gamma: float
-    b0: float
 
 
 def P_coeffs(sol: SelfSimilarSolution) -> PCoeffs:
@@ -194,8 +199,6 @@ def P_coeffs(sol: SelfSimilarSolution) -> PCoeffs:
         dP2=2.0 * u * du - dcsq,
         dP3=dcsq,
         n=n,
-        gamma=g,
-        b0=sol.b0,
     )
 
 
@@ -224,8 +227,8 @@ def boundary_coeffs(sol: SelfSimilarSolution) -> BoundaryCoeffs:
     """Evaluate the linearized shock-condition coefficients at s = s0.
 
     Raises DegenerateShockError if the leading coefficient B1 is numerically
-    zero.  For b0 >= 40 the signs mu1 > 0, mu2 < 0 are asserted (they are
-    what makes the oblique boundary condition dissipative).
+    zero.  For b0 >= ASYMPTOTIC_B0 the signs mu1 > 0, mu2 < 0 are asserted
+    (they are what makes the oblique boundary condition dissipative).
     """
     gas = sol.gas
     u = float(sol.u[-1])
@@ -248,16 +251,16 @@ def boundary_coeffs(sol: SelfSimilarSolution) -> BoundaryCoeffs:
     mu1 = B2 / B1
     mu2 = B3 / B1
     mu3 = -u  # trace factor: minus the particle speed just behind the shock
-    if sol.b0 >= 40.0 and not (mu1 > 0.0 and mu2 < 0.0):
+    if sol.b0 >= ASYMPTOTIC_B0 and not (mu1 > 0.0 and mu2 < 0.0):
         raise RuntimeError(
             f"boundary coefficient signs mu1={mu1}, mu2={mu2} violate the "
-            "dissipativity pattern expected for b0 >= 40"
+            f"dissipativity pattern expected for b0 >= {ASYMPTOTIC_B0:g}"
         )
     return BoundaryCoeffs(B1=B1, B2=B2, B3=B3, mu1=mu1, mu2=mu2, mu3=mu3)
 
 
 def shock_flux_betas(sol: SelfSimilarSolution, choice: MultiplierChoice,
-                     bc: BoundaryCoeffs | None = None) -> dict:
+                     bc: BoundaryCoeffs) -> dict:
     """Quadratic form of the multiplier energy flux through the shock surface.
 
     Combining the radial flux components with the surface motion gives, per
@@ -271,8 +274,6 @@ def shock_flux_betas(sol: SelfSimilarSolution, choice: MultiplierChoice,
     control whether the boundary terms are absorbable:
     beta_hat11 > 0, beta_hat13 < 0, beta_hat14 > 0.
     """
-    if bc is None:
-        bc = boundary_coeffs(sol)
     s0 = sol.s0
     u = float(sol.u[-1])
     p0 = float(sol.csq[-1])
@@ -305,6 +306,9 @@ class MultiplierCertificate:
     K-samples are given at t = 1; the exact time dependence of each is the
     common factor t^mu (Knn is reported against the scaled angular gradient
     Z phi / r, which restores the t^mu homogeneity of the raw table).
+    ``checks`` holds the verdicts in the order they are reported:
+    mu_in_window, symbolic_pass, k00_positive, disc_negative, knn_positive,
+    boundary_pass.
     """
 
     choice: MultiplierChoice
@@ -317,26 +321,23 @@ class MultiplierCertificate:
     conditions: dict            # name -> value; all must be > 0
     betas: dict
     mu_window: MuWindow
-    mu_in_window: bool
-    symbolic_pass: bool
-    k00_positive: bool
-    disc_negative: bool
-    knn_positive: bool
-    boundary_pass: bool
-    in_asymptotic_regime: bool
+    checks: dict                # name -> bool
     boundary: BoundaryCoeffs | None = None
     notes: tuple = field(default=())
 
     @property
-    def numeric_pass(self) -> bool:
-        return (self.k00_positive and self.disc_negative and self.knn_positive
-                and self.boundary_pass)
+    def in_asymptotic_regime(self) -> bool:
+        return bool(self.choice.b0 >= ASYMPTOTIC_B0)
 
     @property
     def status(self) -> str:
-        if self.symbolic_pass and self.numeric_pass:
+        """The verdict: "pass" when every check holds.  Below ASYMPTOTIC_B0
+        the thin-layer sign checks need not hold, so a failure there reads
+        "outside asymptotic regime" as long as the closed-form checks
+        (mu_in_window, symbolic_pass) hold; any other failure is "fail"."""
+        if all(self.checks.values()):
             return "pass"
-        if not self.in_asymptotic_regime:
+        if not self.in_asymptotic_regime and self.checks["symbolic_pass"]:
             return "outside asymptotic regime"
         return "fail"
 
@@ -350,42 +351,32 @@ class MultiplierCertificate:
             "gamma": self.choice.gamma,
             "b0": self.choice.b0,
             "mu": float(self.choice.mu),
-            "e": float(self.choice.e),
+            "e": self.choice.e,
             "mu_window": [float(self.mu_window.lo), float(self.mu_window.hi)],
-            "mu_in_window": self.mu_in_window,
+            **self.checks,
             "conditions": {k: float(v) for k, v in self.conditions.items()},
-            "symbolic_pass": self.symbolic_pass,
             "K00_min": float(np.min(self.K00)),
             "discriminant_max": float(np.max(self.discriminant)),
             "Knn_min": float(np.min(self.Knn)),
-            "k00_positive": self.k00_positive,
-            "disc_negative": self.disc_negative,
-            "knn_positive": self.knn_positive,
             "betas": {k: float(v) for k, v in self.betas.items()},
-            "boundary_pass": self.boundary_pass,
             "in_asymptotic_regime": self.in_asymptotic_regime,
             "status": self.status,
             "notes": list(self.notes),
         }
         if self.boundary is not None:
-            out["boundary"] = {
-                "B1": float(self.boundary.B1),
-                "B2": float(self.boundary.B2),
-                "B3": float(self.boundary.B3),
-                "mu1": float(self.boundary.mu1),
-                "mu2": float(self.boundary.mu2),
-                "mu3": float(self.boundary.mu3),
-            }
+            out["boundary"] = {k: float(v) for k, v in asdict(self.boundary).items()}
         return out
 
 
-def _k_samples(pc: PCoeffs, choice: MultiplierChoice, t: float = 1.0):
-    """Pointwise divergence coefficients of the multiplier energy identity.
+def _k_samples(pc: PCoeffs, choice: MultiplierChoice):
+    """Pointwise divergence coefficients of the multiplier energy identity
+    at t = 1.
 
     Each K is the coefficient of the corresponding quadratic gradient term
     after moving all derivatives of (A, B) onto the weights analytically;
-    the spatial profile multiplies the exact factor t^mu (Knn measured
-    against |Z phi / r|^2 times r^2 / t^2, i.e. the s-scaled angular slot).
+    at time t the spatial profile multiplies the exact factor t^mu (Knn
+    measured against |Z phi / r|^2 times r^2 / t^2, i.e. the s-scaled
+    angular slot).
     """
     mu = choice.mu
     n = pc.n
@@ -409,12 +400,10 @@ def _k_samples(pc: PCoeffs, choice: MultiplierChoice, t: float = 1.0):
         - 0.5 * ((dbs * P3 + bs * dP3) / s ** 2 - 2.0 * bs * P3 / s ** 3)
         - (n - 1) * bs * P3 / (2.0 * s ** 3)
     )
-    scale = t ** mu
-    return scale * k00, scale * k0r, scale * krr, scale * knn
+    return k00, k0r, krr, knn
 
 
-def K_coeffs(sol: SelfSimilarSolution, choice: MultiplierChoice,
-             bc: BoundaryCoeffs | None = None) -> MultiplierCertificate:
+def K_coeffs(sol: SelfSimilarSolution, choice: MultiplierChoice) -> MultiplierCertificate:
     """Evaluate the full sign certificate for a multiplier choice.
 
     Combines: the closed-form window/inequality checks on (mu, e); the
@@ -430,18 +419,16 @@ def K_coeffs(sol: SelfSimilarSolution, choice: MultiplierChoice,
         raise ValueError(f"multiplier choice for (n, gamma, b0) = {made_for} "
                          f"applied to a profile with {(sol.n, g, sol.b0)}")
     pc = P_coeffs(sol)
-    K00, K0r, Krr, Knn = _k_samples(pc, choice, t=1.0)
+    K00, K0r, Krr, Knn = _k_samples(pc, choice)
     disc = K0r ** 2 - 4.0 * K00 * Krr
 
     window = admissible_mu(choice.n, g)
     conds = symbolic_conditions(choice.n, g, choice.mu, choice.e)
     mu_ok = window.contains(choice.mu)
-    symbolic_pass = mu_ok and all(v > 0.0 for v in conds.values())
 
     notes = []
     try:
-        if bc is None:
-            bc = boundary_coeffs(sol)
+        bc = boundary_coeffs(sol)
         betas = shock_flux_betas(sol, choice, bc)
         ref11 = (g - 1.0) * sol.b0 ** 2 / 8.0
         ref13 = (g - 1.0) * sol.b0 ** 4 / 2.0
@@ -458,9 +445,9 @@ def K_coeffs(sol: SelfSimilarSolution, choice: MultiplierChoice,
         boundary_pass = False
         notes.append(str(exc))
 
-    in_regime = sol.b0 >= 40.0
-    if not in_regime:
-        notes.append("b0 < 40: sign checks reported outside the asymptotic regime")
+    if sol.b0 < ASYMPTOTIC_B0:
+        notes.append(f"b0 < {ASYMPTOTIC_B0:g}: sign checks reported outside "
+                     "the asymptotic regime")
 
     return MultiplierCertificate(
         choice=choice,
@@ -473,26 +460,21 @@ def K_coeffs(sol: SelfSimilarSolution, choice: MultiplierChoice,
         conditions=conds,
         betas=betas,
         mu_window=window,
-        mu_in_window=mu_ok,
-        symbolic_pass=symbolic_pass,
-        k00_positive=bool(np.all(K00 > 0.0)),
-        disc_negative=bool(np.all(disc < 0.0)),
-        knn_positive=bool(np.all(Knn > 0.0)),
-        boundary_pass=boundary_pass,
-        in_asymptotic_regime=in_regime,
+        checks={
+            "mu_in_window": mu_ok,
+            "symbolic_pass": mu_ok and all(v > 0.0 for v in conds.values()),
+            "k00_positive": bool(np.all(K00 > 0.0)),
+            "disc_negative": bool(np.all(disc < 0.0)),
+            "knn_positive": bool(np.all(Knn > 0.0)),
+            "boundary_pass": boundary_pass,
+        },
         boundary=bc,
         notes=tuple(notes),
     )
 
 
-def certify(n: int, gamma: float, b0: float, mu: float,
-            gas: GasParams | None = None, grid_size: int = 1024) -> MultiplierCertificate:
+def certify(n: int, b0: float, mu: float, gas: GasParams,
+            grid_size: int = 1024) -> MultiplierCertificate:
     """Solve the background and run the complete multiplier certificate."""
-    check_n(n)
-    if gas is None:
-        gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
-    elif gas.gamma != gamma:
-        raise ValueError("gas.gamma disagrees with the gamma argument")
     sol = solve_background(b0, gas, n=n, grid_size=grid_size)
-    choice = MultiplierChoice.standard(sol, mu=mu)
-    return K_coeffs(sol, choice)
+    return K_coeffs(sol, MultiplierChoice.standard(sol, mu=mu))

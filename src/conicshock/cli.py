@@ -39,7 +39,7 @@ from .background import (
     solve_background,
 )
 from .hodograph import boundary_signs, check_ellipticity, local_stability
-from .certificates import DegenerateShockError, admissible_mu, certify
+from .certificates import ASYMPTOTIC_B0, DegenerateShockError, admissible_mu, certify
 from .simulator import SimConfig, SimulationError, fit_decay, run as sim_run
 
 __all__ = ["main"]
@@ -231,9 +231,6 @@ SUITES = ("asymptotics", "ellipticity", "profile", "boundary", "stability")
 #: suites that run on the straightened profiles
 STRAIGHTENED_SUITES = ("ellipticity", "boundary", "stability")
 
-#: piston-speed threshold above which the thin-layer suites are checked
-ASYMPTOTIC_B0 = 40.0
-
 
 def _profile_checks(sol: SelfSimilarSolution, piston_tol: float) -> dict:
     """Sanity checks on one profile: finite, piston condition, entropy
@@ -296,12 +293,16 @@ def _suite_asymptotics(sols) -> dict:
     }
 
 
-def _suite_ellipticity(phs) -> dict:
+def _per_b0(profiles, check, fields, gated) -> dict:
+    """Run ``check`` on each straightened profile and report its verdict and
+    the named report ``fields`` per b0.  The suite passes when every report
+    passes; if ``gated``, only those at b0 >= ASYMPTOTIC_B0 count."""
     per_b0, passed = {}, True
-    for ph in phs:
-        rep = check_ellipticity(ph)
-        per_b0[f"{ph.b0:g}"] = {"passed": rep.passed, "margin": float(rep.margin)}
-        if ph.b0 >= ASYMPTOTIC_B0:
+    for ph in profiles:
+        rep = check(ph)
+        per_b0[f"{ph.b0:g}"] = {"passed": rep.passed,
+                                **{f: getattr(rep, f) for f in fields}}
+        if not gated or ph.b0 >= ASYMPTOTIC_B0:
             passed = passed and rep.passed
     return {"passed": bool(passed), "per_b0": per_b0}
 
@@ -309,38 +310,6 @@ def _suite_ellipticity(phs) -> dict:
 def _suite_profile(sols) -> dict:
     per_b0 = {f"{sol.b0:g}": _profile_checks(sol, piston_tol=1e-9)
               for sol in sols}
-    return {"passed": all(v["passed"] for v in per_b0.values()),
-            "per_b0": per_b0}
-
-
-def _suite_boundary(phs) -> dict:
-    per_b0 = {}
-    for ph in phs:
-        rep = boundary_signs(ph)
-        per_b0[f"{ph.b0:g}"] = {
-            "passed": rep.passed,
-            "degenerate": rep.degenerate,
-            "E_min": {str(k): float(v) for k, v in rep.E_min.items()},
-            "D21": {str(k): float(v) for k, v in rep.D21.items()},
-            "D22": {str(k): float(v) for k, v in rep.D22.items()},
-            "B21": float(rep.B21),
-        }
-    return {"passed": all(v["passed"] for v in per_b0.values()),
-            "per_b0": per_b0}
-
-
-def _suite_stability(phs) -> dict:
-    per_b0 = {}
-    for ph in phs:
-        rep = local_stability(ph)
-        per_b0[f"{ph.b0:g}"] = {
-            "passed": rep.passed,
-            "transversal": rep.transversal,
-            "timelike": rep.timelike,
-            "quad_form": float(rep.quad_form),
-            "delta0": float(rep.delta0),
-            "neumann_residuals": [float(v) for v in rep.neumann_residuals],
-        }
     return {"passed": all(v["passed"] for v in per_b0.values()),
             "per_b0": per_b0}
 
@@ -375,10 +344,16 @@ def verify(b0_list, suites, profile_path, **common):
     else:
         run_suite = {
             "asymptotics": _suite_asymptotics,
-            "ellipticity": _suite_ellipticity,
+            "ellipticity": lambda phs: _per_b0(
+                phs, check_ellipticity, ("margin",), gated=True),
             "profile": _suite_profile,
-            "boundary": _suite_boundary,
-            "stability": _suite_stability,
+            "boundary": lambda phs: _per_b0(
+                phs, boundary_signs, ("degenerate", "E_min", "D21", "D22", "B21"),
+                gated=False),
+            "stability": lambda phs: _per_b0(
+                phs, local_stability, ("transversal", "timelike", "quad_form",
+                                       "delta0", "neumann_residuals"),
+                gated=False),
         }
         try:
             sols = [solve_background(b0, gas, n=p["n"]) for b0 in p["b0_list"]]
@@ -410,24 +385,27 @@ def verify(b0_list, suites, profile_path, **common):
 # certify
 # ---------------------------------------------------------------------------
 
+#: diagnostic for each failed profile check of a certificate
+_PROFILE_CHECK_FAILURES = {
+    "k00_positive": "K00 positivity fails on the profile",
+    "disc_negative": "discriminant negativity fails on the profile",
+    "knn_positive": "angular coefficient positivity fails on the profile",
+    "boundary_pass": "shock-boundary flux signs fail",
+}
+
+
 def _violated_condition(cert) -> str:
-    """Name the first failed certificate condition, for the diagnostic."""
-    if not cert.mu_in_window:
+    """Name the first failed certificate check, for the diagnostic."""
+    failed = next(name for name, ok in cert.checks.items() if not ok)
+    if failed == "mu_in_window":
         return (f"mu = {float(cert.choice.mu)!r} outside the admissible "
                 f"window ({float(cert.mu_window.lo)!r}, "
                 f"{float(cert.mu_window.hi)!r})")
-    for name, value in cert.conditions.items():
-        if value <= 0.0:
-            return f"symbolic condition {name} nonpositive ({float(value)!r})"
-    if not cert.k00_positive:
-        return "K00 positivity fails on the profile"
-    if not cert.disc_negative:
-        return "discriminant negativity fails on the profile"
-    if not cert.knn_positive:
-        return "angular coefficient positivity fails on the profile"
-    if not cert.boundary_pass:
-        return "shock-boundary flux signs fail"
-    return "unknown condition"
+    if failed == "symbolic_pass":
+        name, value = next((name, value) for name, value in cert.conditions.items()
+                           if not value > 0.0)
+        return f"symbolic condition {name} nonpositive ({float(value)!r})"
+    return _PROFILE_CHECK_FAILURES[failed]
 
 
 @main.command("certify")
@@ -453,7 +431,7 @@ def certify_cmd(b0, mu, grid_size, **common):
         _check_finite("--mu", p["mu"])
 
     try:
-        cert = certify(n, gamma, b0, p["mu"], gas=gas, grid_size=p["grid_size"])
+        cert = certify(n, b0, p["mu"], gas, grid_size=p["grid_size"])
     except COMPUTATION_ERRORS as exc:
         raise click.ClickException(f"certificate evaluation failed: {exc}")
 

@@ -425,13 +425,13 @@ def _directional(f, st: HodographState, slot: str, step: float):
             - f(replace(st, **{slot: value - step}))) / (2.0 * step)
 
 
-def _shock_row(ph: PsiHat, T: float = 1.0):
-    """The mass row G = H psi - (H - rho0) sigma/(b0 a1), sigma = T dTa0 + a0,
-    at the shock R = 2 as a function of the state, and at the background
-    the density H = enthalpy_inverse(bernoulli_argument) and, with
-    D0 = psi - sigma/(b0 a1), the prefactors
+def _shock_row(ph: PsiHat):
+    """The mass row G = H psi - (H - rho0) sigma/(b0 a1), sigma = dTa0 + a0,
+    at the shock R = 2 and unit time T = 1 as a function of the state, and at
+    the background the density H = enthalpy_inverse(bernoulli_argument) and,
+    with D0 = psi - sigma/(b0 a1), the prefactors
 
-        B20    = -(H - rho0)/(b0 a1) + D0 dH/d(dTpsi) / T,
+        B20    = -(H - rho0)/(b0 a1) + D0 dH/d(dTpsi),
         B21    = -(H - rho0) sigma/b0 + D0 dH/d(dRpsi),
         CalB21 = -(H - rho0) psi/b0 + D0 dH/d(dRpsi).
 
@@ -440,24 +440,24 @@ def _shock_row(ph: PsiHat, T: float = 1.0):
     gas, b0 = ph.gas, ph.b0
 
     def H(st):
-        return enthalpy_inverse(bernoulli_argument(st, gas, b0, T), gas)
+        return enthalpy_inverse(bernoulli_argument(st, gas, b0), gas)
 
     def G(st):
         a0, a1 = a_coeffs(st)[:2]
         Hs = H(st)
-        return Hs * st.psi - (Hs - gas.rho0) / (b0 * a1) * (T * _dTa0(st) + a0)
+        return Hs * st.psi - (Hs - gas.rho0) / (b0 * a1) * (_dTa0(st) + a0)
 
     st2 = ph.states(-1)
     psi2 = ph.psi[-1]
     a0, a1 = a_coeffs(st2)[:2]
     H2 = H(st2)
-    sigma = T * _dTa0(st2) + a0
+    sigma = _dTa0(st2) + a0
     D0 = psi2 - sigma / (b0 * a1)
     dH_dT = _directional(H, st2, "dTpsi", 1e-5 * psi2)
     dH_dR = _directional(H, st2, "dRpsi", 1e-5 * psi2)
     return G, {
         "H": H2,
-        "B20": float(-(H2 - gas.rho0) / (b0 * a1) + D0 * dH_dT / T),
+        "B20": float(-(H2 - gas.rho0) / (b0 * a1) + D0 * dH_dT),
         "B21": float(-(H2 - gas.rho0) * sigma / b0 + D0 * dH_dR),
         "CalB21": float(-psi2 / b0 * (H2 - gas.rho0) + D0 * dH_dR),
     }
@@ -476,7 +476,7 @@ class BoundarySignReport:
     radial states).
 
     D22_k is the psi-derivative of the mass row
-    H psi - (H - rho0) sigma/(b0 a1), sigma = T dTa0 + a0, plus k times its
+    H psi - (H - rho0) sigma/(b0 a1), sigma = dTa0 + a0, plus k times its
     dT psi-derivative:
 
         D22_k = rho0 - (H - rho0)((2+k) psi + (1+k) dRpsi)/b0
@@ -511,15 +511,14 @@ def boundary_signs(ph: PsiHat) -> BoundarySignReport:
     differences with step 1e-5 * psi.
     """
     gas, b0 = ph.gas, ph.b0
-    T = 1.0
 
     def interior_row(stv, d2psi):
-        cs = second_order_coeffs(stv, gas, b0, T)
+        cs = second_order_coeffs(stv, gas, b0)
         return d2psi * cs.A4_2 + cs.A7_2
 
     def interior_row_layer1(stv, d2psi):
-        cs = second_order_coeffs(stv, gas, b0, T)
-        return d2psi * cs.A4_1 + cs.A7_1 + (d2psi * cs.A4_2 + cs.A7_2) / T
+        cs = second_order_coeffs(stv, gas, b0)
+        return d2psi * cs.A4_1 + cs.A7_1 + (d2psi * cs.A4_2 + cs.A7_2)
 
     st_all = ph.states()
     step = 1e-5 * ph.psi
@@ -539,13 +538,13 @@ def boundary_signs(ph: PsiHat) -> BoundarySignReport:
 
     st2 = ph.states(-1)
     step2 = 1e-5 * ph.psi[-1]
-    shock_row, pref = _shock_row(ph, T)
+    shock_row, pref = _shock_row(ph)
     d_dR = _directional(shock_row, st2, "dRpsi", step2)
     d_psi = _directional(shock_row, st2, "psi", step2)
     d_dT = _directional(shock_row, st2, "dTpsi", step2)
     for k in range(K_MAX + 1):
         D21[k] = float(d_dR)
-        D22[k] = float(d_psi + k * d_dT / T)
+        D22[k] = float(d_psi + k * d_dT)
 
     # shock-side stability prefactors, exact expressions at the background
     B20, B21 = pref["B20"], pref["B21"]
@@ -625,23 +624,22 @@ def local_stability(ph: PsiHat) -> StabilityReport:
     lam and the report is unchanged.
     """
     gas, b0 = ph.gas, ph.b0
-    T = 1.0
 
     st = ph.states()
-    cs = second_order_coeffs(st, gas, b0, T)
-    A1, A2, A3, A4, A5, A6, A7 = cs.assembled(T)
+    cs = second_order_coeffs(st, gas, b0)
+    A1, A2, A3, A4, A5, A6, A7 = cs.assembled(1.0)
     pref = ph.psi / (2.0 * (gas.gamma - 1.0) * cs.A0)
     CalA1 = pref * 2.0 * A1
-    CalA2 = pref * A2 * T
-    CalA3 = pref * A3 * T
-    CalA4 = pref * 2.0 * A4 * T ** 2
-    CalA5 = pref * A5 * T ** 2
-    CalA6 = pref * 2.0 * A6 * T ** 2
+    CalA2 = pref * A2
+    CalA3 = pref * A3
+    CalA4 = pref * 2.0 * A4
+    CalA5 = pref * A5
+    CalA6 = pref * 2.0 * A6
     CalB11 = 1.0  # radial piston: 1 + sum (Zb/b)^2
     CalB12 = np.zeros(3)
 
     # shock row prefactors at R = 2
-    pref = _shock_row(ph, T)[1]
+    pref = _shock_row(ph)[1]
     CalB20, CalB21 = pref["B20"], pref["CalB21"]
     CalB22 = np.zeros(3)
 

@@ -229,13 +229,13 @@ class TestCertificates:
     @pytest.mark.parametrize("n", (2, 3))
     def test_certify_passes_at_midpoint(self, n):
         win = admissible_mu(n, 1.4)
-        cert = certify(n, 1.4, 80.0, float(win.midpoint))
+        cert = certify(n, 80.0, float(win.midpoint), GAS14)
         assert cert.status == "pass"
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_certify_fails_beyond_window(self, n):
         win = admissible_mu(n, 1.4)
-        cert = certify(n, 1.4, 80.0, float(win.hi) + 0.05)
+        cert = certify(n, 80.0, float(win.hi) + 0.05, GAS14)
         assert cert.status == "fail"
 
     @pytest.mark.parametrize("n", (2, 3))

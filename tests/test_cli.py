@@ -282,6 +282,19 @@ class TestCertify:
             (tmp_path / "certificate_n3_g1.4_b80.json").read_text())
         assert cert["status"] == "fail"
 
+    def test_mu_outside_window_fails_below_asymptotic_regime(self, runner, tmp_path):
+        # the mu-window is a closed form that does not depend on b0, so
+        # b0 < 40 does not excuse a mu outside it
+        res = runner.invoke(main, ["certify", "--n", "3", "--gamma", "1.4",
+                                   "--b0", "20", "--mu", "-2.0",
+                                   "--output-dir", str(tmp_path)])
+        assert res.exit_code == 1
+        assert "admissible window" in res.output
+        cert = json.loads(
+            (tmp_path / "certificate_n3_g1.4_b20.json").read_text())
+        assert cert["status"] == "fail"
+        assert not cert["in_asymptotic_regime"]
+
     def test_mu_auto_uses_window_midpoint(self, runner, tmp_path):
         res = _invoke(runner, ["certify", "--n", "3", "--gamma", "1.4",
                                "--b0", "80", "--mu", "auto",
