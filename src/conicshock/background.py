@@ -22,9 +22,8 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.optimize import brentq
 
+from ._numerics import ConvergenceError, brentq, cumulative_simpson
 from .gas import GasParams, sound_speed
 
 __all__ = [
@@ -34,6 +33,7 @@ __all__ = [
     "BracketError",
     "ShootingError",
     "DenominatorSignError",
+    "ConvergenceError",
     "check_n",
     "check_grid_size",
     "shock_jump_from_speed",
@@ -104,7 +104,8 @@ def shock_jump_from_speed(s0: float, gas: GasParams) -> ShockJump:
     """Solve the jump conditions for a shock of speed ``s0`` into static gas.
 
     Raises ``ValueError`` if ``s0`` is not supersonic relative to the ambient
-    sound speed (no admissible shock).
+    sound speed (no admissible shock), and ``ConvergenceError`` if the
+    root-find on the post-shock density does not converge.
     """
     c0 = float(sound_speed(gas.rho0, gas))
     if s0 <= c0:
@@ -242,7 +243,7 @@ class SelfSimilarSolution:
 
     def __post_init__(self):
         # u - b0 = s_off + w, integrated from the shock end, so q(s0) = 0
-        rev = cumulative_simpson(self.u_off[::-1], x=-self.s_off[::-1], initial=0.0)
+        rev = cumulative_simpson(self.u_off[::-1], -self.s_off[::-1])
         self.q = rev[::-1].copy()
 
     @property
@@ -391,11 +392,12 @@ def solve_background(
         g_next = offset(x_next)
         if (g_next < 0.0) != (g < 0.0):
             # brentq opens on the last two shots, already taken
-            x, res = brentq(offset, min(x, x_next), max(x, x_next), xtol=SHOOT_XTOL,
-                            maxiter=SHOOT_MAXITER, full_output=True, disp=False)
-            if not res.converged:
-                raise ShootingError(f"shooting for b0={b0} did not converge in "
-                                    f"{res.iterations} Brent iterations ({progress()})")
+            try:
+                x = brentq(offset, min(x, x_next), max(x, x_next), xtol=SHOOT_XTOL,
+                           maxiter=SHOOT_MAXITER)
+            except ConvergenceError as exc:
+                raise ShootingError(f"shooting for b0={b0} did not converge: {exc} "
+                                    f"({progress()})") from exc
             break
         x, g = x_next, g_next
     else:

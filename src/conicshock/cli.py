@@ -29,6 +29,7 @@ from . import __version__, hodograph
 from .gas import GasParams, VacuumError
 from .background import (
     BracketError,
+    ConvergenceError,
     DenominatorSignError,
     SelfSimilarSolution,
     ShootingError,
@@ -51,6 +52,7 @@ OUTPUT_DIR_ENV = "CONICSHOCK_OUTPUT_DIR"
 COMPUTATION_ERRORS = (
     BracketError,
     ShootingError,
+    ConvergenceError,
     DenominatorSignError,
     VacuumError,
     SimulationError,

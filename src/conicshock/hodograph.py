@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .background import SelfSimilarSolution
 from .gas import GasParams, enthalpy_inverse
@@ -321,8 +320,11 @@ def psi_hat_from_background(sol: SelfSimilarSolution, n_points: int = 129) -> Ps
 
     psi(R(s)) = s - b0 - phi(s)/b0 with R(s) = (s - b0)/psi + 1; using the
     shifted profile arrays this is psi = delta + q/b0 with no cancellation.
-    Resampling onto uniform R uses monotone (pchip) interpolation.
+    Resampling onto uniform R uses not-a-knot cubic splines (scipy's
+    CubicSpline, imported here so that only ``verify`` loads it).
     """
+    from scipy.interpolate import CubicSpline
+
     s_off = sol.s_off
     psi_s = sol.delta + sol.q / sol.b0
     if np.any(psi_s <= 0.0):

@@ -29,9 +29,8 @@ import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
 
+from ._numerics import NaturalCubicSpline
 from .background import SelfSimilarSolution, check_n, solve_background
 from .gas import (VACUUM_REL_THRESHOLD, GasParams, VacuumError, _density_at,
                   density_from_state)
@@ -130,7 +129,7 @@ class BackgroundSampler:
             raise ValueError("background span insufficient for interpolation")
         self.b0 = sol.b0
         cols = np.column_stack([sol.u_off, sol.phi])
-        self._spline = CubicSpline(x, cols, bc_type="natural", extrapolate=False)
+        self._spline = NaturalCubicSpline(x, cols)
         # piston (0) and shock (-1) ends: x, (u - b0, phi) and u'
         self._x_end, self._cols_end, self._du_end = x[[0, -1]], cols[[0, -1]], sol.du[[0, -1]]
 
@@ -561,6 +560,9 @@ class SelfSimilarStepper:
         solve_banded call with three right-hand sides and a 2x2 Schur
         complement for the ell and q columns give each update.
         """
+        # only the implicit path loads scipy
+        from scipy.linalg import solve_banded
+
         config, gas, up = self.config, self.config.gas, _BANDS[1]
         dtau = math.log(t_new / self.t)
         x = self.x

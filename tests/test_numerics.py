@@ -1,0 +1,223 @@
+"""The in-package ports of scipy's brentq, cumulative_simpson and natural
+CubicSpline: bitwise against scipy, typed non-convergence, and the commands
+that run without scipy."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
+from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq as scipy_brentq
+
+import conicshock
+from conicshock import background
+from conicshock._numerics import (ConvergenceError, NaturalCubicSpline, brentq,
+                                  cumulative_simpson)
+from conicshock.background import (ShootingError, _piston_offset, shock_jump_from_speed,
+                                   solve_background)
+from conicshock.cli import COMPUTATION_ERRORS, main
+from conicshock.gas import GasParams
+
+GAS = GasParams(A=1.0, gamma=1.4, rho0=1.0)
+
+#: (gamma, b0) grid of solves whose root-finds are replayed against scipy
+ORACLE_CASES = [(g, b0) for g in (1.2, 1.4, 2.0, 2.9) for b0 in (3.0, 10.0, 40.0, 80.0)]
+
+
+@pytest.fixture(scope="module")
+def profiles():
+    return [solve_background(b0, GasParams(A=1.0, gamma=g, rho0=1.0), n=n, grid_size=257)
+            for g, b0, n in ((1.4, 40.0, 3), (2.0, 4.0, 3), (1.2, 20.0, 2))]
+
+
+def _recorded_brent_calls(monkeypatch, gamma, b0):
+    """Every brentq call one solve makes: (f, a, b, keyword arguments)."""
+    calls = []
+
+    def recording(f, a, b, **kw):
+        calls.append((f, a, b, kw))
+        return brentq(f, a, b, **kw)
+
+    monkeypatch.setattr(background, "brentq", recording)
+    solve_background(b0, GasParams(A=1.0, gamma=gamma, rho0=1.0), n=3, grid_size=65)
+    monkeypatch.undo()
+    return calls
+
+
+class TestBrent:
+    @pytest.mark.parametrize("gamma, b0", ORACLE_CASES)
+    def test_bitwise_scipy_on_solver_calls(self, monkeypatch, gamma, b0):
+        # the jump function, the Hermite event and the shot function, each
+        # replayed: same root, and the port needs exactly scipy's iterations
+        calls = _recorded_brent_calls(monkeypatch, gamma, b0)
+        kinds = {f.__name__ for f, *_ in calls}
+        assert {"<lambda>", "hermite"} <= kinds
+        for f, a, b, kw in calls:
+            root, res = scipy_brentq(f, a, b, full_output=True, **kw)
+            assert res.converged
+            assert brentq(f, a, b, **{**kw, "maxiter": res.iterations}) == root
+            if res.iterations:
+                with pytest.raises(ConvergenceError):
+                    brentq(f, a, b, **{**kw, "maxiter": res.iterations - 1})
+
+    def test_shooting_brent_is_replayed(self, monkeypatch):
+        calls = _recorded_brent_calls(monkeypatch, 1.4, 40.0)
+        assert "offset" in {f.__name__ for f, *_ in calls}
+
+    def test_same_sign_value_error(self):
+        f = lambda x: background._jump_function(x, 10.0, GAS)
+        hi = 4.0 * shock_jump_from_speed(10.0, GAS).rho_plus
+        for solver in (scipy_brentq, brentq):
+            with pytest.raises(ValueError, match="different signs"):
+                solver(f, hi, 2.0 * hi)
+
+    def test_nan_value_error(self):
+        f = lambda x: float("nan") if x > 0.5 else -1.0
+        for solver in (scipy_brentq, brentq):
+            with pytest.raises(ValueError, match="NaN"):
+                solver(f, 0.0, 1.0)
+
+
+def _starve(monkeypatch, name):
+    """Run the solver's brentq calls on the function called name with a
+    single iteration, too few to converge."""
+    def starved(f, a, b, **kw):
+        return brentq(f, a, b, **{**kw, "maxiter": 1} if f.__name__ == name else kw)
+
+    monkeypatch.setattr(background, "brentq", starved)
+
+
+class TestNonConvergence:
+    def test_is_a_computation_error(self):
+        assert ConvergenceError in COMPUTATION_ERRORS
+
+    def test_jump(self, monkeypatch):
+        _starve(monkeypatch, "<lambda>")
+        with pytest.raises(ConvergenceError, match="did not converge in 1 iterations"):
+            shock_jump_from_speed(10.0, GAS)
+
+    def test_event(self, monkeypatch):
+        delta = solve_background(10.0, GAS, n=3, grid_size=65).delta
+        _starve(monkeypatch, "hermite")
+        with pytest.raises(ConvergenceError, match="did not converge in 1 iterations"):
+            _piston_offset(delta, 10.0, GAS, 3)
+
+    def test_shooting_keeps_its_error(self, monkeypatch):
+        _starve(monkeypatch, "offset")
+        with pytest.raises(ShootingError, match=r"shooting for b0=40.0 did not converge: "
+                           r".* \(\d+ shots, last delta = \S+ with mismatch \S+"):
+            solve_background(40.0, GAS, n=3)
+
+    def test_cli_exits_1_with_message(self, monkeypatch, tmp_path):
+        _starve(monkeypatch, "<lambda>")
+        res = CliRunner().invoke(main, ["background", "--b0", "40", "--output-dir",
+                                        str(tmp_path)], catch_exceptions=False)
+        assert res.exit_code == 1
+        assert "did not converge in 1 iterations" in res.output
+
+
+class TestCumulativeSimpson:
+    def test_bitwise_scipy_on_profiles(self, profiles):
+        for sol in profiles:
+            y, x = sol.u_off[::-1], -sol.s_off[::-1]
+            np.testing.assert_array_equal(
+                cumulative_simpson(y, x), scipy_cumulative_simpson(y, x=x, initial=0.0))
+            np.testing.assert_array_equal(sol.q[::-1], cumulative_simpson(y, x))
+
+    def test_rejects_unordered_x(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            cumulative_simpson(np.ones(4), np.array([0.0, 1.0, 1.0, 2.0]))
+
+
+class TestNaturalSpline:
+    @staticmethod
+    def _pair(sol):
+        cols = np.column_stack([sol.u_off, sol.phi])
+        return (NaturalCubicSpline(sol.s_off, cols),
+                CubicSpline(sol.s_off, cols, bc_type="natural"))
+
+    def test_coefficients_bitwise_scipy(self, profiles):
+        for sol in profiles:
+            ours, theirs = self._pair(sol)
+            np.testing.assert_array_equal(ours.c, theirs.c)
+
+    def test_values_bitwise_scipy(self, profiles):
+        rng = np.random.default_rng(7)
+        for sol in profiles:
+            ours, theirs = self._pair(sol)
+            x = np.concatenate([sol.s_off, [0.0, sol.delta],
+                                rng.uniform(0.0, sol.delta, 2000)])
+            np.testing.assert_array_equal(ours(x), theirs(x))
+            assert ours(sol.delta).shape == (2,)
+
+    def test_rejects_pivoting_grid(self):
+        # spacing growing ninefold: dgtsv would interchange rows
+        with pytest.raises(ValueError, match="nonuniform"):
+            NaturalCubicSpline(np.array([0.0, 1.0, 10.0, 11.0]), np.zeros((4, 1)))
+
+
+# ---------------------------------------------------------------------------
+# commands in fresh interpreters
+# ---------------------------------------------------------------------------
+
+#: runs the CLI on sys.argv, then prints the scipy modules loaded; with
+#: "block" first, every scipy import fails
+_CHILD = """
+import json, sys
+if sys.argv.pop(1) == "block":
+    sys.modules["scipy"] = None
+from conicshock.cli import main
+try:
+    main(sys.argv[1:], prog_name="conicshock")
+except SystemExit as exc:
+    if exc.code:
+        raise
+print(json.dumps(sorted(m for m, v in sys.modules.items() if m.startswith("scipy") and v)))
+"""
+
+
+def _child(mode, *args):
+    src = str(Path(conicshock.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, mode, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestWithoutScipy:
+    def test_help(self):
+        # and with scipy importable, nothing imports it on the way
+        assert _child("block", "--help") == _child("allow", "--help") == []
+
+    def test_certify(self, tmp_path):
+        _child("block", "certify", "--n", "3", "--gamma", "1.4", "--b0", "55.3",
+               "--mu", "-2.5", "--output-dir", str(tmp_path))
+        assert len(list(tmp_path.glob("certificate_*.json"))) == 1
+
+    def test_background(self, tmp_path):
+        _child("block", "background", "--b0", "40", "--output-dir", str(tmp_path))
+
+    def test_explicit_simulate(self, tmp_path):
+        _child("block", "simulate", "--gamma", "2", "--b0", "4", "--grid-points", "32",
+               "--eps", "0.01", "--t-end", "1.2", "--output-dir", str(tmp_path))
+
+
+class TestScipyCommands:
+    def test_verify(self, tmp_path):
+        loaded = _child("allow", "verify", "--b0", "40", "--output-dir", str(tmp_path))
+        assert "scipy.interpolate" in loaded
+
+    def test_implicit_simulate(self, tmp_path):
+        # b0 40 would need about 3e7 explicit steps, so the implicit path runs
+        loaded = _child("allow", "simulate", "--gamma", "1.4", "--b0", "40",
+                        "--grid-points", "32", "--t-end", "1.5",
+                        "--output-dir", str(tmp_path))
+        assert "scipy.linalg" in loaded
