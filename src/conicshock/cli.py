@@ -510,8 +510,8 @@ def simulate(b0, eps, grid_points, cfl, t_end, t0, budget, **common):
 
     if not res.completed:
         raise click.ClickException(
-            f"run truncated at t = {float(res.t[-1])!r} after {res.steps} "
-            f"steps (wall-clock budget exhausted)")
+            f"run truncated at t = {float(res.t[-1])!r} after {res.steps} of about "
+            f"{res.projected_steps:.0f} projected steps (wall-clock budget exhausted)")
     click.echo(f"completed {res.steps} steps to t = {float(res.t[-1])!r}; "
                f"series at {csv_path}")
 

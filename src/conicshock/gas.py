@@ -61,7 +61,9 @@ class GasParams:
             raise ValueError(f"A must be positive, got {self.A}")
         if not self.rho0 > 0:
             raise ValueError(f"rho0 must be positive, got {self.rho0}")
-        object.__setattr__(self, "B0", enthalpy(self.rho0, self))
+        # a float, not a numpy scalar, so that the scalar arithmetic built
+        # on it (the simulator's shock closure) runs on floats
+        object.__setattr__(self, "B0", float(enthalpy(self.rho0, self)))
 
 
 def _check_density(rho) -> None:

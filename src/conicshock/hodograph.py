@@ -298,13 +298,25 @@ class PsiHat:
 
 
 def _fd_derivative(y: np.ndarray, h: float) -> np.ndarray:
-    """Second-order first derivative on a uniform grid: centred inside,
-    one-sided at the ends."""
-    d = np.empty_like(y)
-    d[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
-    d[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
-    return d
+    """Second-order first derivative on a uniform grid along the last axis:
+    centred inside, one-sided at the ends.
+
+    The rows of a 2-D y are differenced in one centred operation over
+    their concatenation; the entries where that straddles two rows are the
+    end nodes, which the one-sided stencils then overwrite.  The stencils
+    are taken on floats, which round as the array operations do.
+    """
+    n = y.shape[-1]
+    flat = y.reshape(-1)
+    d = np.empty_like(flat)
+    h2 = 2.0 * float(h)
+    np.divide(flat[2:] - flat[:-2], h2, out=d[1:-1])
+    for lo in range(0, flat.size, n):
+        a0, a1, a2 = flat[lo:lo + 3].tolist()
+        b3, b2, b1 = flat[lo + n - 3:lo + n].tolist()
+        d[lo] = (-3.0 * a0 + 4.0 * a1 - a2) / h2
+        d[lo + n - 1] = (3.0 * b1 - 4.0 * b2 + b3) / h2
+    return d.reshape(y.shape)
 
 
 def _fd_second(y: np.ndarray, h: float) -> np.ndarray:

@@ -172,28 +172,42 @@ class ModifiedBackground:
 
     def E(self, t):
         t = np.asarray(t, dtype=float)
-        u, phi = self.sampler(self.config.sigma(t) / t)
+        return self._E(t, self.config.dsigma(t), *self.sampler(self.config.sigma(t) / t))
+
+    def _E(self, t, sdot, u, phi):
+        """E at the times t from the piston speed sdot there and the
+        samples (u, phi) at sigma(t)/t."""
         phi_hat = t * phi
         if np.any(np.abs(phi_hat) < 1e-300):
             raise ZeroDivisionError("background potential vanishes at the piston")
         if self.config.eps == 0.0:
             return np.zeros_like(t)
-        return (self.config.dsigma(t) - u) / phi_hat
+        return (sdot - u) / phi_hat
 
     def f_a(self, t, r):
         return self.E(t) * (np.asarray(r, dtype=float) - self.config.sigma(t))
 
     def grad_phi_a(self, t, r):
         """(dt Phi_a, dr Phi_a) at fixed x; dE/dt by a centered difference
-        (diagnostic accuracy only)."""
+        (diagnostic accuracy only).  t is a time, or an array of times of
+        r's shape; one sampler call serves the points r/t and the piston
+        at t and t +- dt."""
         r = np.asarray(r, dtype=float)
         s = r / t
-        u, phi = self.sampler(s)           # phi: per-unit-time potential
-        E = self.E(t)
-        fa = E * (r - self.config.sigma(t))
         dt = 1e-6 * t
-        dE = (self.E(t + dt) - self.E(t - dt)) / (2.0 * dt)
-        dfa_dt = dE * (r - self.config.sigma(t)) - E * self.config.dsigma(t)
+        times = (t, t + dt, t - dt)
+        ts = np.array(times)
+        # dsigma of each time as given: on a float its (1 + t)**2 can round
+        # differently from the square numpy takes on an array
+        sdot = np.array([self.config.dsigma(x) for x in times])
+        u, phi = self.sampler(np.concatenate([s.ravel(), (self.config.sigma(ts) / ts).ravel()]))
+        k = s.size
+        E, E_plus, E_minus = self._E(ts, sdot, u[k:].reshape(ts.shape), phi[k:].reshape(ts.shape))
+        u, phi = u[:k].reshape(s.shape), phi[:k].reshape(s.shape)   # phi: per-unit-time potential
+        sigma = self.config.sigma(t)
+        fa = E * (r - sigma)
+        dE = (E_plus - E_minus) / (2.0 * dt)
+        dfa_dt = dE * (r - sigma) - E * sdot[0]
         # Phi_hat = t * phi(r/t): dt Phi_hat = phi - s u, dr Phi_hat = u
         d_t = (1.0 + fa) * (phi - s * u) + dfa_dt * t * phi
         d_r = (1.0 + fa) * u + E * t * phi
@@ -251,13 +265,15 @@ def init_from_background(sol: SelfSimilarSolution, config: SimConfig) -> SimStat
 # stepping
 # ---------------------------------------------------------------------------
 
-def _bernoulli(v, w, gas: GasParams):
+def _bernoulli(v, w, gas: GasParams, w_sq=None):
     """Bernoulli argument B0 - v - w^2/2 (the enthalpy, so c^2 is
     (gamma-1) times it) on floats or arrays; raises VacuumError, as
     density_from_state does, where it reaches the vacuum threshold or is
-    NaN (the min of an array holding a NaN is NaN)."""
-    arg = gas.B0 - v - 0.5 * w * w
-    low = arg.min() if isinstance(arg, np.ndarray) else arg
+    NaN (the min of an array holding a NaN is NaN).  A caller that has
+    already formed w*w passes it as w_sq; 0.5*(w*w) equals (0.5*w)*w
+    exactly, since halving is exact."""
+    arg = gas.B0 - v - (0.5 * w * w if w_sq is None else 0.5 * w_sq)
+    low = np.minimum.reduce(arg) if isinstance(arg, np.ndarray) else arg
     if not low > VACUUM_REL_THRESHOLD * gas.B0:
         raise VacuumError("Bernoulli argument reached vacuum; flow state is not admissible")
     return arg
@@ -280,25 +296,40 @@ def shock_speed(v, w, gas: GasParams):
     return H * w / margin, margin
 
 
-def _rates(t, sigma, zeta, y, v, w, config: SimConfig):
-    """Tendencies of the state (v, w, phi, zeta), concatenated in that
-    order, in the mapped frame."""
+def _kinematics(v, w, w_sq, y, sdot, gas: GasParams):
+    """c^2 at the nodes, the Rankine-Hugoniot shock speed zeta' and the
+    grid node velocity V = sigma' + y (zeta' - sigma') of the state (v, w)
+    with w_sq = w*w and piston speed sdot."""
+    csq = (gas.gamma - 1.0) * _bernoulli(v, w, gas, w_sq)
+    zdot, _ = shock_speed(v[-1], w[-1], gas)
+    return csq, zdot, sdot + y * (zdot - sdot)
+
+
+def _rates(t, sigma, sdot, X, y, config: SimConfig, out):
+    """Tendencies of the state X = (v, w, phi, zeta) in the mapped frame,
+    written into out in that order; sigma and sdot are the piston
+    position and speed at t.  Returns (c^2, V, L): the squared sound
+    speed and the node velocity at the nodes, and the layer width, from
+    which the CFL step of X follows."""
     gas = config.gas
-    L = zeta - sigma
+    m = len(y)
+    L = X[-1] - sigma
     if L <= 0.0:
         raise SimulationError(f"piston overtook the shock at t={t}")
-    dy = y[1] - y[0]
-    csq = (gas.gamma - 1.0) * _bernoulli(v, w, gas)
+    v, w = X[:m], X[m:2 * m]
+    w_sq = w * w
+    csq, zdot, V = _kinematics(v, w, w_sq, y, sdot, gas)
     r = sigma + y * L
-
-    zdot, _ = shock_speed(v[-1], w[-1], gas)
-    sdot = config.dsigma(t)
-    V = sdot + y * (zdot - sdot)      # grid node velocity
-
-    dv = _fd_derivative(v, dy)
-    dw = _fd_derivative(w, dy)
-    v_t = ((V - 2.0 * w) * dv - (w ** 2 - csq) * dw) / L + csq * (config.n - 1) * w / r
-    return np.concatenate([v_t, (dv + V * dw) / L, v + w * V, [zdot]])
+    # v and w lie side by side in X: one derivative call for both
+    dv, dw = _fd_derivative(X[:2 * m].reshape(2, m), y[1] - y[0])
+    np.subtract((V - 2.0 * w) * dv, (w_sq - csq) * dw, out=out[:m])
+    np.add(dv, V * dw, out=out[m:2 * m])
+    out[:2 * m] /= L
+    # a float factor: numpy takes a float operand faster than an int
+    out[:m] += csq * (config.n - 1.0) * w / r
+    np.add(v, w * V, out=out[2 * m:-1])
+    out[-1] = zdot
+    return csq, V, L
 
 
 def _sound(v, w, gas: GasParams):
@@ -323,20 +354,21 @@ def _closure_residual(v, w, slope, gas: GasParams):
     return v + zdot * w, -slope + w * dzdot + zdot
 
 
-def _apply_bcs(t, v, w, config: SimConfig):
-    """Impose the wall and shock conditions by correcting the boundary state
-    along the incoming characteristic direction (dv, dw) = (-(w -+ c), 1),
-    which leaves the outgoing Riemann combination untouched.  Works on
-    floats; the shock Newton step uses the closed-form derivative of
-    _closure_residual.  Raises SimulationError if the Newton solve at the
-    shock does not converge.
+def _apply_bcs(t, v, w, config: SimConfig, sdot=None):
+    """Impose the wall and shock conditions at time t by correcting the
+    boundary state along the incoming characteristic direction
+    (dv, dw) = (-(w -+ c), 1), which leaves the outgoing Riemann
+    combination untouched; sdot is the piston speed dsigma/dt(t), taken
+    from config when not given.  Works on floats; the shock Newton step
+    uses the closed-form derivative of _closure_residual.  Raises
+    SimulationError if the Newton solve at the shock does not converge.
     """
     gas = config.gas
     g1 = gas.gamma - 1.0
     # piston: prescribe w = dsigma/dt along the (w + c)-characteristic
     v0, w0 = float(v[0]), float(w[0])
     c0 = math.sqrt(g1 * _bernoulli(v0, w0, gas))
-    alpha = config.dsigma(t) - w0
+    alpha = (config.dsigma(t) if sdot is None else sdot) - w0
     v[0] = v0 - (w0 + c0) * alpha
     w[0] = w0 + alpha
     # shock: enforce potential-continuity compatibility v = -zeta' w with
@@ -362,18 +394,12 @@ def _apply_bcs(t, v, w, config: SimConfig):
     w[-1] = w1 + alpha
 
 
-def _cfl_dt(state: SimState, config: SimConfig) -> float:
-    """Acoustic CFL step of the explicit scheme on the mapped grid."""
-    gas = config.gas
-    t, y = state.t, state.y
-    dy = y[1] - y[0]
-    c = _sound(state.v, state.w, gas)
-    zdot, _ = shock_speed(state.v[-1], state.w[-1], gas)
-    sdot = config.dsigma(t)
-    V = sdot + y * (zdot - sdot)
-    L = state.zeta - state.sigma
-    speed = np.max(np.abs(state.w - V) + c) / L
-    return config.cfl * dy / speed
+def _cfl_dt(csq, w, V, L, dy, cfl) -> float:
+    """Acoustic CFL step of the explicit scheme on the mapped grid of
+    spacing dy, from c^2 and the node velocity V at the nodes and the
+    layer width L; a float, so that the step's times and piston path are
+    float arithmetic rather than numpy scalar arithmetic."""
+    return float(cfl * dy / (np.maximum.reduce(np.abs(w - V) + np.sqrt(csq)) / L))
 
 
 def projected_explicit_steps(state: SimState, config: SimConfig) -> float:
@@ -382,7 +408,10 @@ def projected_explicit_steps(state: SimState, config: SimConfig) -> float:
     On the self-similar flow the CFL step grows like t, so the count is
     ln(t_end/t) * t/dt_CFL.
     """
-    return math.log(config.t_end / state.t) * state.t / _cfl_dt(state, config)
+    y, w = state.y, state.w
+    csq, _, V = _kinematics(state.v, w, w * w, y, config.dsigma(state.t), config.gas)
+    dt = _cfl_dt(csq, w, V, state.zeta - state.sigma, y[1] - y[0], config.cfl)
+    return math.log(config.t_end / state.t) * state.t / dt
 
 
 def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimState:
@@ -391,27 +420,39 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
     The 4-stage scheme is used (rather than a 2-stage one) because its
     stability region covers the imaginary axis, which neutral centered
     differences require; accuracy order exceeds the 2nd-order target.
+
+    Without dt the step is the CFL step of the start state, formed from
+    the c^2 and node velocity that stage 1 evaluates there.  The piston
+    path is evaluated once at each of the three stage times, the stage
+    tendencies fill one (4, N) buffer, and the updates keep the plain
+    formulas' operations and their order: X0 + (frac dt) k for each stage
+    and X0 + dt/6 ((k0 + 2 k1 + 2 k2) + k3) at the end.
     """
     t, y, m = state.t, state.y, len(state.y)
-    if dt is None:
-        dt = _cfl_dt(state, config)
-    if not np.isfinite(dt) or dt <= 0:
-        raise SimulationError(f"CFL step size invalid at t={t}: dt={dt}")
-
-    def rates(tt, X):
-        # X = (v, w, phi, zeta), as _rates returns it
-        return _rates(tt, config.sigma(tt), X[-1], y, X[:m], X[m:2 * m], config)
-
     X0 = np.concatenate([state.v, state.w, state.phi, [state.zeta]])
-    k = [rates(t, X0)]
-    for frac in (0.5, 0.5, 1.0):
-        X = X0 + frac * dt * k[-1]
-        _apply_bcs(t + frac * dt, X[:m], X[m:2 * m], config)
-        k.append(rates(t + frac * dt, X))
-    tn = t + dt
-    X = X0 + dt / 6.0 * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
-    _apply_bcs(tn, X[:m], X[m:2 * m], config)
-    sn, zn = config.sigma(tn), X[-1]
+    k = np.empty((4, len(X0)))
+    csq, V, L = _rates(t, config.sigma(t), config.dsigma(t), X0, y, config, k[0])
+    if dt is None:
+        dt = _cfl_dt(csq, state.w, V, L, y[1] - y[0], config.cfl)
+    if not math.isfinite(dt) or dt <= 0:
+        raise SimulationError(f"CFL step size invalid at t={t}: dt={dt}")
+    th, tn = t + 0.5 * dt, t + dt
+    half = (th, config.sigma(th), config.dsigma(th))
+    end = (tn, config.sigma(tn), config.dsigma(tn))
+    X = np.empty_like(X0)
+    for i, (frac, (tt, sigma, sdot)) in enumerate(((0.5, half), (0.5, half), (1.0, end)), 1):
+        np.multiply(k[i - 1], frac * dt, out=X)
+        X += X0
+        _apply_bcs(tt, X[:m], X[m:2 * m], config, sdot)
+        _rates(tt, sigma, sdot, X, y, config, k[i])
+    k[1:3] *= 2.0
+    k[0] += k[1]
+    k[0] += k[2]
+    k[0] += k[3]
+    k[0] *= dt / 6.0
+    np.add(X0, k[0], out=X)
+    _apply_bcs(tn, X[:m], X[m:2 * m], config, end[2])
+    sn, zn = end[1], X[-1]
     if not sn < zn:
         raise SimulationError(f"piston overtook the shock at t={tn}")
     return SimState(t=tn, sigma=sn, zeta=zn, y=y, v=X[:m], w=X[m:2 * m], phi=X[2 * m:-1])
@@ -465,7 +506,7 @@ class SelfSimilarStepper:
         self._mdiag[[1, -3, -1]] = 0.0
         # (row, col) node pairs of the _fd_derivative stencil, the weight
         # of each, and the pairs in each boundary row
-        D = _fd_derivative(np.eye(m), self.y[1] - self.y[0])
+        D = _fd_derivative(np.eye(m), self.y[1] - self.y[0]).T
         self._rows, cols = np.nonzero(D)
         self._wts = D[self._rows, cols]
         self._ends = [np.flatnonzero(self._rows == node) for node in (0, m - 1)]
@@ -493,7 +534,8 @@ class SelfSimilarStepper:
         config, gas = self.config, self.config.gas
         g1 = gas.gamma - 1.0
         y, m = self.y, len(self.y)
-        v, w = x[:-2].reshape(m, 2).T.copy()
+        vw = x[:-2].reshape(m, 2).T.copy()
+        v, w = vw
         ell, q = x[-2], x[-1]
         arg = _bernoulli(v, w, gas)
         csq = g1 * arg
@@ -502,8 +544,7 @@ class SelfSimilarStepper:
         V = sdot + y * q
         rr = config.b(t) + y * ell          # r/t
         dy = y[1] - y[0]
-        dv = _fd_derivative(v, dy)
-        dw = _fd_derivative(w, dy)
+        dv, dw = _fd_derivative(vw, dy)
         flux = (V - 2.0 * w) * dv - (w * w - csq) * dw
         src = (config.n - 1) * csq * w / rr
         F = np.empty(2 * m + 2)
@@ -642,6 +683,9 @@ class SimResult:
     wall_clock: float
     steps: int
     stepper: str = "explicit"   # or "implicit", chosen by run()
+    #: steps the whole run was projected to take when run() chose the
+    #: stepper: projected_explicit_steps, or the implicit step targets
+    projected_steps: float = 0.0
     #: output rows whose piston sigma/t lies outside the background span,
     #: so sup_dev was measured against an extrapolated comparator
     extrapolated_records: int = 0
@@ -731,14 +775,16 @@ def run(config: SimConfig, sol: SelfSimilarSolution | None = None,
 
     record(state)
     start = _time.monotonic()
-    if projected_explicit_steps(state, config) > IMPLICIT_STEP_THRESHOLD:
+    projected = projected_explicit_steps(state, config)
+    if projected > IMPLICIT_STEP_THRESHOLD:
         stepper = "implicit"
         implicit = SelfSimilarStepper(state, config)
         # sub equal steps in tau per output interval, landing on each output
         sub = math.ceil(math.log(out_times[1] / out_times[0]) / IMPLICIT_MAX_DTAU)
-        targets = iter([t_a * (t_b / t_a) ** (j / sub) if j < sub else t_b
-                        for t_a, t_b in zip(out_times[:-1], out_times[1:])
-                        for j in range(1, sub + 1)])
+        times = [t_a * (t_b / t_a) ** (j / sub) if j < sub else t_b
+                 for t_a, t_b in zip(out_times[:-1], out_times[1:])
+                 for j in range(1, sub + 1)]
+        projected, targets = len(times), iter(times)
 
         def advance(st: SimState) -> SimState:
             return implicit.step(next(targets))
@@ -769,6 +815,7 @@ def run(config: SimConfig, sol: SelfSimilarSolution | None = None,
         wall_clock=_time.monotonic() - start,
         steps=steps,
         stepper=stepper,
+        projected_steps=projected,
         extrapolated_records=extrapolated,
     )
 

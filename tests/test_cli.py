@@ -3,12 +3,16 @@
 import csv
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conicshock.background import solve_background
 from conicshock.cli import main
+from conicshock.gas import GasParams
+from conicshock.simulator import SimConfig, init_from_background, projected_explicit_steps
 
 
 @pytest.fixture()
@@ -375,6 +379,16 @@ class TestSimulate:
                                               "--output-dir", str(tmp_path)])
         assert res.exit_code == 1
         assert "truncated" in res.output
+        # it says how far the run got and what it would have needed: the
+        # explicit steps projected from the initial state
+        got = re.search(r"after (\d+) of about (\d+) projected steps", res.output)
+        assert got, res.output
+        gas = GasParams(gamma=2.0)
+        cfg = SimConfig(n=3, gas=gas, b0=4.0, grid_points=32, t_end=50.0)
+        sol = solve_background(4.0, gas, n=3, grid_size=512)
+        projected = projected_explicit_steps(init_from_background(sol, cfg), cfg)
+        assert got[2] == f"{projected:.0f}"
+        assert int(got[1]) < projected
 
     def test_byte_identical_reruns(self, runner, tmp_path):
         args = SIM_ARGS + ["--eps", "0", "--t-end", "3"]

@@ -307,6 +307,10 @@ class TestRun:
         cfg = SimConfig(n=3, gas=GAS, b0=B0, eps=0.0, grid_points=64, t_end=50.0)
         res = run(cfg, sol=sol, wall_clock_budget=0.2)
         assert not res.completed
+        # the run keeps the projection it chose the stepper by
+        assert res.projected_steps == projected_explicit_steps(
+            init_from_background(sol, cfg), cfg)
+        assert 0 < res.steps < res.projected_steps
 
     def test_csv_and_json_deterministic(self, sol, tmp_path, monkeypatch):
         # the explicit path, then the implicit one forced as in implicit_runs
@@ -427,6 +431,12 @@ class TestImplicitStep:
         assert res.completed is False
         assert len(res.t) >= 2
         assert res.t[-1] < cfg.t_end
+        # the projection is the number of implicit step targets: sub
+        # steps per output interval
+        n_out = int(np.log10(cfg.t_end / cfg.t0) * simulator.OUTPUTS_PER_DECADE)
+        sub = np.ceil(np.log(cfg.t_end / cfg.t0) / (n_out - 1) / simulator.IMPLICIT_MAX_DTAU)
+        assert res.projected_steps == sub * (n_out - 1)
+        assert res.steps < res.projected_steps
 
 
 # ---------------------------------------------------------------------------
