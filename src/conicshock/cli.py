@@ -332,6 +332,9 @@ def verify(b0_list, suites, profile_path, **common):
     _check_finite("--b0", *b0_list)
     p["b0_list"] = list(b0_list) or [10.0, 20.0, 40.0, 80.0]
     p["suites"] = list(suites or SUITES)
+    if not profile_path and "asymptotics" in p["suites"] and len(set(p["b0_list"])) < 2:
+        raise click.UsageError("--b0: the asymptotics suite fits slopes over piston "
+                               "speeds and needs two or more distinct ones")
 
     report = dict(p)
     if profile_path:

@@ -102,6 +102,22 @@ def _density_at(hval, gas: GasParams):
     return ((gas.gamma - 1.0) * hval / (gas.A * gas.gamma)) ** (1.0 / (gas.gamma - 1.0))
 
 
+def _nonvacuum(arg, gas: GasParams):
+    """The vacuum rule: the Bernoulli argument arg (float or array), or
+    VacuumError where it is at or below VACUUM_REL_THRESHOLD * B0 or NaN
+    (the min of an array holding a NaN is NaN)."""
+    low = np.minimum.reduce(arg) if isinstance(arg, np.ndarray) else arg
+    if not low > VACUUM_REL_THRESHOLD * gas.B0:
+        raise VacuumError("Bernoulli argument reached vacuum; flow state is not admissible")
+    return arg
+
+
+def _flow_bernoulli(phi_t, grad_sq, gas: GasParams):
+    """Bernoulli argument B0 - phi_t - grad_sq/2 of a flow state on floats
+    or arrays, under the vacuum rule; c^2 is (gamma-1) times it."""
+    return _nonvacuum(gas.B0 - phi_t - 0.5 * grad_sq, gas)
+
+
 def density_from_state(phi_t, grad_sq, gas: GasParams):
     """Bernoulli density map rho = h^{-1}(B0 - phi_t - grad_sq/2).
 
@@ -117,7 +133,5 @@ def density_from_state(phi_t, grad_sq, gas: GasParams):
         (1e-14 * B0), which distinguishes physical vacuum from round-off,
         or is NaN.
     """
-    arg = gas.B0 - np.asarray(phi_t, dtype=float) - 0.5 * np.asarray(grad_sq, dtype=float)
-    if not np.all(arg > VACUUM_REL_THRESHOLD * gas.B0):
-        raise VacuumError("Bernoulli argument reached vacuum; flow state is not admissible")
-    return enthalpy_inverse(arg, gas)
+    arg = _flow_bernoulli(np.asarray(phi_t, dtype=float), np.asarray(grad_sq, dtype=float), gas)
+    return _density_at(arg, gas)

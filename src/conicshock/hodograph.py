@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .background import SelfSimilarSolution
-from .gas import GasParams, enthalpy_inverse
+from .gas import GasParams, _density_at, _nonvacuum
 
 __all__ = [
     "HodographState",
@@ -152,10 +152,8 @@ class CoeffSet:
 def second_order_coeffs(st: HodographState, gas: GasParams, b0: float, T: float = 1.0) -> CoeffSet:
     """Evaluate every coefficient family by its printed closed form."""
     a0, a1, a2, a3, a4 = a_coeffs(st)
-    A0 = bernoulli_argument(st, gas, b0, T)
-    if np.any(A0 <= 0.0):
-        raise ValueError("vacuum state: non-positive Bernoulli argument")
-    H = enthalpy_inverse(A0, gas)
+    A0 = _nonvacuum(bernoulli_argument(st, gas, b0, T), gas)
+    H = _density_at(A0, gas)
     csq = (gas.gamma - 1.0) * A0
 
     R = st.R
@@ -283,7 +281,6 @@ class PsiHat:
     psi: np.ndarray
     dpsi: np.ndarray
     d2psi: np.ndarray
-    s_of_R: np.ndarray
     u_off: np.ndarray
     b0: float
     delta: float
@@ -337,11 +334,10 @@ def psi_hat_from_background(sol: SelfSimilarSolution, n_points: int = 129) -> Ps
     """
     from scipy.interpolate import CubicSpline
 
-    s_off = sol.s_off
     psi_s = sol.delta + sol.q / sol.b0
     if np.any(psi_s <= 0.0):
         raise ValueError("straightened profile not positive; corrupted background")
-    R_s = s_off / psi_s + 1.0
+    R_s = sol.s_off / psi_s + 1.0
     if np.any(np.diff(R_s) <= 0.0):
         raise ValueError("non-monotone R(s); corrupted background")
 
@@ -354,7 +350,6 @@ def psi_hat_from_background(sol: SelfSimilarSolution, n_points: int = 129) -> Ps
     return PsiHat(
         R=R, psi=sol.delta + psi_off,
         dpsi=_fd_derivative(psi_off, h), d2psi=_fd_second(psi_off, h),
-        s_of_R=sol.b0 + CubicSpline(R_s, s_off)(R),
         u_off=CubicSpline(R_s, sol.u_off)(R),
         b0=sol.b0, delta=sol.delta, gas=sol.gas, n=sol.n,
     )
@@ -442,7 +437,7 @@ def _directional(f, st: HodographState, slot: str, step: float):
 def _shock_row(ph: PsiHat):
     """The mass row G = H psi - (H - rho0) sigma/(b0 a1), sigma = dTa0 + a0,
     at the shock R = 2 and unit time T = 1 as a function of the state, and at
-    the background the density H = enthalpy_inverse(bernoulli_argument) and,
+    the background the density H of bernoulli_argument (vacuum-checked) and,
     with D0 = psi - sigma/(b0 a1), the prefactors
 
         B20    = -(H - rho0)/(b0 a1) + D0 dH/d(dTpsi),
@@ -454,7 +449,7 @@ def _shock_row(ph: PsiHat):
     gas, b0 = ph.gas, ph.b0
 
     def H(st):
-        return enthalpy_inverse(bernoulli_argument(st, gas, b0), gas)
+        return _density_at(_nonvacuum(bernoulli_argument(st, gas, b0), gas), gas)
 
     def G(st):
         a0, a1 = a_coeffs(st)[:2]
@@ -505,7 +500,6 @@ class BoundarySignReport:
     1/a1 = psi + (R-1) dRpsi; B20 equals StabilityReport.CalB20.
     """
 
-    k_values: list
     E_min: dict           # k -> min over R of E_k
     D21: dict             # k -> value at R=2
     D22: dict             # k -> value at R=2
@@ -573,7 +567,6 @@ def boundary_signs(ph: PsiHat) -> BoundarySignReport:
         and np.all(B22 == 0.0)
     )
     return BoundarySignReport(
-        k_values=list(range(K_MAX + 1)),
         E_min=E, D21=D21, D22=D22, n=ph.n, B20=B20, B21=B21, B22=B22,
         degenerate=degenerate, passed=bool(passed),
     )

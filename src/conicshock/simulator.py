@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._numerics import NaturalCubicSpline
 from .background import SelfSimilarSolution, check_n, solve_background
-from .gas import (VACUUM_REL_THRESHOLD, GasParams, VacuumError, _density_at,
-                  density_from_state)
+from .gas import GasParams, _density_at, _flow_bernoulli, density_from_state
 from .hodograph import _fd_derivative
 
 
@@ -48,8 +47,10 @@ def forcing(t):
 
 
 def dforcing(t):
-    """dh/dt of the piston perturbation profile."""
-    return -1.0 / (1.0 + t) ** 2
+    """dh/dt of the piston perturbation profile.  The square is a product,
+    which rounds alike on a float and on an array (a float's ** 2 is libm
+    pow)."""
+    return -1.0 / ((1.0 + t) * (1.0 + t))
 
 
 @dataclass(frozen=True)
@@ -195,11 +196,8 @@ class ModifiedBackground:
         r = np.asarray(r, dtype=float)
         s = r / t
         dt = 1e-6 * t
-        times = (t, t + dt, t - dt)
-        ts = np.array(times)
-        # dsigma of each time as given: on a float its (1 + t)**2 can round
-        # differently from the square numpy takes on an array
-        sdot = np.array([self.config.dsigma(x) for x in times])
+        ts = np.array((t, t + dt, t - dt))
+        sdot = self.config.dsigma(ts)
         u, phi = self.sampler(np.concatenate([s.ravel(), (self.config.sigma(ts) / ts).ravel()]))
         k = s.size
         E, E_plus, E_minus = self._E(ts, sdot, u[k:].reshape(ts.shape), phi[k:].reshape(ts.shape))
@@ -257,27 +255,13 @@ def init_from_background(sol: SelfSimilarSolution, config: SimConfig) -> SimStat
     # make the sampled data compatible with the wall and shock conditions at
     # t0 (the perturbed piston speed differs from the profile wall speed by
     # O(eps)); the correction acts along the incoming characteristics only
-    _apply_bcs(t0, v, w, config)
+    _apply_bcs(t0, v, w, config, config.dsigma(t0))
     return SimState(t=t0, sigma=sigma, zeta=zeta, y=y, v=v, w=w, phi=t0 * phi)
 
 
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
-
-def _bernoulli(v, w, gas: GasParams, w_sq=None):
-    """Bernoulli argument B0 - v - w^2/2 (the enthalpy, so c^2 is
-    (gamma-1) times it) on floats or arrays; raises VacuumError, as
-    density_from_state does, where it reaches the vacuum threshold or is
-    NaN (the min of an array holding a NaN is NaN).  A caller that has
-    already formed w*w passes it as w_sq; 0.5*(w*w) equals (0.5*w)*w
-    exactly, since halving is exact."""
-    arg = gas.B0 - v - (0.5 * w * w if w_sq is None else 0.5 * w_sq)
-    low = np.minimum.reduce(arg) if isinstance(arg, np.ndarray) else arg
-    if not low > VACUUM_REL_THRESHOLD * gas.B0:
-        raise VacuumError("Bernoulli argument reached vacuum; flow state is not admissible")
-    return arg
-
 
 def _entropy_margin(H: float, gas: GasParams) -> float:
     """H - rho0 of the post-shock density H; raises on entropy violation."""
@@ -291,7 +275,7 @@ def shock_speed(v, w, gas: GasParams):
     """Radial Rankine-Hugoniot shock velocity H w / (H - rho0) from the
     boundary state; raises on entropy violation H <= rho0."""
     v, w = float(v), float(w)
-    H = _density_at(_bernoulli(v, w, gas), gas)
+    H = _density_at(_flow_bernoulli(v, w * w, gas), gas)
     margin = _entropy_margin(H, gas)
     return H * w / margin, margin
 
@@ -300,7 +284,7 @@ def _kinematics(v, w, w_sq, y, sdot, gas: GasParams):
     """c^2 at the nodes, the Rankine-Hugoniot shock speed zeta' and the
     grid node velocity V = sigma' + y (zeta' - sigma') of the state (v, w)
     with w_sq = w*w and piston speed sdot."""
-    csq = (gas.gamma - 1.0) * _bernoulli(v, w, gas, w_sq)
+    csq = (gas.gamma - 1.0) * _flow_bernoulli(v, w_sq, gas)
     zdot, _ = shock_speed(v[-1], w[-1], gas)
     return csq, zdot, sdot + y * (zdot - sdot)
 
@@ -333,7 +317,7 @@ def _rates(t, sigma, sdot, X, y, config: SimConfig, out):
 
 
 def _sound(v, w, gas: GasParams):
-    return np.sqrt((gas.gamma - 1.0) * _bernoulli(v, w, gas))
+    return np.sqrt((gas.gamma - 1.0) * _flow_bernoulli(v, w * w, gas))
 
 
 def _closure_residual(v, w, slope, gas: GasParams):
@@ -345,7 +329,7 @@ def _closure_residual(v, w, slope, gas: GasParams):
     c^2 = (gamma-1) arg, d zeta' = H/(H - rho0) - rho0 w dH/(H - rho0)^2,
     and dg = -slope + w d zeta' + zeta'.
     """
-    arg = _bernoulli(v, w, gas)
+    arg = _flow_bernoulli(v, w * w, gas)
     H = _density_at(arg, gas)
     margin = _entropy_margin(H, gas)
     zdot = H * w / margin
@@ -354,28 +338,28 @@ def _closure_residual(v, w, slope, gas: GasParams):
     return v + zdot * w, -slope + w * dzdot + zdot
 
 
-def _apply_bcs(t, v, w, config: SimConfig, sdot=None):
+def _apply_bcs(t, v, w, config: SimConfig, sdot):
     """Impose the wall and shock conditions at time t by correcting the
     boundary state along the incoming characteristic direction
     (dv, dw) = (-(w -+ c), 1), which leaves the outgoing Riemann
-    combination untouched; sdot is the piston speed dsigma/dt(t), taken
-    from config when not given.  Works on floats; the shock Newton step
-    uses the closed-form derivative of _closure_residual.  Raises
-    SimulationError if the Newton solve at the shock does not converge.
+    combination untouched; sdot is the piston speed dsigma/dt(t).  Works
+    on floats; the shock Newton step uses the closed-form derivative of
+    _closure_residual.  Raises SimulationError if the Newton solve at the
+    shock does not converge.
     """
     gas = config.gas
     g1 = gas.gamma - 1.0
     # piston: prescribe w = dsigma/dt along the (w + c)-characteristic
     v0, w0 = float(v[0]), float(w[0])
-    c0 = math.sqrt(g1 * _bernoulli(v0, w0, gas))
-    alpha = (config.dsigma(t) if sdot is None else sdot) - w0
+    c0 = math.sqrt(g1 * _flow_bernoulli(v0, w0 * w0, gas))
+    alpha = sdot - w0
     v[0] = v0 - (w0 + c0) * alpha
     w[0] = w0 + alpha
     # shock: enforce potential-continuity compatibility v = -zeta' w with
     # zeta' from the Rankine-Hugoniot relation; Newton in the correction
     # amplitude along the (w - c)-characteristic direction
     v1, w1 = float(v[-1]), float(w[-1])
-    slope = w1 - math.sqrt(g1 * _bernoulli(v1, w1, gas))
+    slope = w1 - math.sqrt(g1 * _flow_bernoulli(v1, w1 * w1, gas))
     alpha = 0.0
     ga, dg = _closure_residual(v1, w1, slope, gas)
     for _ in range(12):
@@ -537,7 +521,7 @@ class SelfSimilarStepper:
         vw = x[:-2].reshape(m, 2).T.copy()
         v, w = vw
         ell, q = x[-2], x[-1]
-        arg = _bernoulli(v, w, gas)
+        arg = _flow_bernoulli(v, w * w, gas)
         csq = g1 * arg
         sdot = config.dsigma(t)
         zdot = sdot + q
@@ -675,6 +659,9 @@ class SimResult:
     zeta: np.ndarray
     sigma: np.ndarray
     sup_dev: np.ndarray
+    #: |H w - (H - rho0) zeta'| at the shock node, with zeta' taken from the
+    #: same H by shock_speed: it can show only rounding, not the residual
+    #: the stepper leaves
     rh_residual: np.ndarray
     entropy_margin: np.ndarray
     phi_shock: np.ndarray
@@ -831,8 +818,6 @@ class DecayFit:
     m0_est: float
     residual: float
     window: tuple
-    t: np.ndarray = field(repr=False)
-    dev: np.ndarray = field(repr=False)
 
 
 def fit_decay(t, dev, window: tuple = (2.0, None), floor: float | None = None) -> DecayFit:
@@ -858,4 +843,4 @@ def fit_decay(t, dev, window: tuple = (2.0, None), floor: float | None = None) -
     coeffs, res, *_ = np.polyfit(np.log1p(tm), np.log(dm), 1, full=True)
     residual = float(np.sqrt(res[0] / len(tm))) if len(res) else 0.0
     return DecayFit(m0_est=float(-coeffs[0]), residual=residual,
-                    window=(float(lo), float(hi)), t=tm, dev=dm)
+                    window=(float(lo), float(hi)))

@@ -295,6 +295,13 @@ def report():
 
 class TestAsymptotics:
 
+    def test_needs_two_distinct_piston_speeds(self):
+        # a one-point log-log fit has no slope
+        sol = solve_background(40.0, GAS, n=3, grid_size=64)
+        for sols in ([sol], [sol, sol]):
+            with pytest.raises(ValueError, match="two or more distinct"):
+                asymptotic_report(sols)
+
     def test_all_items_finite(self, report):
         for k, v in report.deviations.items():
             assert np.all(np.isfinite(v)), k

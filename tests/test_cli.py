@@ -167,6 +167,17 @@ class TestVerify:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert list(report["results"]) == ["ellipticity"]
 
+    @pytest.mark.parametrize("b0s", [["40"], ["40", "40"]])
+    def test_asymptotics_needs_two_distinct_b0(self, runner, tmp_path, monkeypatch, b0s):
+        # rejected before any solve, whether asymptotics is named or defaulted
+        monkeypatch.setattr("conicshock.cli.solve_background", None)
+        for suites in ([], ["--suite", "asymptotics", "--suite", "profile"]):
+            args = ["verify", *suites, *[a for b0 in b0s for a in ("--b0", b0)]]
+            res = runner.invoke(main, args + ["--output-dir", str(tmp_path)])
+            assert res.exit_code == 2
+            assert "--b0" in res.output and "two or more distinct" in res.output
+        assert not (tmp_path / "verify_report.json").exists()
+
     def test_unknown_suite_is_usage_error(self, runner, tmp_path):
         res = runner.invoke(main, ["verify", "--suite", "nonsense",
                                    "--output-dir", str(tmp_path)])

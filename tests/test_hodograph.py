@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conicshock.background import solve_background
-from conicshock.gas import GasParams
+from conicshock.gas import GasParams, VacuumError, density_from_state
 from conicshock.hodograph import (
     HodographState,
     a_coeffs,
@@ -20,6 +20,7 @@ from conicshock.hodograph import (
     shock_row_residual,
     transform_identity_residual,
 )
+from conicshock.simulator import shock_speed
 
 GAS = GasParams(A=1.0, gamma=1.4, rho0=1.0)
 
@@ -43,8 +44,6 @@ class TestPsiHat:
         ph = psi_hat_from_background(sol80, 65)
         assert ph.R[0] == 1.0 and ph.R[-1] == 2.0
         assert ph.psi[-1] == pytest.approx(sol80.delta, rel=1e-12)
-        assert ph.s_of_R[0] == pytest.approx(sol80.b0, rel=1e-12)
-        assert ph.s_of_R[-1] == pytest.approx(sol80.s0, rel=1e-12)
 
     def test_positive_and_increasing(self, sol80):
         ph = psi_hat_from_background(sol80, 65)
@@ -183,6 +182,27 @@ class TestCoefficientFamilies:
         st = HodographState(R=1.5, psi=0.8, b=5.0, dRpsi=0.1)
         with pytest.raises(ValueError):
             second_order_coeffs(st, GAS, 500.0)  # Bernoulli argument < 0
+
+    def test_one_vacuum_rule(self):
+        # a state whose Bernoulli argument B0 + X is positive but within the
+        # round-off threshold 1e-14 B0: A is chosen so that B0 = -X (1 + 5e-15)
+        st = HodographState(R=1.5, psi=0.1, b=1.0)
+        b0 = 10.0
+        X = bernoulli_argument(st, GAS, b0) - GAS.B0
+        assert X < 0.0
+        B0 = -X * (1.0 + 5e-15)
+        gas = GasParams(A=B0 * (GAS.gamma - 1.0) / GAS.gamma, gamma=GAS.gamma, rho0=1.0)
+        arg = bernoulli_argument(st, gas, b0)
+        assert 0.0 < arg <= 1e-14 * gas.B0
+        with pytest.raises(VacuumError):
+            second_order_coeffs(st, gas, b0)
+        # the flow-state maps reject a state with the same argument
+        phi_t = gas.B0 - arg
+        assert 0.0 < gas.B0 - phi_t <= 1e-14 * gas.B0
+        with pytest.raises(VacuumError):
+            density_from_state(phi_t, 0.0, gas)
+        with pytest.raises(VacuumError):
+            shock_speed(phi_t, 0.0, gas)
 
 
 # ---------------------------------------------------------------------------

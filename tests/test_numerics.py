@@ -212,7 +212,8 @@ class TestWithoutScipy:
 
 class TestScipyCommands:
     def test_verify(self, tmp_path):
-        loaded = _child("allow", "verify", "--b0", "40", "--output-dir", str(tmp_path))
+        loaded = _child("allow", "verify", "--b0", "40", "--b0", "80",
+                        "--output-dir", str(tmp_path))
         assert "scipy.interpolate" in loaded
 
     def test_implicit_simulate(self, tmp_path):

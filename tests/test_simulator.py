@@ -7,7 +7,7 @@ import pytest
 from conicshock import simulator
 from conicshock.background import solve_background
 from conicshock.cli import _write_csv, _write_json
-from conicshock.gas import GasParams, VacuumError, density_from_state, enthalpy
+from conicshock.gas import GasParams, VacuumError, _flow_bernoulli, density_from_state, enthalpy
 from conicshock.simulator import (
     BackgroundSampler,
     DecayFit,
@@ -78,6 +78,17 @@ class TestConfig:
         h = 1e-7
         fd = (cfg.sigma(t + h) - cfg.sigma(t - h)) / (2 * h)
         assert cfg.dsigma(t) == pytest.approx(fd, rel=1e-6)
+
+    def test_piston_path_same_bits_on_floats_and_arrays(self):
+        # a caller may evaluate the path on an array of times or time by
+        # time; both must give the same bits
+        t = np.geomspace(1.0, 100.0, 100_000)
+        one_by_one = np.array([simulator.dforcing(x) for x in t.tolist()])
+        np.testing.assert_array_equal(simulator.dforcing(t), one_by_one)
+        for eps in (1e-5, 0.0137, 0.5):
+            cfg = SimConfig(n=3, gas=GAS, b0=B0, eps=eps)
+            one_by_one = np.array([cfg.dsigma(x) for x in t.tolist()])
+            np.testing.assert_array_equal(cfg.dsigma(t), one_by_one)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +169,7 @@ class TestStep:
         monkeypatch.setattr(simulator, "_closure_residual",
                             lambda v, w, slope, gas: (float("nan"), 1.0))
         with pytest.raises(SimulationError, match="did not converge: residual nan"):
-            simulator._apply_bcs(st.t, st.v.copy(), st.w.copy(), cfg0)
+            simulator._apply_bcs(st.t, st.v.copy(), st.w.copy(), cfg0, cfg0.dsigma(st.t))
 
     def test_shock_closure_raises_on_flat_derivative(self, sol, cfg0, monkeypatch):
         # with c = w the correction leaves v alone, and with zeta' = 0 the
@@ -167,7 +178,7 @@ class TestStep:
         monkeypatch.setattr(simulator, "_closure_residual",
                             lambda v, w, slope, gas: (v, 0.0))
         with pytest.raises(SimulationError, match="flat Newton derivative"):
-            simulator._apply_bcs(st.t, st.v.copy(), st.w.copy(), cfg0)
+            simulator._apply_bcs(st.t, st.v.copy(), st.w.copy(), cfg0, cfg0.dsigma(st.t))
 
     def test_vacuum_node_raises(self, sol, cfg0):
         # B0 - v - w^2/2 < 0 at one interior node: the CFL step and the
@@ -195,7 +206,7 @@ class TestStep:
         v, w = st.v.copy(), st.w.copy()
         v[-1] = GAS.B0 - enthalpy(0.5 * GAS.rho0, GAS) - 0.5 * w[-1] ** 2
         with pytest.raises(SimulationError, match="entropy condition violated"):
-            simulator._apply_bcs(st.t, v, w, cfg0)
+            simulator._apply_bcs(st.t, v, w, cfg0, cfg0.dsigma(st.t))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +247,7 @@ class TestClosedForms:
         # c^2 = (gamma-1)(B0 - v - w^2/2) = A gamma rho^(gamma-1)
         for cfg, st in stepped_states:
             gas = cfg.gas
-            closed = (gas.gamma - 1.0) * simulator._bernoulli(st.v, st.w, gas)
+            closed = (gas.gamma - 1.0) * _flow_bernoulli(st.v, st.w ** 2, gas)
             rho = density_from_state(st.v, st.w ** 2, gas)
             np.testing.assert_allclose(closed, gas.A * gas.gamma * rho ** (gas.gamma - 1.0),
                                        rtol=1e-12, atol=0.0)
