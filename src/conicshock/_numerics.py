@@ -1,16 +1,18 @@
-"""Plain ports of the three scipy routines on the package's import path.
+"""Plain ports of the scipy routines on the package's import path.
 
 Each repeats scipy's arithmetic operation for operation, in the same order,
 so that its results are bitwise those of scipy (the tests compare them with
-``==``).  With them, ``certify``, ``background`` and the explicit
-``simulate`` path load no scipy, which would dominate their start-up:
+``==``).  With them, ``verify``, ``certify``, ``background`` and the
+explicit ``simulate`` path load no scipy, which would dominate their
+start-up; only an implicit ``simulate`` run loads it (``scipy.linalg``):
 
 * ``brentq``: the C kernel behind ``scipy.optimize.brentq``, on floats;
 * ``cumulative_simpson``: ``scipy.integrate.cumulative_simpson`` with ``x``
   given and ``initial=0.0``;
-* ``NaturalCubicSpline``: ``scipy.interpolate.CubicSpline(x, y,
-  bc_type="natural")``, its slope system solved as LAPACK ``dgtsv`` does
-  and its pieces evaluated as ``PPoly`` does.
+* ``CubicSpline``: ``scipy.interpolate.CubicSpline(x, y, bc_type=...)``
+  for the "natural" and "not-a-knot" end conditions, its slope system
+  solved as LAPACK ``dgtsv`` does and its pieces evaluated as ``PPoly``
+  does.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 
 import numpy as np
 
-__all__ = ["ConvergenceError", "brentq", "cumulative_simpson", "NaturalCubicSpline"]
+__all__ = ["ConvergenceError", "brentq", "cumulative_simpson", "CubicSpline"]
 
 
 class ConvergenceError(RuntimeError):
@@ -126,14 +128,65 @@ def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(parts)))
 
 
-class NaturalCubicSpline:
-    """C2 cubic spline through (x[i], y[i]) with zero second derivative at
-    both ends, bitwise as ``scipy.interpolate.CubicSpline(x, y,
-    bc_type="natural")`` inside [x[0], x[-1]].  y has one column per
-    interpolated quantity; outside the span the end pieces continue.
+def _dgtsv(dl: list, d: list, du: list, b: np.ndarray) -> np.ndarray:
+    """Solution of the tridiagonal system with sub-, main and superdiagonal
+    dl, d, du (float lists, overwritten) for each column of b, bitwise as
+    LAPACK ``dgtsv``: Gaussian elimination with partial pivoting, where a row
+    interchange fills a second superdiagonal du2.
+    """
+    n = len(d)
+    du2 = [0.0] * (n - 2)
+    swaps, facts = [], []
+    for i in range(n - 1):
+        swap = not abs(d[i]) >= abs(dl[i])
+        if swap:
+            fact = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -fact * du2[i]
+        elif d[i] == 0.0:
+            raise np.linalg.LinAlgError("singular matrix")
+        else:
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+        swaps.append(swap)
+        facts.append(fact)
+    if d[-1] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    s = np.empty_like(b)
+    for j in range(b.shape[1]):
+        bj = b[:, j].tolist()
+        for i in range(n - 1):
+            fact = facts[i]
+            if swaps[i]:
+                bj[i], bj[i + 1] = bj[i + 1], bj[i] - fact * bj[i + 1]
+            else:
+                bj[i + 1] = bj[i + 1] - fact * bj[i]
+        bj[-1] = bj[-1] / d[-1]
+        bj[-2] = (bj[-2] - du[-1] * bj[-1]) / d[-2]
+        for i in range(n - 3, -1, -1):
+            # the du2 term is kept where it is zero, so signed zeros come
+            # out as in LAPACK
+            bj[i] = (bj[i] - du[i] * bj[i + 1] - du2[i] * bj[i + 2]) / d[i]
+        s[:, j] = bj
+    return s
+
+
+class CubicSpline:
+    """C2 cubic spline through (x[i], y[i]), bitwise as
+    ``scipy.interpolate.CubicSpline(x, y, bc_type=bc_type)`` inside
+    [x[0], x[-1]] for at least four samples.  bc_type is "natural" (zero
+    second derivative at both ends) or "not-a-knot" (the first two and the
+    last two pieces are one cubic each).  y has one column per interpolated
+    quantity; outside the span the end pieces continue.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
+    def __init__(self, x: np.ndarray, y: np.ndarray, bc_type: str):
+        if bc_type not in ("natural", "not-a-knot"):
+            raise ValueError(f"unsupported bc_type {bc_type!r}")
+        if len(x) < 4:
+            raise ValueError("a spline needs at least 4 samples")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("spline data must be finite")
         dx = np.diff(x)
@@ -141,34 +194,22 @@ class NaturalCubicSpline:
             raise ValueError("`x` must be strictly increasing sequence.")
         dxr = dx[:, None]
         slope = np.diff(y, axis=0) / dxr
-        # slopes s from the tridiagonal system dl s[i-1] + d s[i] + du s[i+1] = b
+        # slopes s from the tridiagonal system dl s[i-1] + d s[i] + du s[i+1] = b,
+        # whose end rows state the end condition
         h = dx.tolist()
-        d = [2 * h[0], *(2 * (dx[:-1] + dx[1:])).tolist(), 2 * h[-1]]
-        du, dl = [h[0], *h[:-1]], [*h[1:], h[-1]]
-        b = np.concatenate([3 * (y[1:2] - y[:1]),
-                            3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:]),
-                            3 * (y[-1:] - y[-2:-1])])
-        # dgtsv elimination; the rows are diagonally dominant on near-uniform
-        # grids, so the branch without row interchange is the one it takes
-        n = len(d)
-        fact = []
-        for i in range(n - 1):
-            if not abs(d[i]) >= abs(dl[i]):
-                raise ValueError("spline grid too nonuniform: the slope system would pivot")
-            fact.append(dl[i] / d[i])
-            d[i + 1] = d[i + 1] - fact[i] * du[i]
-        s = np.empty_like(b)
-        for j in range(b.shape[1]):
-            bj = b[:, j].tolist()
-            for i in range(n - 1):
-                bj[i + 1] = bj[i + 1] - fact[i] * bj[i]
-            bj[-1] = bj[-1] / d[-1]
-            bj[-2] = (bj[-2] - du[-1] * bj[-1]) / d[-2]
-            for i in range(n - 3, -1, -1):
-                # dgtsv keeps its second-superdiagonal term, zero without
-                # interchanges, so signed zeros come out as in LAPACK
-                bj[i] = (bj[i] - du[i] * bj[i + 1] - 0.0 * bj[i + 2]) / d[i]
-            s[:, j] = bj
+        d = [0.0, *(2 * (dx[:-1] + dx[1:])).tolist(), 0.0]
+        du, dl = [0.0, *h[:-1]], [*h[1:], 0.0]
+        b = np.empty_like(y, dtype=float)
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        if bc_type == "natural":
+            d[0], du[0], d[-1], dl[-1] = 2 * h[0], h[0], 2 * h[-1], h[-1]
+            b[0], b[-1] = 3 * (y[1] - y[0]), 3 * (y[-1] - y[-2])
+        else:
+            w0, w1 = x[2] - x[0], x[-1] - x[-3]
+            d[0], du[0], d[-1], dl[-1] = h[1], float(w0), h[-2], float(w1)
+            b[0] = ((dxr[0] + 2 * w0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / w0
+            b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * w1 + dxr[-1]) * dxr[-2] * slope[-1]) / w1
+        s = _dgtsv(dl, d, du, b)
         # Hermite pieces in PPoly's layout, highest power first
         t = (s[:-1] + s[1:] - 2 * slope) / dxr
         self.x = x

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._numerics import CubicSpline
 from .background import SelfSimilarSolution
 from .gas import GasParams, _density_at, _nonvacuum
 
@@ -329,12 +330,11 @@ def psi_hat_from_background(sol: SelfSimilarSolution, n_points: int = 129) -> Ps
 
     psi(R(s)) = s - b0 - phi(s)/b0 with R(s) = (s - b0)/psi + 1; using the
     shifted profile arrays this is psi = delta + q/b0 with no cancellation.
-    Resampling onto uniform R uses not-a-knot cubic splines (scipy's
-    CubicSpline, imported here so that only ``verify`` loads it).
+    Resampling onto uniform R uses one not-a-knot cubic spline for both
+    columns (the package's bitwise port of scipy's CubicSpline).
     """
-    from scipy.interpolate import CubicSpline
-
-    psi_s = sol.delta + sol.q / sol.b0
+    q_b0 = sol.q / sol.b0
+    psi_s = sol.delta + q_b0
     if np.any(psi_s <= 0.0):
         raise ValueError("straightened profile not positive; corrupted background")
     R_s = sol.s_off / psi_s + 1.0
@@ -345,12 +345,12 @@ def psi_hat_from_background(sol: SelfSimilarSolution, n_points: int = 129) -> Ps
     # interpolate the small offset psi - delta (= q/b0) so derivative stencils
     # act on full-precision values instead of quantized O(delta) floats; the
     # C2 spline keeps stencil noise below the stencil truncation error
-    psi_off = CubicSpline(R_s, sol.q / sol.b0)(R)
+    cols = np.column_stack([q_b0, sol.u_off])
+    psi_off, u_off = CubicSpline(R_s, cols, "not-a-knot")(R).T
     h = R[1] - R[0]
     return PsiHat(
         R=R, psi=sol.delta + psi_off,
-        dpsi=_fd_derivative(psi_off, h), d2psi=_fd_second(psi_off, h),
-        u_off=CubicSpline(R_s, sol.u_off)(R),
+        dpsi=_fd_derivative(psi_off, h), d2psi=_fd_second(psi_off, h), u_off=u_off,
         b0=sol.b0, delta=sol.delta, gas=sol.gas, n=sol.n,
     )
 
@@ -410,7 +410,7 @@ def check_ellipticity(ph: PsiHat) -> EllipticityReport:
     """
     cs = second_order_coeffs(ph.states(), ph.gas, ph.b0)
     A62 = np.moveaxis(cs.A6_2, -1, 0)  # (N, 3, 3)
-    eigmax = np.array([np.max(np.linalg.eigvalsh(m)) for m in A62])
+    eigmax = np.max(np.linalg.eigvalsh(A62), axis=-1)
     margin = float(max(np.max(cs.A4_2), np.max(eigmax)))
     return EllipticityReport(
         R=ph.R,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import NaturalCubicSpline
+from ._numerics import CubicSpline
 from .background import SelfSimilarSolution, check_n, solve_background
 from .gas import GasParams, _density_at, _flow_bernoulli, density_from_state
 from .hodograph import _fd_derivative
@@ -130,7 +130,7 @@ class BackgroundSampler:
             raise ValueError("background span insufficient for interpolation")
         self.b0 = sol.b0
         cols = np.column_stack([sol.u_off, sol.phi])
-        self._spline = NaturalCubicSpline(x, cols)
+        self._spline = CubicSpline(x, cols, "natural")
         # piston (0) and shock (-1) ends: x, (u - b0, phi) and u'
         self._x_end, self._cols_end, self._du_end = x[[0, -1]], cols[[0, -1]], sol.du[[0, -1]]
 

@@ -1,6 +1,6 @@
-"""The in-package ports of scipy's brentq, cumulative_simpson and natural
-CubicSpline: bitwise against scipy, typed non-convergence, and the commands
-that run without scipy."""
+"""The in-package ports of scipy's brentq, cumulative_simpson and natural and
+not-a-knot CubicSpline: bitwise against scipy, typed non-convergence, and the
+commands that run without scipy."""
 
 import json
 import os
@@ -12,17 +12,18 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline as ScipyCubicSpline
 from scipy.optimize import brentq as scipy_brentq
 
 import conicshock
 from conicshock import background
-from conicshock._numerics import (ConvergenceError, NaturalCubicSpline, brentq,
-                                  cumulative_simpson)
+from conicshock._numerics import ConvergenceError, CubicSpline, brentq, cumulative_simpson
 from conicshock.background import (ShootingError, _piston_offset, shock_jump_from_speed,
                                    solve_background)
 from conicshock.cli import COMPUTATION_ERRORS, main
 from conicshock.gas import GasParams
+from conicshock.hodograph import (_fd_derivative, _fd_second, check_ellipticity,
+                                  psi_hat_from_background, second_order_coeffs)
 
 GAS = GasParams(A=1.0, gamma=1.4, rho0=1.0)
 
@@ -135,31 +136,81 @@ class TestCumulativeSimpson:
             cumulative_simpson(np.ones(4), np.array([0.0, 1.0, 1.0, 2.0]))
 
 
-class TestNaturalSpline:
-    @staticmethod
-    def _pair(sol):
-        cols = np.column_stack([sol.u_off, sol.phi])
-        return (NaturalCubicSpline(sol.s_off, cols),
-                CubicSpline(sol.s_off, cols, bc_type="natural"))
+def _r_grid(sol):
+    """The straightened grid R(s) that psi_hat_from_background resamples."""
+    return sol.s_off / (sol.delta + sol.q / sol.b0) + 1.0
 
-    def test_coefficients_bitwise_scipy(self, profiles):
-        for sol in profiles:
-            ours, theirs = self._pair(sol)
-            np.testing.assert_array_equal(ours.c, theirs.c)
 
-    def test_values_bitwise_scipy(self, profiles):
+def _spline_data(sol, bc_type):
+    """(x, columns) of the package's spline with this end condition on one
+    profile: the simulator's natural spline over s, verify's not-a-knot one
+    over R."""
+    if bc_type == "natural":
+        return sol.s_off, np.column_stack([sol.u_off, sol.phi])
+    return _r_grid(sol), np.column_stack([sol.q / sol.b0, sol.u_off])
+
+
+def _assert_bitwise_scipy(x, y, bc_type, xv):
+    ours, theirs = CubicSpline(x, y, bc_type), ScipyCubicSpline(x, y, bc_type=bc_type)
+    np.testing.assert_array_equal(ours.c, theirs.c)
+    np.testing.assert_array_equal(ours(xv), theirs(xv))
+
+
+class TestCubicSpline:
+    @pytest.mark.parametrize("bc_type", ["natural", "not-a-knot"])
+    def test_bitwise_scipy_on_profiles(self, profiles, bc_type):
         rng = np.random.default_rng(7)
         for sol in profiles:
-            ours, theirs = self._pair(sol)
-            x = np.concatenate([sol.s_off, [0.0, sol.delta],
-                                rng.uniform(0.0, sol.delta, 2000)])
-            np.testing.assert_array_equal(ours(x), theirs(x))
-            assert ours(sol.delta).shape == (2,)
+            x, cols = _spline_data(sol, bc_type)
+            xv = np.concatenate([x, rng.uniform(x[0], x[-1], 2000)])
+            _assert_bitwise_scipy(x, cols, bc_type, xv)
+            assert CubicSpline(x, cols, bc_type)(x[-1]).shape == (2,)
 
-    def test_rejects_pivoting_grid(self):
-        # spacing growing ninefold: dgtsv would interchange rows
-        with pytest.raises(ValueError, match="nonuniform"):
-            NaturalCubicSpline(np.array([0.0, 1.0, 10.0, 11.0]), np.zeros((4, 1)))
+    @pytest.mark.parametrize("bc_type", ["natural", "not-a-knot"])
+    def test_bitwise_scipy_on_random_grids(self, bc_type):
+        # spacings spread over e^±6, so many systems need row interchanges
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(4, 40))
+            x = np.cumsum(np.exp(rng.uniform(-6.0, 6.0, n)))
+            y = rng.normal(size=(n, int(rng.integers(1, 4))))
+            _assert_bitwise_scipy(x, y, bc_type,
+                                  np.concatenate([x, rng.uniform(x[0], x[-1], 50)]))
+
+    @pytest.mark.parametrize("bc_type", ["natural", "not-a-knot"])
+    def test_pivoting_grid_bitwise_scipy(self, bc_type):
+        # spacing growing ninefold: the natural system interchanges rows
+        x = np.array([0.0, 1.0, 10.0, 11.0])
+        y = np.random.default_rng(3).normal(size=(4, 2))
+        _assert_bitwise_scipy(x, y, bc_type, np.linspace(0.0, 11.0, 45))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rejects_fewer_than_four_samples(self, n):
+        for bc_type in ("natural", "not-a-knot"):
+            with pytest.raises(ValueError, match="at least 4 samples"):
+                CubicSpline(np.arange(float(n)), np.zeros((n, 1)), bc_type)
+
+
+class TestStraightenedProfile:
+    def test_psi_hat_bitwise_scipy(self, profiles):
+        # the formulas of psi_hat_from_background, on scipy's spline
+        for sol in profiles:
+            ph = psi_hat_from_background(sol)
+            R_s, R = _r_grid(sol), np.linspace(1.0, 2.0, 129)
+            psi_off = ScipyCubicSpline(R_s, sol.q / sol.b0)(R)
+            h = R[1] - R[0]
+            np.testing.assert_array_equal(ph.psi, sol.delta + psi_off)
+            np.testing.assert_array_equal(ph.dpsi, _fd_derivative(psi_off, h))
+            np.testing.assert_array_equal(ph.d2psi, _fd_second(psi_off, h))
+            np.testing.assert_array_equal(ph.u_off, ScipyCubicSpline(R_s, sol.u_off)(R))
+
+    def test_ellipticity_eigmax_per_matrix(self, profiles):
+        for sol in profiles:
+            ph = psi_hat_from_background(sol)
+            A62 = np.moveaxis(second_order_coeffs(ph.states(), ph.gas, ph.b0).A6_2, -1, 0)
+            np.testing.assert_array_equal(
+                check_ellipticity(ph).A6_2_eigmax,
+                np.array([np.max(np.linalg.eigvalsh(m)) for m in A62]))
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +260,14 @@ class TestWithoutScipy:
         _child("block", "simulate", "--gamma", "2", "--b0", "4", "--grid-points", "32",
                "--eps", "0.01", "--t-end", "1.2", "--output-dir", str(tmp_path))
 
+    def test_verify(self, tmp_path):
+        args = ["verify", "--b0", "40", "--b0", "80", "--output-dir"]
+        _child("block", *args, str(tmp_path / "blocked"))
+        assert (tmp_path / "blocked" / "verify_report.json").is_file()
+        assert _child("allow", *args, str(tmp_path / "allowed")) == []
+
 
 class TestScipyCommands:
-    def test_verify(self, tmp_path):
-        loaded = _child("allow", "verify", "--b0", "40", "--b0", "80",
-                        "--output-dir", str(tmp_path))
-        assert "scipy.interpolate" in loaded
-
     def test_implicit_simulate(self, tmp_path):
         # b0 40 would need about 3e7 explicit steps, so the implicit path runs
         loaded = _child("allow", "simulate", "--gamma", "1.4", "--b0", "40",
