@@ -191,6 +191,30 @@ class TestCubicSpline:
                 CubicSpline(np.arange(float(n)), np.zeros((n, 1)), bc_type)
 
 
+class TestNaturalSpline:
+    """The simulator's natural spline of (u_off, phi) over s, as it is used."""
+
+    @staticmethod
+    def _pair(sol):
+        cols = np.column_stack([sol.u_off, sol.phi])
+        return (CubicSpline(sol.s_off, cols, "natural"),
+                ScipyCubicSpline(sol.s_off, cols, bc_type="natural"))
+
+    def test_coefficients_bitwise_scipy(self, profiles):
+        for sol in profiles:
+            ours, theirs = self._pair(sol)
+            np.testing.assert_array_equal(ours.c, theirs.c)
+
+    def test_values_bitwise_scipy(self, profiles):
+        rng = np.random.default_rng(7)
+        for sol in profiles:
+            ours, theirs = self._pair(sol)
+            x = np.concatenate([sol.s_off, [0.0, sol.delta],
+                                rng.uniform(0.0, sol.delta, 2000)])
+            np.testing.assert_array_equal(ours(x), theirs(x))
+            assert ours(sol.delta).shape == (2,)
+
+
 class TestStraightenedProfile:
     def test_psi_hat_bitwise_scipy(self, profiles):
         # the formulas of psi_hat_from_background, on scipy's spline
