@@ -46,12 +46,15 @@ class GasParams:
         Ambient (pre-shock) density, > 0.
     B0 : float
         Bernoulli constant of the static gas, h(rho0).  Derived.
+    c0 : float
+        Sound speed of the static gas, c(rho0).  Derived.
     """
 
     A: float = 1.0
     gamma: float = 1.4
     rho0: float = 1.0
     B0: float = field(init=False)
+    c0: float = field(init=False)
 
     def __post_init__(self) -> None:
         # negated comparisons, so that NaN fails them too
@@ -61,9 +64,10 @@ class GasParams:
             raise ValueError(f"A must be positive, got {self.A}")
         if not self.rho0 > 0:
             raise ValueError(f"rho0 must be positive, got {self.rho0}")
-        # a float, not a numpy scalar, so that the scalar arithmetic built
-        # on it (the simulator's shock closure) runs on floats
+        # floats, not numpy scalars, so that the scalar arithmetic built on
+        # them (the simulator's shock closure, the shooting) runs on floats
         object.__setattr__(self, "B0", float(enthalpy(self.rho0, self)))
+        object.__setattr__(self, "c0", float(sound_speed(self.rho0, self)))
 
 
 def _check_density(rho) -> None:

@@ -1,6 +1,8 @@
 """Tests for the self-similar background solver: jump relations, shooting,
 and large-piston-speed asymptotics."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import bisect
@@ -10,6 +12,7 @@ from click.testing import CliRunner
 from conicshock import background
 from conicshock.background import (
     BracketError,
+    DenominatorSignError,
     SelfSimilarSolution,
     ShootingError,
     asymptotic_report,
@@ -17,6 +20,7 @@ from conicshock.background import (
     shock_jump_from_speed,
     solve_background,
     _jump_function,
+    _march,
     _piston_offset,
 )
 from conicshock.cli import main
@@ -142,6 +146,15 @@ class TestSolveBackground:
         res = [ode_residual(solve_background(4.0, gas, n=3, grid_size=N)) for N in (32, 64, 128)]
         assert res[0] / res[1] >= 8.0
         assert res[1] / res[2] >= 8.0
+
+    def test_denominator_sign_error_names_abscissa(self):
+        # a march started at w^2 >= c^2 (here w = -2c at the shock density)
+        s0 = 40.0 + 1e-5
+        rho = shock_jump_from_speed(s0, GAS).rho_plus
+        w = -2.0 * float(sound_speed(rho, GAS))
+        with pytest.raises(DenominatorSignError,
+                           match=re.escape(f"(s-u)^2 - c^2 >= 0 at s = {s0}")):
+            _march([s0, s0 - 1e-8], rho, w, -1e-8, GAS, 3)
 
     def test_n2_solves(self):
         sol = solve_background(40.0, GAS, n=2, grid_size=256)

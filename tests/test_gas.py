@@ -36,6 +36,13 @@ def test_bernoulli_constant_is_ambient_enthalpy():
         assert gas.B0 == enthalpy(gas.rho0, gas)
 
 
+def test_ambient_sound_speed_is_a_float():
+    # read by every jump solve, so it must not cost a numpy call per shot
+    for gas in (GAS, GasParams(A=0.7, gamma=2.2, rho0=3.1)):
+        assert type(gas.c0) is float
+        assert gas.c0 == float(sound_speed(gas.rho0, gas))
+
+
 def test_sound_speed_value():
     # direct arithmetic: c = sqrt(A*gamma*rho^(gamma-1))
     assert sound_speed(1.0, GAS) == pytest.approx(np.sqrt(1.4), rel=1e-14)
