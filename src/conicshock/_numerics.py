@@ -132,45 +132,47 @@ def _dgtsv(dl: list, d: list, du: list, b: np.ndarray) -> np.ndarray:
     """Solution of the tridiagonal system with sub-, main and superdiagonal
     dl, d, du (float lists, overwritten) for each column of b, bitwise as
     LAPACK ``dgtsv``: Gaussian elimination with partial pivoting, where a row
-    interchange fills a second superdiagonal du2.
+    interchange fills a second superdiagonal du2.  As in LAPACK, each step of
+    the factorization also eliminates in every column; the backward sweep
+    then runs over each column's values in order.
     """
     n = len(d)
     du2 = [0.0] * (n - 2)
-    swaps, facts = [], []
+    cols = b.T.tolist()
+    di = d[0]
     for i in range(n - 1):
-        swap = not abs(d[i]) >= abs(dl[i])
-        if swap:
-            fact = d[i] / dl[i]
-            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+        li = dl[i]
+        if not abs(di) >= abs(li):
+            fact = di / li
+            d[i], d[i + 1], du[i] = li, du[i] - fact * d[i + 1], d[i + 1]
             if i < n - 2:
                 du2[i] = du[i + 1]
                 du[i + 1] = -fact * du2[i]
-        elif d[i] == 0.0:
+            for bj in cols:
+                bj[i], bj[i + 1] = bj[i + 1], bj[i] - fact * bj[i + 1]
+        elif di == 0.0:
             raise np.linalg.LinAlgError("singular matrix")
         else:
-            fact = dl[i] / d[i]
+            fact = li / di
             d[i + 1] = d[i + 1] - fact * du[i]
-        swaps.append(swap)
-        facts.append(fact)
-    if d[-1] == 0.0:
-        raise np.linalg.LinAlgError("singular matrix")
-    s = np.empty_like(b)
-    for j in range(b.shape[1]):
-        bj = b[:, j].tolist()
-        for i in range(n - 1):
-            fact = facts[i]
-            if swaps[i]:
-                bj[i], bj[i + 1] = bj[i + 1], bj[i] - fact * bj[i + 1]
-            else:
+            for bj in cols:
                 bj[i + 1] = bj[i + 1] - fact * bj[i]
-        bj[-1] = bj[-1] / d[-1]
-        bj[-2] = (bj[-2] - du[-1] * bj[-1]) / d[-2]
-        for i in range(n - 3, -1, -1):
+        di = d[i + 1]
+    if di == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    rows_up = (du[n - 3::-1], du2[::-1], d[n - 3::-1])
+    s = []
+    for bj in cols:
+        x2 = bj[-1] / d[-1]
+        x1 = (bj[-2] - du[-1] * x2) / d[-2]
+        xs = [x2, x1]
+        for bi, ui, u2i, dii in zip(bj[n - 3::-1], *rows_up):
             # the du2 term is kept where it is zero, so signed zeros come
             # out as in LAPACK
-            bj[i] = (bj[i] - du[i] * bj[i + 1] - du2[i] * bj[i + 2]) / d[i]
-        s[:, j] = bj
-    return s
+            x2, x1 = x1, (bi - ui * x1 - u2i * x2) / dii
+            xs.append(x1)
+        s.append(xs[::-1])
+    return np.array(s).T
 
 
 class CubicSpline:

@@ -335,6 +335,17 @@ def verify(b0_list, suites, profile_path, **common):
     if not profile_path and "asymptotics" in p["suites"] and len(set(p["b0_list"])) < 2:
         raise click.UsageError("--b0: the asymptotics suite fits slopes over piston "
                                "speeds and needs two or more distinct ones")
+    if not profile_path:
+        # every suite keys its per-b0 entries by f"{b0:g}", so each key must
+        # name one speed, given once
+        seen = {}
+        for b0 in p["b0_list"]:
+            key = f"{b0:g}"
+            if key in seen:
+                raise click.UsageError(
+                    f"--b0: {b0!r} is given twice" if seen[key] == b0 else
+                    f"--b0: {seen[key]!r} and {b0!r} would share the report key {key}")
+            seen[key] = b0
 
     report = dict(p)
     if profile_path:

@@ -19,6 +19,7 @@ simply pass zeros there.  Evaluations are pure functions of the state.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -104,7 +105,12 @@ def _Za0(st: HodographState):
 
 def bernoulli_argument(st: HodographState, gas: GasParams, b0: float, T: float = 1.0):
     """Argument of the enthalpy inverse defining density and sound speed."""
-    a0, a1, a2, a3, a4 = a_coeffs(st)
+    return _bernoulli(st, gas, b0, T, a_coeffs(st))
+
+
+def _bernoulli(st: HodographState, gas: GasParams, b0: float, T: float, a):
+    """bernoulli_argument on the state's a_coeffs ``a``, already evaluated."""
+    a0, a1, a2, a3, a4 = a
     return (
         gas.B0
         - b0 * (st.R - 2.0) * st.psi
@@ -151,9 +157,19 @@ class CoeffSet:
 
 
 def second_order_coeffs(st: HodographState, gas: GasParams, b0: float, T: float = 1.0) -> CoeffSet:
-    """Evaluate every coefficient family by its printed closed form."""
-    a0, a1, a2, a3, a4 = a_coeffs(st)
-    A0 = _nonvacuum(bernoulli_argument(st, gas, b0, T), gas)
+    """Evaluate every coefficient family by its printed closed form.
+
+    Every family is elementwise along the state's grid axis, so one call on
+    several states concatenated along that axis returns, in its slices,
+    bitwise the sets of separate calls; callers stack the states of a
+    stencil into one call.  Repeated subexpressions (the a-coefficients,
+    a0**2, a1**2, R - 1, R - 2, (b0 a1/a0)**2) are evaluated once, each
+    combined with the same operands in the same order as in its printed
+    form.
+    """
+    a = a_coeffs(st)
+    a0, a1, a2, a3, a4 = a
+    A0 = _nonvacuum(_bernoulli(st, gas, b0, T, a), gas)
     H = _density_at(A0, gas)
     csq = (gas.gamma - 1.0) * A0
 
@@ -164,6 +180,8 @@ def second_order_coeffs(st: HodographState, gas: GasParams, b0: float, T: float 
     dTa0 = _dTa0(st)
     Za0 = _Za0(st)
     zeros3 = np.zeros_like(a4)
+    Rm1, Rm2 = R - 1.0, R - 2.0
+    a0sq, a1sq = a0 ** 2, a1 ** 2
 
     # slip = b0*a1*a2 - a0 is (u - s) expressed in the new variables
     slip = b0 * a1 * a2 - a0
@@ -171,37 +189,37 @@ def second_order_coeffs(st: HodographState, gas: GasParams, b0: float, T: float 
 
     # ----- T^0 layer ------------------------------------------------------
     A1_0 = psi
-    A2_0 = (R - 2.0) * dTb - a1 * ((R - 1.0) * a3 + psi * dTa0)
+    A2_0 = Rm2 * dTb - a1 * (Rm1 * a3 + psi * dTa0)
     A3_0 = zeros3
-    A4_0 = dTa0 * a1 * ((R - 1.0) * a1 * a3 - (R - 2.0) * dTb)
+    A4_0 = dTa0 * a1 * (Rm1 * a1 * a3 - Rm2 * dTb)
     A5_0 = zeros3
     A6_0 = np.zeros((3, 3) + np.shape(psi))
     A7_0 = (
-        dTpsi ** 2 + psi * d2Tb + dTpsi * dTb + (R - 2.0) * d2Tb * dRpsi
+        dTpsi ** 2 + psi * d2Tb + dTpsi * dTb + Rm2 * d2Tb * dRpsi
         - a1 * (dTpsi * a3 + dTa0 * (dTpsi * dRpsi + 2.0 * dRpsi * dTb))
-        + 2.0 * dTa0 * a1 ** 2 * a3 * dRpsi
+        + 2.0 * dTa0 * a1sq * a3 * dRpsi
     )
 
     # ----- T^-1 layer -----------------------------------------------------
     A1_1 = np.zeros_like(psi)
     A2_1 = (
-        2.0 * slip * (1.0 - (R - 1.0) * a1 * dRpsi)
-        + 2.0 * b0 * a1 / a0 ** 2
-        * ((R - 1.0) * a1 * a4sq - (R - 2.0) * np.sum(Zb * a4, axis=0))
+        2.0 * slip * (1.0 - Rm1 * a1 * dRpsi)
+        + 2.0 * b0 * a1 / a0sq
+        * (Rm1 * a1 * a4sq - Rm2 * np.sum(Zb * a4, axis=0))
     )
-    A3_1 = -2.0 * b0 / a0 ** 2 * a1 * a4 * psi
+    A3_1 = -2.0 * b0 / a0sq * a1 * a4 * psi
     A4_1 = (
-        2.0 * dTa0 * a1 * slip * ((R - 1.0) * a1 * dRpsi - 1.0)
-        + 2.0 * b0 / a0 ** 2 * dTa0 * a1 ** 2
-        * ((R - 2.0) * np.sum(Zb * a4, axis=0) - (R - 1.0) * a1 * a4sq)
+        2.0 * dTa0 * a1 * slip * (Rm1 * a1 * dRpsi - 1.0)
+        + 2.0 * b0 / a0sq * dTa0 * a1sq
+        * (Rm2 * np.sum(Zb * a4, axis=0) - Rm1 * a1 * a4sq)
     )
-    A5_1 = 2.0 * b0 / a0 ** 2 * dTa0 * a1 ** 2 * psi * a4
+    A5_1 = 2.0 * b0 / a0sq * dTa0 * a1sq * psi * a4
     A6_1 = np.zeros((3, 3) + np.shape(psi))
     A7_1 = (
-        2.0 * a1 * (b0 / a0 ** 2 * a1 * a4sq - dRpsi * slip)
+        2.0 * a1 * (b0 / a0sq * a1 * a4sq - dRpsi * slip)
         * (dTpsi - 2.0 * a1 * dTa0 * dRpsi)
         + 2.0 * a3
-        - 2.0 * b0 / a0 ** 2 * a1 * np.sum(
+        - 2.0 * b0 / a0sq * a1 * np.sum(
             a4 * (
                 dTpsi * Zpsi + dTpsi * Zb
                 # piston angular-time mixed derivatives are zero for the
@@ -219,34 +237,35 @@ def second_order_coeffs(st: HodographState, gas: GasParams, b0: float, T: float 
 
     # kernel K_ij = c^2 delta_ij - (b0 a1 / a0)^2 a4_i a4_j
     K = np.empty((3, 3) + np.shape(psi))
+    ka_sq = (b0 * a1 / a0) ** 2
     for i in range(3):
         for j in range(3):
-            K[i, j] = (csq if i == j else 0.0) - (b0 * a1 / a0) ** 2 * a4[i] * a4[j]
+            K[i, j] = (csq if i == j else 0.0) - ka_sq * a4[i] * a4[j]
 
     A4_2 = (
-        a1 * (slip ** 2 - csq) * (1.0 - (R - 1.0) * a1 * dRpsi)
-        - 2.0 * b0 * a1 / a0 ** 2 * slip
-        * np.sum(a4 * ((R - 2.0) * a1 * Zb - (R - 1.0) * a1 ** 2 * a4), axis=0)
-        + 1.0 / a0 ** 2 * np.sum(
-            K * ((R - 2.0) * Zb - (R - 1.0) * a1 * a4)[None, :] * (a1 * Za0)[:, None],
+        a1 * (slip ** 2 - csq) * (1.0 - Rm1 * a1 * dRpsi)
+        - 2.0 * b0 * a1 / a0sq * slip
+        * np.sum(a4 * (Rm2 * a1 * Zb - Rm1 * a1sq * a4), axis=0)
+        + 1.0 / a0sq * np.sum(
+            K * (Rm2 * Zb - Rm1 * a1 * a4)[None, :] * (a1 * Za0)[:, None],
             axis=(0, 1),
         )
     )
     A5_2 = (
-        -2.0 * b0 * a1 ** 2 / a0 ** 2 * slip * a4 * psi
-        + 1.0 / a0 ** 2 * np.sum(
-            K * (a1 * Za0 * dRpsi + (R - 1.0) * a1 * a4 - (R - 2.0) * Zb)[None, :],
+        -2.0 * b0 * a1sq / a0sq * slip * a4 * psi
+        + 1.0 / a0sq * np.sum(
+            K * (a1 * Za0 * dRpsi + Rm1 * a1 * a4 - Rm2 * Zb)[None, :],
             axis=1,
         )
     )
-    A6_2 = -K * psi / a0 ** 2
+    A6_2 = -K * psi / a0sq
     A7_2 = (
         2.0 * (a1 * dRpsi) ** 2 * (csq - slip ** 2)
         + 2.0 * a2 / a0 * csq
         + b0 * a1 / a0 ** 3 * (b0 * a1 * a2 - 2.0 * a0) * a4sq
-        - 2.0 * b0 * a1 ** 2 / a0 ** 2 * slip * dRpsi
+        - 2.0 * b0 * a1sq / a0sq * slip * dRpsi
         * np.sum(a4 * (Zpsi + 2.0 * Zb - 2.0 * a1 * a4), axis=0)
-        - 1.0 / a0 ** 2 * np.sum(
+        - 1.0 / a0sq * np.sum(
             K * (
                 Zpsi[None, :] * Zpsi[:, None] + Zpsi[:, None] * Zb[None, :]
                 - (a1 * Za0 * dRpsi)[:, None] * (Zpsi + 2.0 * Zb)[None, :]
@@ -268,7 +287,7 @@ def second_order_coeffs(st: HodographState, gas: GasParams, b0: float, T: float 
 # straightened background profile
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class PsiHat:
     """Background profile in the straightened coordinate.
 
@@ -276,6 +295,10 @@ class PsiHat:
     ``dpsi``/``d2psi`` use second-order finite differences (one-sided at the
     ends).  ``u_off`` is u - b0, interpolated from the shifted background
     profile so small combinations keep precision.
+
+    The coefficient set at the profile's own states (``coeffs``) and the
+    shock row (``shock_row``) are evaluated on first use and shared by every
+    check on the profile; the dataclass is frozen, so neither can go stale.
     """
 
     R: np.ndarray
@@ -293,6 +316,20 @@ class PsiHat:
         return HodographState(
             R=self.R[idx], psi=self.psi[idx], b=self.b0, dRpsi=self.dpsi[idx],
         )
+
+    @cached_property
+    def coeffs(self) -> CoeffSet:
+        """second_order_coeffs at every grid state, unit time.  Every check
+        and report shares these arrays, so they are read-only."""
+        cs = second_order_coeffs(self.states(), self.gas, self.b0)
+        for x in vars(cs).values():
+            x.setflags(write=False)
+        return cs
+
+    @cached_property
+    def shock_row(self):
+        """The mass row at R = 2 and its prefactors (see _shock_row)."""
+        return _shock_row(self)
 
 
 def _fd_derivative(y: np.ndarray, h: float) -> np.ndarray:
@@ -331,8 +368,12 @@ def psi_hat_from_background(sol: SelfSimilarSolution, n_points: int = 129) -> Ps
     psi(R(s)) = s - b0 - phi(s)/b0 with R(s) = (s - b0)/psi + 1; using the
     shifted profile arrays this is psi = delta + q/b0 with no cancellation.
     Resampling onto uniform R uses one not-a-knot cubic spline for both
-    columns (the package's bitwise port of scipy's CubicSpline).
+    columns (the package's bitwise port of scipy's CubicSpline).  The grid
+    needs at least 4 points, which the end stencils of psi'' read.
     """
+    if n_points < 4:
+        raise ValueError(f"n_points = {n_points}: the straightened grid needs at "
+                         "least 4 points, which the end stencils of psi'' read")
     q_b0 = sol.q / sol.b0
     psi_s = sol.delta + q_b0
     if np.any(psi_s <= 0.0):
@@ -384,7 +425,7 @@ def shock_row_residual(ph: PsiHat) -> float:
     G = H psi - (1/b0)(H - rho0)(psi + psi'(2))(b0 + psi) = 0 at R = 2,
     normalized by H * psi.
     """
-    G, pref = _shock_row(ph)
+    G, pref = ph.shock_row
     return float(abs(G(ph.states(-1))) / (pref["H"] * ph.psi[-1]))
 
 
@@ -408,7 +449,7 @@ def check_ellipticity(ph: PsiHat) -> EllipticityReport:
     A4_2 < 0 and the angular second-order block negative definite at every
     grid point of the straightened background ``ph``.
     """
-    cs = second_order_coeffs(ph.states(), ph.gas, ph.b0)
+    cs = ph.coeffs
     A62 = np.moveaxis(cs.A6_2, -1, 0)  # (N, 3, 3)
     eigmax = np.max(np.linalg.eigvalsh(A62), axis=-1)
     margin = float(max(np.max(cs.A4_2), np.max(eigmax)))
@@ -516,20 +557,33 @@ def boundary_signs(ph: PsiHat) -> BoundarySignReport:
     background ``ph``.
 
     Directional derivatives with respect to the psi-slots use centered
-    differences with step 1e-5 * psi.
+    differences with step 1e-5 * psi.  The four neighbours of the interior
+    rows (psi +- step, dTpsi +- step) are evaluated in one
+    second_order_coeffs call on the four grids stacked end to end, whose
+    slices are bitwise those of four calls.  The shock-row derivatives at
+    the single point R = 2 stay scalar evaluations: numpy's array ``**``
+    rounds differently from its scalar ``**`` on some hosts, so stacking
+    them would move D21, D22, B20 and B21.
     """
     gas, b0 = ph.gas, ph.b0
-
-    def interior_row(stv, d2psi):
-        cs = second_order_coeffs(stv, gas, b0)
-        return d2psi * cs.A4_2 + cs.A7_2
-
-    def interior_row_layer1(stv, d2psi):
-        cs = second_order_coeffs(stv, gas, b0)
-        return d2psi * cs.A4_1 + cs.A7_1 + (d2psi * cs.A4_2 + cs.A7_2)
-
-    st_all = ph.states()
     step = 1e-5 * ph.psi
+    zero = np.zeros_like(step)
+    nbrs = HodographState(
+        R=np.tile(ph.R, 4),
+        psi=np.concatenate((ph.psi + step, ph.psi - step, ph.psi, ph.psi)),
+        b=b0,
+        dRpsi=np.tile(ph.dpsi, 4),
+        dTpsi=np.concatenate((zero, zero, step, -step)),
+    )
+    cs = second_order_coeffs(nbrs, gas, b0)
+    A4_1, A7_1, A4_2, A7_2 = (
+        np.reshape(x, (4, -1)) for x in (cs.A4_1, cs.A7_1, cs.A4_2, cs.A7_2))
+    # interior rows at T = 1: layer 2 alone for psi, layers 1 and 2 for dTpsi
+    d2 = ph.d2psi
+    row = d2 * A4_2 + A7_2
+    row1 = d2 * A4_1 + A7_1 + row
+    dpsi_E = (row[0] - row[1]) / (2.0 * step)
+    dTpsi_E = (row1[2] - row1[3]) / (2.0 * step)
 
     # the finite-difference step must move the Bernoulli argument by well
     # more than its own rounding unit, else every derivative is noise
@@ -537,16 +591,13 @@ def boundary_signs(ph: PsiHat) -> BoundarySignReport:
     degenerate = bool(b0 * 1e-5 * ph.psi[-1] < 50.0 * np.spacing(A0_ref))
 
     E, D21, D22 = {}, {}, {}
-    d2 = ph.d2psi
-    dpsi_E = _directional(lambda s: interior_row(s, d2), st_all, "psi", step)
-    dTpsi_E = _directional(lambda s: interior_row_layer1(s, d2), st_all, "dTpsi", step)
     for k in range(K_MAX + 1):
         Ek = k * (k - 1) * ph.psi + dpsi_E + k * dTpsi_E
         E[k] = float(np.min(Ek))
 
     st2 = ph.states(-1)
     step2 = 1e-5 * ph.psi[-1]
-    shock_row, pref = _shock_row(ph)
+    shock_row, pref = ph.shock_row
     d_dR = _directional(shock_row, st2, "dRpsi", step2)
     d_psi = _directional(shock_row, st2, "psi", step2)
     d_dT = _directional(shock_row, st2, "dTpsi", step2)
@@ -632,8 +683,7 @@ def local_stability(ph: PsiHat) -> StabilityReport:
     """
     gas, b0 = ph.gas, ph.b0
 
-    st = ph.states()
-    cs = second_order_coeffs(st, gas, b0)
+    cs = ph.coeffs
     A1, A2, A3, A4, A5, A6, A7 = cs.assembled(1.0)
     pref = ph.psi / (2.0 * (gas.gamma - 1.0) * cs.A0)
     CalA1 = pref * 2.0 * A1
@@ -646,7 +696,7 @@ def local_stability(ph: PsiHat) -> StabilityReport:
     CalB12 = np.zeros(3)
 
     # shock row prefactors at R = 2
-    pref = _shock_row(ph)[1]
+    pref = ph.shock_row[1]
     CalB20, CalB21 = pref["B20"], pref["CalB21"]
     CalB22 = np.zeros(3)
 

@@ -178,6 +178,40 @@ class TestVerify:
             assert "--b0" in res.output and "two or more distinct" in res.output
         assert not (tmp_path / "verify_report.json").exists()
 
+    @pytest.mark.parametrize("b0s, message", [
+        (["40", "40.0000001", "80"], "--b0: 40.0 and 40.0000001 would share the report key 40"),
+        (["40", "80", "40.0"], "--b0: 40.0 is given twice"),
+    ])
+    def test_b0_that_report_alike_is_usage_error(self, runner, tmp_path, monkeypatch,
+                                                 b0s, message):
+        # every suite keys its per-b0 entries by f"{b0:g}": two distinct
+        # speeds that print alike would leave one entry for both, and a
+        # repeated speed fails the asymptotics suite's strict monotonicity
+        monkeypatch.setattr("conicshock.cli.solve_background", None)
+        args = ["verify", *[a for b0 in b0s for a in ("--b0", b0)]]
+        res = runner.invoke(main, args + ["--output-dir", str(tmp_path)])
+        assert res.exit_code == 2
+        assert message in res.output
+        assert not (tmp_path / "verify_report.json").exists()
+
+    def test_one_coefficient_evaluation_per_stencil(self, runner, tmp_path, monkeypatch):
+        # per profile: the shared set at its own states (ellipticity and
+        # stability) and the four stacked neighbours of the boundary suite;
+        # counted through the module binding the benchmark tracer swaps
+        from conicshock import hodograph
+        calls = []
+        inner = hodograph.second_order_coeffs
+
+        def counted(*args, **kw):
+            calls.append(np.size(args[0].psi))
+            return inner(*args, **kw)
+
+        monkeypatch.setattr(hodograph, "second_order_coeffs", counted)
+        res = _invoke(runner, ["verify", "--output-dir", str(tmp_path)])
+        assert res.exit_code == 0
+        assert len(calls) == 8
+        assert sorted(calls) == [129] * 4 + [4 * 129] * 4
+
     def test_unknown_suite_is_usage_error(self, runner, tmp_path):
         res = runner.invoke(main, ["verify", "--suite", "nonsense",
                                    "--output-dir", str(tmp_path)])

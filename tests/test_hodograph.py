@@ -2,6 +2,8 @@
 coefficient families (with an independent chain-rule oracle), ellipticity,
 boundary signs, and the shock-side stability checks."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,23 @@ class TestPsiHat:
         assert np.all(ph.psi > 0)
         assert np.all(np.diff(ph.psi) > 0)
         assert np.all(ph.dpsi[1:] > 0)
+
+    @pytest.mark.parametrize("n_points", (2, 3))
+    def test_short_grid_is_rejected(self, sol80, n_points):
+        # the end stencils of psi'' read 4 samples
+        with pytest.raises(ValueError, match=f"n_points = {n_points}: .* at least 4 points"):
+            psi_hat_from_background(sol80, n_points)
+        assert psi_hat_from_background(sol80, 4).d2psi.shape == (4,)
+
+    def test_coefficient_set_shared_and_read_only(self, sol80):
+        # the suites share one set per profile, so no caller may change it
+        ph = psi_hat_from_background(sol80, 33)
+        rep = check_ellipticity(ph)
+        assert ph.coeffs is ph.coeffs and rep.A4_2 is ph.coeffs.A4_2
+        with pytest.raises(ValueError, match="read-only"):
+            rep.A4_2[0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            ph.psi = ph.psi
 
     def test_piston_side_derivative_vanishes(self, sol80):
         ph = psi_hat_from_background(sol80, 129)
