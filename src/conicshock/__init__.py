@@ -33,7 +33,6 @@ from .hodograph import (  # noqa: F401
 from .certificates import (  # noqa: F401
     BoundaryCoeffs,
     MultiplierCertificate,
-    MultiplierChoice,
     MuWindow,
     PCoeffs,
     K_coeffs,

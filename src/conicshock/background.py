@@ -100,6 +100,13 @@ def _jump_function(x, s0: float, gas: GasParams):
     )
 
 
+def _strong_shock_density(s: float, gas: GasParams) -> float:
+    """Leading order ((gamma-1)/(2 A gamma))^(1/(gamma-1)) s^(2/(gamma-1)) of
+    the post-shock density behind a strong shock of speed s."""
+    g = gas.gamma
+    return ((g - 1.0) / (2.0 * gas.A * g)) ** (1.0 / (g - 1.0)) * s ** (2.0 / (g - 1.0))
+
+
 def shock_jump_from_speed(s0: float, gas: GasParams) -> ShockJump:
     """Solve the jump conditions for a shock of speed ``s0`` into static gas.
 
@@ -114,8 +121,7 @@ def shock_jump_from_speed(s0: float, gas: GasParams) -> ShockJump:
 
     # Bracket the root above rho0.  The strong-shock scaling gives a good
     # upper guess; expand geometrically if needed.
-    g = gas.gamma
-    guess = ((g - 1.0) / (2.0 * gas.A * g)) ** (1.0 / (g - 1.0)) * s0 ** (2.0 / (g - 1.0))
+    guess = _strong_shock_density(s0, gas)
     lo = gas.rho0 * (1.0 + 1e-14)
     hi = max(4.0 * guess, 4.0 * gas.rho0)
     f = lambda x: _jump_function(x, s0, gas)
@@ -223,6 +229,13 @@ def _cubic_event(xi_a, w_a, dw_a, xi_b, w_b, dw_b):
 SHOOT_STEPS = 512
 
 
+def _post_shock(s0: float, gas: GasParams):
+    """(rho+, w+) just behind a shock of speed s0, with w+ = u+ - s0 =
+    -s0 rho0 / rho+ from the mass jump."""
+    rho_plus = shock_jump_from_speed(s0, gas).rho_plus
+    return rho_plus, -s0 * gas.rho0 / rho_plus
+
+
 def _piston_offset(delta: float, b0: float, gas: GasParams, n: int) -> float:
     """Integrate down from the shock s0 = b0 + delta; return (event - b0).
 
@@ -237,10 +250,7 @@ def _piston_offset(delta: float, b0: float, gas: GasParams, n: int) -> float:
     (CPython 3.11, numpy 2.4, shared 2-vCPU host).
     """
     s0 = b0 + delta
-    jump = shock_jump_from_speed(s0, gas)
-    # w at the shock from the mass jump: u+ - s0 = -s0 * rho0 / rho+
-    w = -s0 * gas.rho0 / jump.rho_plus
-    rho = jump.rho_plus
+    rho, w = _post_shock(s0, gas)
     h = -2.0 * delta / SHOOT_STEPS
     # xi before each step, accumulated by repeated + h
     xis = list(accumulate(repeat(h, SHOOT_STEPS - 1), initial=0.0))
@@ -447,9 +457,7 @@ def solve_background(
 
     # Final pass: fixed-step integration on the output grid, shock to piston,
     # on floats like the shots.
-    s0 = b0 + delta
-    jump = shock_jump_from_speed(s0, gas)
-    rho_plus, w_plus = jump.rho_plus, -s0 * gas.rho0 / jump.rho_plus
+    rho_plus, w_plus = _post_shock(b0 + delta, gas)
     h = delta / (grid_size - 1)
     s_off = np.linspace(0.0, delta, grid_size)
     # one step from each abscissa b0 + s_off but the piston's, shock first
@@ -509,7 +517,7 @@ def _deviations(sol: SelfSimilarSolution) -> dict:
     b0 = sol.b0
     rho, u, w, csq = sol.rho, sol.u, sol.w, sol.csq
     c = np.sqrt(csq)
-    lead_rho = ((g - 1.0) / (2.0 * gas.A * g)) ** (1.0 / (g - 1.0)) * b0 ** (2.0 / (g - 1.0))
+    lead_rho = _strong_shock_density(b0, gas)
     sq = np.sqrt((g - 1.0) / 2.0) * b0
     return {
         "shock_speed": abs(sol.s0 / b0 - 1.0),

@@ -117,42 +117,20 @@ def symbolic_conditions(n: int, gamma: float, mu: float, e: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# multiplier choice
+# multiplier weight
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultiplierChoice:
-    """The concrete weighted multiplier A = t^mu r, B = t^(mu+1) b_sigma(s).
+def _b_sigma(s, b0: float, e: float):
+    """Radial weight b_sigma(s) = s^2 (1 + (e/b0)(s - b0)) of the multiplier
+    B = t^(mu+1) b_sigma(r/t)."""
+    s = np.asarray(s, dtype=float)
+    return s ** 2 * (1.0 + (e / b0) * (s - b0))
 
-    b_sigma carries the tilt constant e, fixed by (n, gamma); _k_samples
-    applies the chain rule to these weights in closed form.
-    """
 
-    n: int
-    gamma: float
-    b0: float
-    mu: float
-
-    @classmethod
-    def standard(cls, sol: SelfSimilarSolution, mu: float | None = None) -> "MultiplierChoice":
-        """The choice for a profile: n, gamma and b0 from it; mu defaults to
-        the window midpoint."""
-        n, gamma = sol.n, sol.gas.gamma
-        if mu is None:
-            mu = admissible_mu(n, gamma).midpoint
-        return cls(n=n, gamma=gamma, b0=sol.b0, mu=float(mu))
-
-    @property
-    def e(self) -> float:
-        return float(multiplier_e(self.n, self.gamma))
-
-    def b_sigma(self, s):
-        s = np.asarray(s, dtype=float)
-        return s ** 2 * (1.0 + (self.e / self.b0) * (s - self.b0))
-
-    def db_sigma(self, s):
-        s = np.asarray(s, dtype=float)
-        return 2.0 * s * (1.0 + (self.e / self.b0) * (s - self.b0)) + s ** 2 * (self.e / self.b0)
+def _db_sigma(s, b0: float, e: float):
+    """d b_sigma / ds, the only weight derivative _k_samples takes."""
+    s = np.asarray(s, dtype=float)
+    return 2.0 * s * (1.0 + (e / b0) * (s - b0)) + s ** 2 * (e / b0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +237,7 @@ def boundary_coeffs(sol: SelfSimilarSolution) -> BoundaryCoeffs:
     return BoundaryCoeffs(B1=B1, B2=B2, B3=B3, mu1=mu1, mu2=mu2, mu3=mu3)
 
 
-def shock_flux_betas(sol: SelfSimilarSolution, choice: MultiplierChoice,
-                     bc: BoundaryCoeffs) -> dict:
+def shock_flux_betas(sol: SelfSimilarSolution, bc: BoundaryCoeffs) -> dict:
     """Quadratic form of the multiplier energy flux through the shock surface.
 
     Combining the radial flux components with the surface motion gives, per
@@ -272,12 +249,13 @@ def shock_flux_betas(sol: SelfSimilarSolution, choice: MultiplierChoice,
     and eliminating dr phi through the oblique boundary condition
     (dr phi = -mu1 dt phi + ...) yields the hatted coefficients whose signs
     control whether the boundary terms are absorbable:
-    beta_hat11 > 0, beta_hat13 < 0, beta_hat14 > 0.
+    beta_hat11 > 0, beta_hat13 < 0, beta_hat14 > 0.  The weight b_sigma
+    enters, mu does not.
     """
     s0 = sol.s0
     u = float(sol.u[-1])
     p0 = float(sol.csq[-1])
-    bs = float(choice.b_sigma(s0))
+    bs = float(_b_sigma(s0, sol.b0, float(multiplier_e(sol.n, sol.gas.gamma))))
     beta11 = -0.5 * bs + u * s0 - 0.5 * s0 ** 2
     beta12 = s0 * (u ** 2 - p0 - bs)
     beta13 = bs * (0.5 * u ** 2 - 0.5 * p0 - s0 * u) + 0.5 * s0 ** 2 * (u ** 2 - p0)
@@ -299,6 +277,15 @@ def shock_flux_betas(sol: SelfSimilarSolution, choice: MultiplierChoice,
 # bulk K-coefficient table
 # ---------------------------------------------------------------------------
 
+#: diagnostic for each failed profile check of a certificate
+_PROFILE_CHECK_FAILURES = {
+    "k00_positive": "K00 positivity fails on the profile",
+    "disc_negative": "discriminant negativity fails on the profile",
+    "knn_positive": "angular coefficient positivity fails on the profile",
+    "boundary_pass": "shock-boundary flux signs fail",
+}
+
+
 @dataclass(frozen=True)
 class MultiplierCertificate:
     """Result of evaluating every multiplier sign condition on a background.
@@ -308,10 +295,15 @@ class MultiplierCertificate:
     Z phi / r, which restores the t^mu homogeneity of the raw table).
     ``checks`` holds the verdicts in the order they are reported:
     mu_in_window, symbolic_pass, k00_positive, disc_negative, knn_positive,
-    boundary_pass.
+    boundary_pass.  n, gamma and b0 are the profile's, e the tilt constant
+    multiplier_e(n, gamma).
     """
 
-    choice: MultiplierChoice
+    n: int
+    gamma: float
+    b0: float
+    mu: float
+    e: float
     s: np.ndarray
     K00: np.ndarray
     K0r: np.ndarray
@@ -327,7 +319,7 @@ class MultiplierCertificate:
 
     @property
     def in_asymptotic_regime(self) -> bool:
-        return bool(self.choice.b0 >= ASYMPTOTIC_B0)
+        return bool(self.b0 >= ASYMPTOTIC_B0)
 
     @property
     def status(self) -> str:
@@ -345,13 +337,25 @@ class MultiplierCertificate:
     def passed(self) -> bool:
         return self.status == "pass"
 
+    def violated_condition(self) -> str:
+        """Name the first failed check, for the diagnostic."""
+        failed = next(name for name, ok in self.checks.items() if not ok)
+        if failed == "mu_in_window":
+            return (f"mu = {self.mu!r} outside the admissible window "
+                    f"({float(self.mu_window.lo)!r}, {float(self.mu_window.hi)!r})")
+        if failed == "symbolic_pass":
+            name, value = next((name, value) for name, value in self.conditions.items()
+                               if not value > 0.0)
+            return f"symbolic condition {name} nonpositive ({float(value)!r})"
+        return _PROFILE_CHECK_FAILURES[failed]
+
     def summary(self) -> dict:
         out = {
-            "n": self.choice.n,
-            "gamma": self.choice.gamma,
-            "b0": self.choice.b0,
-            "mu": float(self.choice.mu),
-            "e": self.choice.e,
+            "n": self.n,
+            "gamma": self.gamma,
+            "b0": self.b0,
+            "mu": self.mu,
+            "e": self.e,
             "mu_window": [float(self.mu_window.lo), float(self.mu_window.hi)],
             **self.checks,
             "conditions": {k: float(v) for k, v in self.conditions.items()},
@@ -368,7 +372,7 @@ class MultiplierCertificate:
         return out
 
 
-def _k_samples(pc: PCoeffs, choice: MultiplierChoice):
+def _k_samples(pc: PCoeffs, b0: float, mu: float, e: float):
     """Pointwise divergence coefficients of the multiplier energy identity
     at t = 1.
 
@@ -378,11 +382,10 @@ def _k_samples(pc: PCoeffs, choice: MultiplierChoice):
     measured against |Z phi / r|^2 times r^2 / t^2, i.e. the s-scaled
     angular slot).
     """
-    mu = choice.mu
     n = pc.n
     s = pc.s
-    bs = choice.b_sigma(s)
-    dbs = choice.db_sigma(s)
+    bs = _b_sigma(s, b0, e)
+    dbs = _db_sigma(s, b0, e)
     P1, P2, P3, P4, P5 = pc.P1, pc.P2, pc.P3, pc.P4, pc.P5
     dP1, dP2, dP3 = pc.dP1, pc.dP2, pc.dP3
 
@@ -403,33 +406,30 @@ def _k_samples(pc: PCoeffs, choice: MultiplierChoice):
     return k00, k0r, krr, knn
 
 
-def K_coeffs(sol: SelfSimilarSolution, choice: MultiplierChoice) -> MultiplierCertificate:
-    """Evaluate the full sign certificate for a multiplier choice.
+def K_coeffs(sol: SelfSimilarSolution, mu: float) -> MultiplierCertificate:
+    """Evaluate the full sign certificate for the weight exponent mu.
 
     Combines: the closed-form window/inequality checks on (mu, e); the
     pointwise bulk signs K00 > 0, K0r^2 - 4 K00 Krr < 0, Knn > 0 on
     s in [b0, s0]; and the shock-flux coefficient signs
     beta_hat11 > 0 (vs the reference level (gamma-1) b0^2 / 8),
-    beta_hat13 < 0 (vs -(gamma-1) b0^4 / 2), beta_hat14 > 0.  Raises
-    ValueError if the choice was made for another (n, gamma, b0).
+    beta_hat13 < 0 (vs -(gamma-1) b0^4 / 2), beta_hat14 > 0.  n, gamma,
+    b0 and the tilt constant e come from the profile.
     """
-    g = sol.gas.gamma
-    made_for = (choice.n, choice.gamma, choice.b0)
-    if made_for != (sol.n, g, sol.b0):
-        raise ValueError(f"multiplier choice for (n, gamma, b0) = {made_for} "
-                         f"applied to a profile with {(sol.n, g, sol.b0)}")
+    n, g = sol.n, sol.gas.gamma
+    mu, e = float(mu), float(multiplier_e(n, g))
     pc = P_coeffs(sol)
-    K00, K0r, Krr, Knn = _k_samples(pc, choice)
+    K00, K0r, Krr, Knn = _k_samples(pc, sol.b0, mu, e)
     disc = K0r ** 2 - 4.0 * K00 * Krr
 
-    window = admissible_mu(choice.n, g)
-    conds = symbolic_conditions(choice.n, g, choice.mu, choice.e)
-    mu_ok = window.contains(choice.mu)
+    window = admissible_mu(n, g)
+    conds = symbolic_conditions(n, g, mu, e)
+    mu_ok = window.contains(mu)
 
     notes = []
     try:
         bc = boundary_coeffs(sol)
-        betas = shock_flux_betas(sol, choice, bc)
+        betas = shock_flux_betas(sol, bc)
         ref11 = (g - 1.0) * sol.b0 ** 2 / 8.0
         ref13 = (g - 1.0) * sol.b0 ** 4 / 2.0
         boundary_pass = bool(
@@ -450,7 +450,11 @@ def K_coeffs(sol: SelfSimilarSolution, choice: MultiplierChoice) -> MultiplierCe
                      "the asymptotic regime")
 
     return MultiplierCertificate(
-        choice=choice,
+        n=n,
+        gamma=g,
+        b0=sol.b0,
+        mu=mu,
+        e=e,
         s=pc.s,
         K00=K00,
         K0r=K0r,
@@ -477,4 +481,4 @@ def certify(n: int, b0: float, mu: float, gas: GasParams,
             grid_size: int = 1024) -> MultiplierCertificate:
     """Solve the background and run the complete multiplier certificate."""
     sol = solve_background(b0, gas, n=n, grid_size=grid_size)
-    return K_coeffs(sol, MultiplierChoice.standard(sol, mu=mu))
+    return K_coeffs(sol, mu)

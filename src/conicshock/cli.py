@@ -401,29 +401,6 @@ def verify(b0_list, suites, profile_path, **common):
 # certify
 # ---------------------------------------------------------------------------
 
-#: diagnostic for each failed profile check of a certificate
-_PROFILE_CHECK_FAILURES = {
-    "k00_positive": "K00 positivity fails on the profile",
-    "disc_negative": "discriminant negativity fails on the profile",
-    "knn_positive": "angular coefficient positivity fails on the profile",
-    "boundary_pass": "shock-boundary flux signs fail",
-}
-
-
-def _violated_condition(cert) -> str:
-    """Name the first failed certificate check, for the diagnostic."""
-    failed = next(name for name, ok in cert.checks.items() if not ok)
-    if failed == "mu_in_window":
-        return (f"mu = {float(cert.choice.mu)!r} outside the admissible "
-                f"window ({float(cert.mu_window.lo)!r}, "
-                f"{float(cert.mu_window.hi)!r})")
-    if failed == "symbolic_pass":
-        name, value = next((name, value) for name, value in cert.conditions.items()
-                           if not value > 0.0)
-        return f"symbolic condition {name} nonpositive ({float(value)!r})"
-    return _PROFILE_CHECK_FAILURES[failed]
-
-
 @main.command("certify")
 @click.option("--b0", type=float, default=None)
 @click.option("--mu", default=None,
@@ -458,7 +435,7 @@ def certify_cmd(b0, mu, grid_size, **common):
     click.echo(f"mu = {p['mu']!r}, status: {cert.status}; "
                f"certificate at {json_path}")
     if cert.status == "fail":
-        raise click.ClickException(f"certificate failed: {_violated_condition(cert)}")
+        raise click.ClickException(f"certificate failed: {cert.violated_condition()}")
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +477,7 @@ def simulate(b0, eps, grid_points, cfl, t_end, t0, budget, **common):
     _write_csv(csv_path, {
         "t": res.t, "zeta": res.zeta, "sigma": res.sigma, "sup_dev": res.sup_dev,
         "rh_residual": res.rh_residual, "entropy_margin": res.entropy_margin})
-    summary = res.summary()
-    # wall-clock varies between runs; keep artifacts byte-identical and
-    # report timing in the manifest instead
-    summary.pop("wall_clock", None)
-    _write_json(summary, json_path)
+    _write_json(res.summary(), json_path)
     artifacts = [csv_path, json_path]
 
     if p["eps"] > 0.0:

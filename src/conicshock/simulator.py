@@ -217,7 +217,17 @@ class ModifiedBackground:
         return float(np.max(np.abs(d_r - self.config.dsigma(t))))
 
 
+def _check_profile(sol: SelfSimilarSolution, config: SimConfig) -> None:
+    """Raise ValueError unless ``sol`` was solved for the config's
+    dimension, gas and piston speed."""
+    solved_for = (sol.n, sol.gas, sol.b0)
+    if solved_for != (config.n, config.gas, config.b0):
+        raise ValueError(f"profile solved for (n, gas, b0) = {solved_for}, "
+                         f"config asks for {(config.n, config.gas, config.b0)}")
+
+
 def modified_background(sol: SelfSimilarSolution, config: SimConfig) -> ModifiedBackground:
+    _check_profile(sol, config)
     return ModifiedBackground(sampler=BackgroundSampler(sol), config=config)
 
 
@@ -233,8 +243,10 @@ def init_from_background(sol: SelfSimilarSolution, config: SimConfig) -> SimStat
     zeta = s0 * t0 of the supplied solution; when eps * h(t0) exceeds the
     stand-off (thin layers) the profile for the instantaneous piston speed
     b(t0) is solved instead, which keeps the initial domain nonempty and
-    reduces to the same state as eps -> 0.
+    reduces to the same state as eps -> 0.  ValueError if ``sol`` was
+    solved for another dimension, gas or piston speed.
     """
+    _check_profile(sol, config)
     t0 = config.t0
     sigma = config.sigma(t0)
     if sigma / t0 < sol.s0 - 0.25 * sol.delta:
@@ -691,7 +703,6 @@ class SimResult:
             "t_end": self.config.t_end,
             "completed": self.completed,
             "steps": self.steps,
-            "wall_clock": self.wall_clock,
             "max_zeta_dev": float(np.max(self.zeta_dev)),
             "max_rh_residual": float(np.max(self.rh_residual)),
             "min_entropy_margin": float(np.min(self.entropy_margin)),
@@ -718,6 +729,8 @@ def run(config: SimConfig, sol: SelfSimilarSolution | None = None,
     and a weak-form mass-balance residual between consecutive outputs.
     If wall_clock_budget (seconds) is exceeded the partial series is
     returned with completed=False.
+    A supplied ``sol`` must be solved for the config's n, gas and b0
+    (ValueError otherwise).
 
     The stepper is chosen from the initial state: explicit RK4 at the CFL
     step, unless that would take more than IMPLICIT_STEP_THRESHOLD steps

@@ -17,7 +17,6 @@ import pytest
 from conicshock import (
     GasParams,
     K_coeffs,
-    MultiplierChoice,
     SimConfig,
     admissible_mu,
     asymptotic_report,
@@ -242,8 +241,7 @@ class TestCertificates:
     def test_sign_pattern_pointwise(self, n):
         gas = GasParams(A=1.0, gamma=1.4, rho0=1.0)
         sol = solve_background(80.0, gas, n=n)
-        choice = MultiplierChoice.standard(sol)
-        cert = K_coeffs(sol, choice)
+        cert = K_coeffs(sol, admissible_mu(n, 1.4).midpoint)
         assert np.all(cert.K00 > 0.0)
         assert np.all(cert.discriminant < 0.0)
         assert np.all(cert.Knn > 0.0)

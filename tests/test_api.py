@@ -24,7 +24,7 @@ def test_star_import(module):
 PUBLIC = {
     "AsymptoticsReport", "BoundaryCoeffs", "CoeffSet", "DecayFit", "GasParams",
     "HodographState", "K_coeffs", "MuWindow", "MultiplierCertificate",
-    "MultiplierChoice", "PCoeffs", "P_coeffs", "PsiHat", "SelfSimilarSolution",
+    "PCoeffs", "P_coeffs", "PsiHat", "SelfSimilarSolution",
     "ShockJump", "SimConfig", "SimResult", "SimState", "SimulationError",
     "a_coeffs", "admissible_mu", "asymptotic_report", "boundary_coeffs",
     "boundary_signs", "certify", "check_ellipticity", "decay_exponent",

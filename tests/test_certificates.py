@@ -1,6 +1,8 @@
 """Tests for the energy-multiplier certificates: closed-form constants,
 bulk K-coefficient signs and shock-flux coefficients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,10 +10,11 @@ from hypothesis import given, strategies as st
 from conicshock.background import solve_background
 from conicshock.certificates import (
     BoundaryCoeffs,
-    MultiplierChoice,
     MuWindow,
     P_coeffs,
     K_coeffs,
+    _b_sigma,
+    _db_sigma,
     admissible_mu,
     boundary_coeffs,
     certify,
@@ -157,21 +160,25 @@ class TestPCoeffs:
 # ---------------------------------------------------------------------------
 
 class TestMultiplierChoice:
+    """The multiplier is chosen by mu alone: n, gamma, b0 and the tilt
+    constant come from the profile."""
+
     def test_standard_defaults(self, sol80):
-        ch = MultiplierChoice.standard(sol80)
-        w = admissible_mu(3, 1.4)
-        assert ch.mu == w.midpoint
-        assert ch.e == multiplier_e(3, 1.4)
+        mid = admissible_mu(3, 1.4).midpoint
+        cert = K_coeffs(sol80, mid)
+        assert cert.mu == mid
+        assert (cert.n, cert.gamma, cert.b0) == (3, 1.4, sol80.b0)
+        assert cert.e == multiplier_e(3, 1.4)
 
     def test_weight_derivatives_match_finite_differences(self, sol80):
         # db_sigma, the only weight derivative _k_samples takes, against
         # centred differences of b_sigma; dropping its tilt term moves it
         # by about 1e-2 relative
-        ch = MultiplierChoice.standard(sol80, mu=-2.5)
+        b0, e = sol80.b0, float(multiplier_e(3, 1.4))
         s = np.random.default_rng(7).uniform(75.0, 85.0, 20)
         h = 1e-6 * s
-        fd = (ch.b_sigma(s + h) - ch.b_sigma(s - h)) / (2 * h)
-        exact = ch.db_sigma(s)
+        fd = (_b_sigma(s + h, b0, e) - _b_sigma(s - h, b0, e)) / (2 * h)
+        exact = _db_sigma(s, b0, e)
         assert np.all(np.abs(fd - exact) <= 1e-7 * np.abs(exact))
 
 
@@ -181,7 +188,7 @@ class TestMultiplierChoice:
 
 class TestKCoeffs:
     def test_signs_at_reference_choice(self, sol80):
-        cert = K_coeffs(sol80, MultiplierChoice.standard(sol80, mu=-2.5))
+        cert = K_coeffs(sol80, -2.5)
         assert cert.checks["k00_positive"]
         assert cert.checks["disc_negative"]
         assert cert.checks["knn_positive"]
@@ -192,39 +199,35 @@ class TestKCoeffs:
         # K00 ~ (2+e-mu) b0/2, K0r ~ ((gamma+3)/2+e-mu) b0^2,
         # Knn ~ -(gamma-1)(2+e+mu) b0^3/4 at the piston end
         g, b0 = GAS.gamma, sol80.b0
-        ch = MultiplierChoice.standard(sol80, mu=-2.5)
-        cert = K_coeffs(sol80, ch)
-        assert cert.K00[0] == pytest.approx(0.5 * (2 + ch.e - ch.mu) * b0, rel=5e-2)
-        assert cert.K0r[0] == pytest.approx(((g + 3) / 2 + ch.e - ch.mu) * b0 ** 2, rel=5e-2)
-        assert cert.Knn[0] == pytest.approx(-(g - 1) / 4 * (2 + ch.e + ch.mu) * b0 ** 3, rel=5e-2)
+        cert = K_coeffs(sol80, -2.5)
+        e, mu = cert.e, cert.mu
+        assert cert.K00[0] == pytest.approx(0.5 * (2 + e - mu) * b0, rel=5e-2)
+        assert cert.K0r[0] == pytest.approx(((g + 3) / 2 + e - mu) * b0 ** 2, rel=5e-2)
+        assert cert.Knn[0] == pytest.approx(-(g - 1) / 4 * (2 + e + mu) * b0 ** 3, rel=5e-2)
         # discriminant leading order ~ (gamma-1)/4 (gamma+7-2(e-mu)^2) b0^4
-        lead = (g - 1) / 4 * (g + 7 - 2 * (ch.e - ch.mu) ** 2) * b0 ** 4
+        lead = (g - 1) / 4 * (g + 7 - 2 * (e - mu) ** 2) * b0 ** 4
         assert cert.discriminant[0] == pytest.approx(lead, rel=0.15)
 
     def test_leading_order_table_n2(self, sol80_n2):
         g, b0 = GAS.gamma, sol80_n2.b0
-        ch = MultiplierChoice.standard(sol80_n2, mu=-1.5)
-        cert = K_coeffs(sol80_n2, ch)
-        assert cert.K00[0] == pytest.approx(0.5 * (1 + ch.e - ch.mu) * b0, rel=5e-2)
-        assert cert.K0r[0] == pytest.approx(((g + 1) / 2 + ch.e - ch.mu) * b0 ** 2, rel=5e-2)
-        assert cert.Knn[0] == pytest.approx(-(g - 1) / 4 * (1 + ch.e + ch.mu) * b0 ** 3, rel=5e-2)
+        cert = K_coeffs(sol80_n2, -1.5)
+        e, mu = cert.e, cert.mu
+        assert cert.K00[0] == pytest.approx(0.5 * (1 + e - mu) * b0, rel=5e-2)
+        assert cert.K0r[0] == pytest.approx(((g + 1) / 2 + e - mu) * b0 ** 2, rel=5e-2)
+        assert cert.Knn[0] == pytest.approx(-(g - 1) / 4 * (1 + e + mu) * b0 ** 3, rel=5e-2)
         assert cert.passed
 
     def test_near_window_endpoint(self, sol80):
         # just inside the upper endpoint the sign pattern still closes
         w = admissible_mu(3, 1.4)
-        cert = K_coeffs(sol80, MultiplierChoice.standard(sol80, mu=w.hi - 1e-3))
+        cert = K_coeffs(sol80, w.hi - 1e-3)
         assert (cert.checks["k00_positive"] and cert.checks["disc_negative"]
                 and cert.checks["knn_positive"])
-
-    def test_rejects_choice_for_another_profile(self, sol80, sol80_n2):
-        with pytest.raises(ValueError, match="applied to a profile"):
-            K_coeffs(sol80, MultiplierChoice.standard(sol80_n2))
 
     def test_summary_roundtrip(self, sol80, tmp_path):
         import json
 
-        cert = K_coeffs(sol80, MultiplierChoice.standard(sol80, mu=-2.5))
+        cert = K_coeffs(sol80, -2.5)
         path = tmp_path / "cert.json"
         _write_json(cert.summary(), path)
         data = json.loads(path.read_text())
@@ -261,8 +264,7 @@ class TestBoundary:
 
     def test_beta_hats(self, sol80):
         g, b0 = GAS.gamma, sol80.b0
-        ch = MultiplierChoice.standard(sol80, mu=-2.5)
-        betas = shock_flux_betas(sol80, ch, boundary_coeffs(sol80))
+        betas = shock_flux_betas(sol80, boundary_coeffs(sol80))
         assert betas["beta_hat11"] == pytest.approx((g - 1) * b0 ** 2 / 8, rel=0.05)
         assert betas["beta_hat13"] == pytest.approx(-(g - 1) * b0 ** 4 / 2, rel=0.05)
         assert betas["beta_hat14"] > 0
@@ -271,12 +273,11 @@ class TestBoundary:
 
     def test_raw_beta_leading_orders(self, sol80):
         g, b0 = GAS.gamma, sol80.b0
-        ch = MultiplierChoice.standard(sol80, mu=-2.5)
-        betas = shock_flux_betas(sol80, ch, boundary_coeffs(sol80))
+        betas = shock_flux_betas(sol80, boundary_coeffs(sol80))
         assert betas["beta12"] == pytest.approx(-(g - 1) * b0 ** 3 / 2, rel=0.05)
         assert betas["beta13"] == pytest.approx(-(g - 1) * b0 ** 4 / 2, rel=0.05)
         assert betas["beta14"] == pytest.approx(
-            (g - 1) / 4 * ch.e * b0 ** 3 * sol80.delta, rel=0.05)
+            (g - 1) / 4 * multiplier_e(3, g) * b0 ** 3 * sol80.delta, rel=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -306,3 +307,41 @@ class TestCertify:
         assert not cert.in_asymptotic_regime
         assert any("asymptotic" in nn for nn in cert.notes)
         assert cert.status in ("pass", "outside asymptotic regime")
+
+
+# ---------------------------------------------------------------------------
+# failure diagnostics
+# ---------------------------------------------------------------------------
+
+class TestViolatedCondition:
+    """The certificate names its first failed check, in report order."""
+
+    @pytest.fixture(scope="class")
+    def cert(self, sol80):
+        return K_coeffs(sol80, -2.5)
+
+    @staticmethod
+    def _failing(cert, *names, **changes):
+        checks = {name: name not in names for name in cert.checks}
+        return dataclasses.replace(cert, checks=checks, **changes)
+
+    def test_mu_window_text(self, cert):
+        w = cert.mu_window
+        assert self._failing(cert, "mu_in_window", "boundary_pass").violated_condition() == (
+            f"mu = -2.5 outside the admissible window ({float(w.lo)!r}, {float(w.hi)!r})")
+
+    def test_symbolic_text(self, cert):
+        conditions = dict(cert.conditions, knn_leading=-0.25)
+        failing = self._failing(cert, "symbolic_pass", "k00_positive",
+                                conditions=conditions)
+        assert failing.violated_condition() == (
+            "symbolic condition knn_leading nonpositive (-0.25)")
+
+    @pytest.mark.parametrize("name,text", [
+        ("k00_positive", "K00 positivity fails on the profile"),
+        ("disc_negative", "discriminant negativity fails on the profile"),
+        ("knn_positive", "angular coefficient positivity fails on the profile"),
+        ("boundary_pass", "shock-boundary flux signs fail"),
+    ])
+    def test_profile_check_text(self, cert, name, text):
+        assert self._failing(cert, name).violated_condition() == text

@@ -128,6 +128,29 @@ class TestInit:
         assert st.sigma == pytest.approx(cfg.sigma(1.0))
 
 
+class TestProfileMismatch:
+    """A profile solved for another gas, dimension or piston speed than the
+    config's is refused by every entry point that takes one."""
+
+    @pytest.fixture(scope="class", params=["gas", "n", "b0"])
+    def other(self, request):
+        kw = {"gas": dict(b0=B0, gas=GasParams(A=1.0, gamma=1.4, rho0=1.0), n=3),
+              "n": dict(b0=B0, gas=GAS, n=2),
+              "b0": dict(b0=10.0, gas=GAS, n=3)}[request.param]
+        return solve_background(kw["b0"], kw["gas"], n=kw["n"], grid_size=256)
+
+    @pytest.mark.parametrize("entry", [
+        init_from_background, modified_background,
+        lambda sol, cfg: run(cfg, sol=sol)],
+        ids=["init_from_background", "modified_background", "run"])
+    def test_mismatched_profile_raises(self, other, cfg0, entry):
+        with pytest.raises(ValueError, match=r"profile solved for \(n, gas, b0\)") as exc:
+            entry(other, cfg0)
+        msg = str(exc.value)
+        assert repr((other.n, other.gas, other.b0)) in msg
+        assert repr((cfg0.n, cfg0.gas, cfg0.b0)) in msg
+
+
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
