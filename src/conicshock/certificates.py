@@ -39,6 +39,10 @@ class DegenerateShockError(RuntimeError):
     reduction of the shock condition is undefined."""
 
 
+class ShockSignError(RuntimeError):
+    """The shock coefficients break the dissipative pattern mu1 > 0, mu2 < 0."""
+
+
 #: piston speed from which the thin-layer sign checks are expected to hold
 ASYMPTOTIC_B0 = 40.0
 
@@ -205,8 +209,8 @@ def boundary_coeffs(sol: SelfSimilarSolution) -> BoundaryCoeffs:
     """Evaluate the linearized shock-condition coefficients at s = s0.
 
     Raises DegenerateShockError if the leading coefficient B1 is numerically
-    zero.  For b0 >= ASYMPTOTIC_B0 the signs mu1 > 0, mu2 < 0 are asserted
-    (they are what makes the oblique boundary condition dissipative).
+    zero, and ShockSignError if b0 >= ASYMPTOTIC_B0 and the signs mu1 > 0,
+    mu2 < 0 fail (they make the oblique boundary condition dissipative).
     """
     gas = sol.gas
     u = float(sol.u[-1])
@@ -230,7 +234,7 @@ def boundary_coeffs(sol: SelfSimilarSolution) -> BoundaryCoeffs:
     mu2 = B3 / B1
     mu3 = -u  # trace factor: minus the particle speed just behind the shock
     if sol.b0 >= ASYMPTOTIC_B0 and not (mu1 > 0.0 and mu2 < 0.0):
-        raise RuntimeError(
+        raise ShockSignError(
             f"boundary coefficient signs mu1={mu1}, mu2={mu2} violate the "
             f"dissipativity pattern expected for b0 >= {ASYMPTOTIC_B0:g}"
         )

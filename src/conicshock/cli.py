@@ -40,7 +40,8 @@ from .background import (
     solve_background,
 )
 from .hodograph import boundary_signs, check_ellipticity, local_stability
-from .certificates import ASYMPTOTIC_B0, DegenerateShockError, admissible_mu, certify
+from .certificates import (ASYMPTOTIC_B0, DegenerateShockError, ShockSignError,
+                           admissible_mu, certify)
 from .simulator import SimConfig, SimulationError, fit_decay, run as sim_run
 
 __all__ = ["main"]
@@ -57,6 +58,7 @@ COMPUTATION_ERRORS = (
     VacuumError,
     SimulationError,
     DegenerateShockError,
+    ShockSignError,
 )
 
 

@@ -185,9 +185,6 @@ class ModifiedBackground:
             return np.zeros_like(t)
         return (sdot - u) / phi_hat
 
-    def f_a(self, t, r):
-        return self.E(t) * (np.asarray(r, dtype=float) - self.config.sigma(t))
-
     def grad_phi_a(self, t, r):
         """(dt Phi_a, dr Phi_a) at fixed x; dE/dt by a centered difference
         (diagnostic accuracy only).  t is a time, or an array of times of
@@ -471,38 +468,37 @@ _NEWTON_RTOL = 1e-9
 _BANDS = (5, 5)
 
 
-class SelfSimilarStepper:
-    """L-stable implicit stepping in tau = log t and Z = zeta/t.
+def _bordered_solve(Ab, C, B, D, r):
+    """Solve [[A, C], [B, D]] dx = r, A in band storage Ab (bands _BANDS), by
+    one solve_banded call on r and the C columns and a 2x2 Schur complement."""
+    from scipy.linalg import solve_banded   # only the implicit path loads scipy
+    X = solve_banded(_BANDS, Ab, np.column_stack([r[:-2], C]))
+    BX = B @ X
+    dz = np.linalg.solve(D - BX[:, 1:], r[-2:] - BX[:, 0])
+    return np.concatenate([X[:, 0] - X[:, 1:] @ dz, dz])
+
+
+class TauOperator:
+    """The system M dx/dtau = F(x) in tau = log t on the grid y.
 
     Every term of _rates scales like 1/t, so t d/dt of (v, w) depends on t
     only through the piston path.  The unknowns
     x = (v0, w0, ..., v_{m-1}, w_{m-1}, ell, q) are v and w at the nodes,
-    the layer width ell = Z - b = (zeta - sigma)/t and the relative shock
-    speed q = zeta' - sigma'; phi follows by quadrature.  Each step is BDF2
-    (BDF1 on the first) on the DAE M dx/dtau = F(x) of _system, which damps
-    the acoustic modes of the stand-off layer rather than resolving them, so
-    the step size is set by the slow dynamics and not by the CFL limit.  For
-    a steady piston the equations are autonomous in tau, and their fixed
-    point is the discrete self-similar background.
+    the layer width ell = Z - b = (zeta - sigma)/t with Z = zeta/t and the
+    relative shock speed q = zeta' - sigma'.  For a steady piston the
+    equations are autonomous in tau, and their fixed point F(x) = 0 is the
+    discrete self-similar background.
     """
 
-    def __init__(self, state: SimState, config: SimConfig):
-        self.config = config
-        self.y = state.y
-        m = len(self.y)
-        self.t = state.t
-        zdot, _ = shock_speed(state.v[-1], state.w[-1], config.gas)
-        self.x = np.concatenate([np.column_stack([state.v, state.w]).ravel(),
-                                 [(state.zeta - state.sigma) / state.t,
-                                  zdot - config.dsigma(state.t)]])
-        self.phi = state.phi.copy()
-        self._prev = None       # (dtau, x, phi) one step back
+    def __init__(self, y, config: SimConfig):
+        self.config, self.y = config, y
+        m = len(y)
         # diagonal of M: zero on the algebraic wall, shock and RH rows
-        self._mdiag = np.ones(2 * m + 2)
-        self._mdiag[[1, -3, -1]] = 0.0
+        self.mdiag = np.ones(2 * m + 2)
+        self.mdiag[[1, -3, -1]] = 0.0
         # (row, col) node pairs of the _fd_derivative stencil, the weight
         # of each, and the pairs in each boundary row
-        D = _fd_derivative(np.eye(m), self.y[1] - self.y[0]).T
+        D = _fd_derivative(np.eye(m), y[1] - y[0]).T
         self._rows, cols = np.nonzero(D)
         self._wts = D[self._rows, cols]
         self._ends = [np.flatnonzero(self._rows == node) for node in (0, m - 1)]
@@ -514,7 +510,16 @@ class SelfSimilarStepper:
         self._band_index = (up + r2 - c2) * (2 * m) + c2
         self._band_shape = (lo + up + 1, 2 * m)
 
-    def _system(self, t, x, a):
+    def mass(self, a):
+        """M in J's layout: 1 on the differential rows, 0 on the algebraic
+        ones, and a = (a_wall, a_shock) times w in the boundary v rows."""
+        up = _BANDS[1]
+        Mb = np.zeros(self._band_shape)
+        Mb[up] = self.mdiag[:-2]
+        Mb[up - 1, [1, -1]] = a
+        return Mb, np.diag(self.mdiag[-2:])
+
+    def __call__(self, t, x, a):
         """Right-hand side F(x) of M dx/dtau = F(x) and its Jacobian J.
 
         The node rows are the centred differences of _rates times t.  At
@@ -588,19 +593,26 @@ class SelfSimilarStepper:
         F[-2:] = q - ell, zdot * (H - gas.rho0) - H * w[-1]
         return F, (Jb, C, B, D)
 
+
+class SelfSimilarStepper:
+    """L-stable BDF2 stepping (BDF1 first) of TauOperator: it damps the
+    stand-off layer's acoustic modes rather than resolving them, so the slow
+    dynamics, not the CFL limit, set the step; phi follows by quadrature."""
+
+    def __init__(self, state: SimState, config: SimConfig):
+        self.op = TauOperator(state.y, config)
+        self.t = state.t
+        zdot, _ = shock_speed(state.v[-1], state.w[-1], config.gas)
+        self.x = np.concatenate([np.column_stack([state.v, state.w]).ravel(),
+                                 [(state.zeta - state.sigma) / state.t,
+                                  zdot - config.dsigma(state.t)]])
+        self.phi = state.phi.copy()
+        self._prev = None       # (dtau, x, phi) one step back
+
     def step(self, t_new: float) -> SimState:
-        """Advance to t_new; raises SimulationError if Newton stalls.
-
-        M is the identity on the differential rows, zero on the algebraic
-        ones, and couples each boundary v row to its w by the outgoing
-        weight.  Newton solves M (x - hist) = k F(x) with M - k J: one
-        solve_banded call with three right-hand sides and a 2x2 Schur
-        complement for the ell and q columns give each update.
-        """
-        # only the implicit path loads scipy
-        from scipy.linalg import solve_banded
-
-        config, gas, up = self.config, self.config.gas, _BANDS[1]
+        """Advance to t_new by Newton on M (x - hist) = k F(x), each update
+        a _bordered_solve on M - k J; raises SimulationError if it stalls."""
+        config, gas, op = self.op.config, self.op.config.gas, self.op
         dtau = math.log(t_new / self.t)
         x = self.x
         if self._prev is None:
@@ -614,22 +626,16 @@ class SelfSimilarStepper:
             x = (1.0 + om) * x - om * self._prev[1]
             x[-1] = self.x[-1]
         # outgoing characteristic weights w + c at the wall, w - c at the
-        # shock, frozen at the start of the step; M in J's band layout
+        # shock, frozen at the start of the step
         a = self.x[[1, -3]] + [1.0, -1.0] * _sound(self.x[[0, -4]], self.x[[1, -3]], gas)
-        Mb = np.zeros(self._band_shape)
-        Mb[up] = self._mdiag[:-2]
-        Mb[up - 1, [1, -1]] = a
-        Mc = np.diag(self._mdiag[-2:])
+        Mb, Mc = op.mass(a)
 
         for _ in range(_NEWTON_MAXITER):
-            F, (Jb, C, B, D) = self._system(t_new, x, a)
+            F, (Jb, C, B, D) = op(t_new, x, a)
             d = x - hist
-            R = self._mdiag * d - k * F
+            R = op.mdiag * d - k * F
             R[[0, -4]] += a * d[[1, -3]]
-            X = solve_banded(_BANDS, Mb - k * Jb, np.column_stack([R[:-2], -k * C]))
-            BX = k * B @ X
-            dz = np.linalg.solve(Mc - k * D + BX[:, 1:], R[-2:] + BX[:, 0])
-            dx = np.concatenate([X[:, 0] - X[:, 1:] @ dz, dz])
+            dx = _bordered_solve(Mb - k * Jb, -k * C, -k * B, Mc - k * D, R)
             x = x - dx
             # q = zeta' - sigma' is a difference of speeds and carries
             # their rounding, so it is measured against zeta', not ell
@@ -646,11 +652,11 @@ class SelfSimilarStepper:
         if not ell > 0.0:
             raise SimulationError(f"piston overtook the shock at t={t_new}")
 
-        phi = phi_hist + k * t_new * (v + w * (config.dsigma(t_new) + self.y * q))
+        phi = phi_hist + k * t_new * (v + w * (config.dsigma(t_new) + op.y * q))
         self._prev = (dtau, self.x, self.phi)
         self.t, self.x, self.phi = t_new, x, phi
         return SimState(t=t_new, sigma=config.sigma(t_new),
-                        zeta=t_new * (config.b(t_new) + ell), y=self.y, v=v, w=w, phi=phi)
+                        zeta=t_new * (config.b(t_new) + ell), y=op.y, v=v, w=w, phi=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +685,6 @@ class SimResult:
     phi_shock: np.ndarray
     mass_residual: np.ndarray
     completed: bool
-    wall_clock: float
     steps: int
     stepper: str = "explicit"   # or "implicit", chosen by run()
     #: steps the whole run was projected to take when run() chose the
@@ -812,7 +817,6 @@ def run(config: SimConfig, sol: SelfSimilarSolution | None = None,
         s0=sol.s0,
         **{k: np.array(col) for k, col in rows.items()},
         completed=completed,
-        wall_clock=_time.monotonic() - start,
         steps=steps,
         stepper=stepper,
         projected_steps=projected,

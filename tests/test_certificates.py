@@ -5,14 +5,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
+from conicshock import certificates
 from conicshock.background import solve_background
 from conicshock.certificates import (
     BoundaryCoeffs,
     MuWindow,
     P_coeffs,
     K_coeffs,
+    ShockSignError,
     _b_sigma,
     _db_sigma,
     admissible_mu,
@@ -23,7 +26,7 @@ from conicshock.certificates import (
     shock_flux_betas,
     symbolic_conditions,
 )
-from conicshock.cli import _write_json
+from conicshock.cli import _write_json, main
 from conicshock.gas import GasParams
 
 GAS = GasParams(A=1.0, gamma=1.4, rho0=1.0)
@@ -261,6 +264,30 @@ class TestBoundary:
         bc = boundary_coeffs(sol)
         assert bc.B1 > 0
         assert bc.mu1 > 0 and bc.mu2 < 0
+
+    @staticmethod
+    def _flipped(sol):
+        # the relative flow u - s at the shock set to 0.9 c, near the sonic
+        # point of the profile ODE, turns u' and so mu2 positive
+        w = sol.w.copy()
+        w[-1] = -0.9 * np.sqrt(sol.csq[-1])
+        return dataclasses.replace(sol, w=w)
+
+    def test_sign_pattern_violation_raises_typed_error(self, sol80):
+        with pytest.raises(ShockSignError, match=r"mu1=\S+, mu2=1\.\d+ violate"):
+            boundary_coeffs(self._flipped(sol80))
+
+    def test_sign_pattern_violation_fails_certify_cleanly(self, monkeypatch, tmp_path):
+        solve = certificates.solve_background
+        monkeypatch.setattr(certificates, "solve_background",
+                            lambda *args, **kw: self._flipped(solve(*args, **kw)))
+        res = CliRunner().invoke(
+            main, ["certify", "--n", "3", "--gamma", "1.4", "--b0", "80",
+                   "--mu", "auto", "--output-dir", str(tmp_path)],
+            catch_exceptions=False)
+        assert res.exit_code == 1
+        assert "certificate evaluation failed: boundary coefficient signs" in res.output
+        assert not list(tmp_path.glob("certificate_*.json"))
 
     def test_beta_hats(self, sol80):
         g, b0 = GAS.gamma, sol80.b0

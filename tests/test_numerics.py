@@ -298,3 +298,59 @@ class TestScipyCommands:
                         "--grid-points", "32", "--t-end", "1.5",
                         "--output-dir", str(tmp_path))
         assert "scipy.linalg" in loaded
+
+
+#: the commands that load no scipy, then the implicit stepper's operator
+#: with F and J evaluated, all in one interpreter; last the bordered solve,
+#: the one place that imports scipy, whose ImportError is printed
+_BOUNDARY_CHILD = """
+import sys
+import numpy as np
+from conicshock import simulator
+from conicshock.background import solve_background
+from conicshock.cli import main
+from conicshock.gas import GasParams
+
+out = sys.argv[1]
+for args in (["verify", "--b0", "10", "--b0", "40"],
+             ["certify", "--n", "3", "--gamma", "1.4", "--b0", "55.3", "--mu", "-2.5"],
+             ["simulate", "--gamma", "2", "--b0", "4", "--grid-points", "32",
+              "--eps", "0.01", "--t-end", "1.2"]):
+    try:
+        main(args + ["--output-dir", out + "/" + args[0]], prog_name="conicshock")
+    except SystemExit as exc:
+        if exc.code:
+            raise
+gas = GasParams(A=1.0, gamma=1.4, rho0=1.0)
+cfg = simulator.SimConfig(n=3, gas=gas, b0=40.0, grid_points=32)
+sol = solve_background(40.0, gas, n=3, grid_size=256)
+stepper = simulator.SelfSimilarStepper(simulator.init_from_background(sol, cfg), cfg)
+x = stepper.x
+a = x[[1, -3]] + [1.0, -1.0] * simulator._sound(x[[0, -4]], x[[1, -3]], gas)
+F, J = stepper.op(cfg.t0, x, a)
+Mb, Mc = stepper.op.mass(a)
+assert all(np.all(np.isfinite(block)) for block in (F, *J, Mb, Mc))
+try:
+    simulator._bordered_solve(*J, F)
+except ImportError as exc:
+    print(exc)
+"""
+
+
+class TestScipyBoundary:
+    def test_only_the_bordered_solve_imports_scipy(self, tmp_path):
+        # a scipy package that fails to import, first on PYTHONPATH as in
+        # CI's no-scipy step: any scipy import on these paths fails the run
+        blocker = tmp_path / "no_scipy"
+        (blocker / "scipy").mkdir(parents=True)
+        (blocker / "scipy" / "__init__.py").write_text('raise ImportError("scipy is blocked")\n')
+        src = str(Path(conicshock.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(blocker), src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", _BOUNDARY_CHILD, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip().splitlines()[-1] == "scipy is blocked"
+        assert (tmp_path / "verify" / "verify_report.json").is_file()
+        assert len(list((tmp_path / "certify").glob("certificate_*.json"))) == 1
+        assert (tmp_path / "simulate" / "simulation.json").is_file()

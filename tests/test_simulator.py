@@ -374,6 +374,37 @@ class TestRun:
 # implicit self-similar step, cross-checked against explicit RK4
 # ---------------------------------------------------------------------------
 
+def _dense(Ab, C, B, D):
+    """The bordered matrix [[A, C], [B, D]] of _bordered_solve's arguments,
+    with A assembled from its band storage Ab."""
+    n = Ab.shape[1]
+    lo, up = simulator._BANDS
+    i, j = np.indices((n, n))
+    band = (j - i <= up) & (i - j <= lo)
+    A = np.zeros((n + 2, n + 2))
+    A[:n, :n][band] = Ab[(up + i - j)[band], j[band]]
+    A[:n, n:], A[n:, :n], A[n:, n:] = C, B, D
+    return A
+
+
+def _outgoing_weights(x, gas):
+    """The stepper's boundary weights a = (w + c at the wall, w - c at the
+    shock) of the unknowns x."""
+    return x[[1, -3]] + [1.0, -1.0] * simulator._sound(x[[0, -4]], x[[1, -3]], gas)
+
+
+def _stepped(gamma, b0):
+    """The implicit stepper on 32 points, n 3, eps 0.01, after two steps to
+    t = 1.1."""
+    gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
+    cfg = SimConfig(n=3, gas=gas, b0=b0, eps=0.01, grid_points=32, t_end=2.0)
+    stepper = simulator.SelfSimilarStepper(
+        init_from_background(solve_background(b0, gas, n=3, grid_size=256), cfg), cfg)
+    for t in (1.05, 1.1):
+        stepper.step(t)
+    return stepper
+
+
 @pytest.fixture(scope="module")
 def implicit_runs(sol, cfg0):
     """Cases explicit RK4 can reach, forced onto the implicit step: the
@@ -430,30 +461,18 @@ class TestImplicitStep:
         # every column of J, node block and border alike, against centred
         # differences of F; an inexact J passes the run tests above and
         # only slows Newton.  (1.4, 40) is the thin layer of the pinned case
-        gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
-        cfg = SimConfig(n=3, gas=gas, b0=b0, eps=0.01, grid_points=32, t_end=2.0)
-        stepper = simulator.SelfSimilarStepper(
-            init_from_background(solve_background(b0, gas, n=3, grid_size=256), cfg), cfg)
-        for t in (1.05, 1.1):
-            stepper.step(t)
-        x = stepper.x
-        a = x[[1, -3]] + [1.0, -1.0] * simulator._sound(x[[0, -4]], x[[1, -3]], gas)
-        F, (Jb, C, B, D) = stepper._system(1.1, x, a)
-        n = len(x) - 2
-        lo, up = simulator._BANDS
-        i, j = np.indices((n, n))
-        band = (j - i <= up) & (i - j <= lo)
-        J = np.zeros((n + 2, n + 2))
-        J[:n, :n][band] = Jb[(up + i - j)[band], j[band]]
-        J[:n, n:], J[n:, :n], J[n:, n:] = C, B, D
+        stepper = _stepped(gamma, b0)
+        x, op, cfg = stepper.x, stepper.op, stepper.op.config
+        a = _outgoing_weights(x, cfg.gas)
+        J = _dense(*op(1.1, x, a)[1])
         # steps relative to each unknown; q relative to zeta', as in Newton
         scale = np.abs(x)
         scale[-1] = abs(cfg.dsigma(1.1) + x[-1])
-        for col in range(n + 2):
+        for col in range(len(x)):
             h = 1e-6 * scale[col]
             e = np.zeros_like(x)
             e[col] = h
-            fd = (stepper._system(1.1, x + e, a)[0] - stepper._system(1.1, x - e, a)[0]) / (2 * h)
+            fd = (op(1.1, x + e, a)[0] - op(1.1, x - e, a)[0]) / (2 * h)
             assert np.max(np.abs(J[:, col] - fd)) <= 1e-6 * np.max(np.abs(J[:, col])), col
 
     def test_wall_clock_budget_truncates(self, sol, monkeypatch):
@@ -471,6 +490,68 @@ class TestImplicitStep:
         sub = np.ceil(np.log(cfg.t_end / cfg.t0) / (n_out - 1) / simulator.IMPLICIT_MAX_DTAU)
         assert res.projected_steps == sub * (n_out - 1)
         assert res.steps < res.projected_steps
+
+
+class TestSelfSimilarState:
+    """The operator and the bordered solve of the implicit step, used
+    without a time step."""
+
+    @pytest.mark.parametrize("k", [None, 0.02], ids=["J", "M-kJ"])
+    def test_bordered_solve_matches_dense(self, k):
+        # the fixed-point matrix J and a step's M - k J of the thin layer,
+        # on F and on a random right-hand side
+        stepper = _stepped(1.4, 40.0)
+        x, op = stepper.x, stepper.op
+        a = _outgoing_weights(x, op.config.gas)
+        F, (Jb, C, B, D) = op(1.1, x, a)
+        if k is not None:
+            Mb, Mc = op.mass(a)
+            Jb, C, B, D = Mb - k * Jb, -k * C, -k * B, Mc - k * D
+        A = _dense(Jb, C, B, D)
+        eps = np.finfo(float).eps
+        # a backward-stable solve leaves a relative error up to about
+        # cond(A) eps (here about 5e-4) and a residual of a few eps times
+        # |A| |x|; 10 n eps allows the growth of elimination on n unknowns
+        forward_tol = np.linalg.cond(A) * eps
+        for r in (F, np.random.default_rng(5).standard_normal(len(F))):
+            got = simulator._bordered_solve(Jb, C, B, D, r)
+            ref = np.linalg.solve(A, r)
+            assert np.max(np.abs(got - ref)) <= forward_tol * np.max(np.abs(ref))
+            backward = np.max(np.abs(A @ got - r)) / (np.max(np.abs(A)) * np.max(np.abs(got)))
+            assert backward <= 10 * len(r) * eps
+
+    @pytest.mark.parametrize("gamma, b0", [(2.0, 4.0), (1.4, 10.0)])
+    def test_second_order_consistent_with_shooting(self, gamma, b0):
+        # At eps 0 the system is autonomous in tau and its fixed point
+        # F(x) = 0 is the simulator's own self-similar state.  Newton on F
+        # with M dropped and the weights a frozen at the initial state, as
+        # a step freezes them, reaches it from init_from_background.  Its
+        # layer width ell tends to the shooting stand-off delta with the
+        # centred stencil's order 2: ell/delta - 1 falls 4.00-4.03 times
+        # per doubling of m (1.49e-5 -> 9.25e-7 at gamma 2, b0 4 and
+        # 1.40e-9 -> 8.66e-11 at gamma 1.4, b0 10 on m 32 -> 128).  The band
+        # [3.5, 4.5] admits that and the rounding of ell, a few 1e-13
+        # relative, but not order 1 (ratio 2) or order 3 (ratio 8).
+        gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
+        sol = solve_background(b0, gas, n=3, grid_size=512)
+        errors = []
+        for m in (32, 64, 128):
+            cfg = SimConfig(n=3, gas=gas, b0=b0, grid_points=m)
+            stepper = simulator.SelfSimilarStepper(init_from_background(sol, cfg), cfg)
+            x, op = stepper.x, stepper.op
+            a = _outgoing_weights(x, gas)
+            for _ in range(6):
+                F, blocks = op(cfg.t0, x, a)
+                dx = simulator._bordered_solve(*blocks, F)
+                x = x - dx
+            # converged: the last update is at rounding level, which for
+            # ell is a few 1e-13 relative
+            assert np.max(np.abs(dx[:-2])) <= 1e-14 * np.max(np.abs(x[:-2]))
+            assert abs(dx[-2]) <= 1e-12 * x[-2]
+            errors.append(x[-2] / sol.delta - 1.0)
+        assert errors[0] > 0.0
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((3.5 <= ratios) & (ratios <= 4.5)), (errors, ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +594,8 @@ class TestModifiedBackground:
         cfg = SimConfig(n=3, gas=GAS, b0=B0, eps=0.0, grid_points=64)
         mb = modified_background(sol, cfg)
         r = np.linspace(cfg.sigma(3.0), 3.0 * sol.s0, 40)
-        assert np.all(mb.f_a(3.0, r) == 0.0)
+        # the correction factor f_a = E(t) (r - sigma(t))
+        assert np.all(mb.E(3.0) * (r - cfg.sigma(3.0)) == 0.0)
         assert np.all(mb.E(np.array([1.0, 5.0, 50.0])) == 0.0)
 
     def test_piston_condition_residual(self, sol):
@@ -527,8 +609,8 @@ class TestModifiedBackground:
         cfg = SimConfig(n=3, gas=GAS, b0=B0, eps=0.01, grid_points=64)
         mb = modified_background(sol, cfg)
         ts = np.linspace(1.0, 100.0, 200)
-        vals = [abs(float(mb.f_a(t, 0.5 * (cfg.sigma(t) + sol.s0 * t)))) * t / cfg.eps
-                for t in ts]
+        mid = [0.5 * (cfg.sigma(t) + sol.s0 * t) for t in ts]
+        vals = [abs(float(mb.E(t) * (r - cfg.sigma(t)))) * t / cfg.eps for t, r in zip(ts, mid)]
         assert max(vals) < 10.0
 
     def test_amplitude_linear_in_eps(self, sol):
