@@ -389,7 +389,8 @@ def solve_background(
 
     Raises BracketError when an iterate reaches an end of the clamp
     interval with the sign unchanged (the piston condition has no root
-    there) or the final pass misses the piston condition, and
+    there; at the lower end, 16 eps b0, the message names that
+    representability floor) or the final pass misses the piston condition, and
     ShootingError when a shot is not finite or no converged root is found
     within SHOOT_MAXITER steps.  Both say how many shots were taken and
     the last delta and mismatch.
@@ -430,7 +431,12 @@ def solve_background(
     for _ in range(SHOOT_MAXITER):
         if g == 0.0:
             break
-        if x == (x_hi if g < 0.0 else x_lo):
+        if x == x_lo and g > 0.0:
+            raise BracketError(f"no shooting bracket for b0={b0}: the stand-off falls "
+                               f"below the representability floor 16*eps*b0 = {lo:.3e}, "
+                               f"where s0 = b0 + delta is no longer told apart from b0 "
+                               f"({progress()})")
+        if x == x_hi and g < 0.0:
             raise BracketError(f"no shooting bracket for b0={b0}: mismatch keeps "
                                f"its sign up to the end of [{lo:.3e}, {hi:.3e}] "
                                f"({progress()})")

@@ -39,10 +39,6 @@ class DegenerateShockError(RuntimeError):
     reduction of the shock condition is undefined."""
 
 
-class ShockSignError(RuntimeError):
-    """The shock coefficients break the dissipative pattern mu1 > 0, mu2 < 0."""
-
-
 #: piston speed from which the thin-layer sign checks are expected to hold
 ASYMPTOTIC_B0 = 40.0
 
@@ -209,8 +205,8 @@ def boundary_coeffs(sol: SelfSimilarSolution) -> BoundaryCoeffs:
     """Evaluate the linearized shock-condition coefficients at s = s0.
 
     Raises DegenerateShockError if the leading coefficient B1 is numerically
-    zero, and ShockSignError if b0 >= ASYMPTOTIC_B0 and the signs mu1 > 0,
-    mu2 < 0 fail (they make the oblique boundary condition dissipative).
+    zero.  The signs mu1 > 0, mu2 < 0, which make the oblique boundary
+    condition dissipative, are a check of K_coeffs, not of this evaluation.
     """
     gas = sol.gas
     u = float(sol.u[-1])
@@ -233,11 +229,6 @@ def boundary_coeffs(sol: SelfSimilarSolution) -> BoundaryCoeffs:
     mu1 = B2 / B1
     mu2 = B3 / B1
     mu3 = -u  # trace factor: minus the particle speed just behind the shock
-    if sol.b0 >= ASYMPTOTIC_B0 and not (mu1 > 0.0 and mu2 < 0.0):
-        raise ShockSignError(
-            f"boundary coefficient signs mu1={mu1}, mu2={mu2} violate the "
-            f"dissipativity pattern expected for b0 >= {ASYMPTOTIC_B0:g}"
-        )
     return BoundaryCoeffs(B1=B1, B2=B2, B3=B3, mu1=mu1, mu2=mu2, mu3=mu3)
 
 
@@ -415,7 +406,8 @@ def K_coeffs(sol: SelfSimilarSolution, mu: float) -> MultiplierCertificate:
 
     Combines: the closed-form window/inequality checks on (mu, e); the
     pointwise bulk signs K00 > 0, K0r^2 - 4 K00 Krr < 0, Knn > 0 on
-    s in [b0, s0]; and the shock-flux coefficient signs
+    s in [b0, s0]; and, in boundary_pass, the dissipative shock
+    coefficients mu1 > 0, mu2 < 0 with the shock-flux coefficient signs
     beta_hat11 > 0 (vs the reference level (gamma-1) b0^2 / 8),
     beta_hat13 < 0 (vs -(gamma-1) b0^4 / 2), beta_hat14 > 0.  n, gamma,
     b0 and the tilt constant e come from the profile.
@@ -436,8 +428,13 @@ def K_coeffs(sol: SelfSimilarSolution, mu: float) -> MultiplierCertificate:
         betas = shock_flux_betas(sol, bc)
         ref11 = (g - 1.0) * sol.b0 ** 2 / 8.0
         ref13 = (g - 1.0) * sol.b0 ** 4 / 2.0
+        dissipative = bc.mu1 > 0.0 and bc.mu2 < 0.0
+        if not dissipative:
+            notes.append(f"shock coefficients mu1={bc.mu1!r}, mu2={bc.mu2!r} break "
+                         "the dissipative pattern mu1 > 0, mu2 < 0")
         boundary_pass = bool(
-            betas["beta_hat11"] > 0.0
+            dissipative
+            and betas["beta_hat11"] > 0.0
             and 0.5 < betas["beta_hat11"] / ref11 < 2.0
             and betas["beta_hat13"] < 0.0
             and 0.5 < -betas["beta_hat13"] / ref13 < 2.0

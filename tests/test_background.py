@@ -239,6 +239,15 @@ class TestShooting:
         assert len(calls) <= 8
         assert len(set(calls)) == len(calls)  # no shot repeated
 
+    def test_stand_off_below_representability_floor(self):
+        # gamma 1.2, b0 100: the stand-off falls below the clamp's lower end
+        # 16 eps b0, and the first shot, seeded there, already overshoots
+        gas = GasParams(A=1.0, gamma=1.2, rho0=1.0)
+        with pytest.raises(BracketError, match=r"b0=100\.0: the stand-off falls below "
+                           r"the representability floor 16\*eps\*b0 = 3\.553e-13, "
+                           r".*\(1 shots, last delta = 3\.552714e-13 "):
+            solve_background(100.0, gas, n=3)
+
     @pytest.mark.parametrize("gamma, b0", PARITY_CASES)
     def test_bracket_error_parity_with_endpoint_shots(self, gamma, b0):
         # the clamp [16 eps b0, 2 b0] fails exactly where its two end shots

@@ -2,6 +2,8 @@
 bulk K-coefficient signs and shock-flux coefficients."""
 
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from conicshock.certificates import (
     MuWindow,
     P_coeffs,
     K_coeffs,
-    ShockSignError,
     _b_sigma,
     _db_sigma,
     admissible_mu,
@@ -228,8 +229,6 @@ class TestKCoeffs:
                 and cert.checks["knn_positive"])
 
     def test_summary_roundtrip(self, sol80, tmp_path):
-        import json
-
         cert = K_coeffs(sol80, -2.5)
         path = tmp_path / "cert.json"
         _write_json(cert.summary(), path)
@@ -273,9 +272,28 @@ class TestBoundary:
         w[-1] = -0.9 * np.sqrt(sol.csq[-1])
         return dataclasses.replace(sol, w=w)
 
-    def test_sign_pattern_violation_raises_typed_error(self, sol80):
-        with pytest.raises(ShockSignError, match=r"mu1=\S+, mu2=1\.\d+ violate"):
-            boundary_coeffs(self._flipped(sol80))
+    def test_sign_pattern_violation_fails_boundary_pass(self, sol80):
+        # a failed mu1 > 0, mu2 < 0 is a failed condition of the energy
+        # argument: boundary_coeffs returns it and the certificate records it
+        flipped = self._flipped(sol80)
+        assert boundary_coeffs(flipped).mu2 > 0
+        cert = K_coeffs(flipped, admissible_mu(3, GAS.gamma).midpoint)
+        assert cert.checks["boundary_pass"] is False
+        assert cert.status == "fail"
+        assert cert.violated_condition() == "shock-boundary flux signs fail"
+        assert any(re.search(r"mu1=\S+, mu2=1\.\d+ break", note) for note in cert.notes)
+
+    def test_mu2_sign_alone_fails_boundary_pass(self, sol80, monkeypatch):
+        # mu2 does not enter the betas, so only the sign rule can fail
+        mu = admissible_mu(3, GAS.gamma).midpoint
+        assert K_coeffs(sol80, mu).passed
+        bc = boundary_coeffs(sol80)
+        monkeypatch.setattr(certificates, "boundary_coeffs",
+                            lambda sol: dataclasses.replace(bc, mu2=-bc.mu2))
+        cert = K_coeffs(sol80, mu)
+        assert [name for name, ok in cert.checks.items() if not ok] == ["boundary_pass"]
+        assert cert.status == "fail"
+        assert any("mu1=" in note and "mu2=" in note for note in cert.notes)
 
     def test_sign_pattern_violation_fails_certify_cleanly(self, monkeypatch, tmp_path):
         solve = certificates.solve_background
@@ -286,8 +304,16 @@ class TestBoundary:
                    "--mu", "auto", "--output-dir", str(tmp_path)],
             catch_exceptions=False)
         assert res.exit_code == 1
-        assert "certificate evaluation failed: boundary coefficient signs" in res.output
-        assert not list(tmp_path.glob("certificate_*.json"))
+        assert "certificate failed: shock-boundary flux signs fail" in res.output
+        cert = json.loads((tmp_path / "certificate_n3_g1.4_b80.json").read_text())
+        assert cert["status"] == "fail"
+        assert cert["boundary_pass"] is False
+
+    def test_sign_pattern_violation_below_regime(self):
+        flipped = self._flipped(solve_background(20.0, GAS, n=3, grid_size=1024))
+        cert = K_coeffs(flipped, admissible_mu(3, GAS.gamma).midpoint)
+        assert cert.checks["boundary_pass"] is False
+        assert cert.status == "outside asymptotic regime"
 
     def test_beta_hats(self, sol80):
         g, b0 = GAS.gamma, sol80.b0

@@ -1,16 +1,19 @@
 """Command-line front end: exit codes, artifacts, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import re
+from importlib import import_module
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conicshock import cli
 from conicshock.background import solve_background
-from conicshock.cli import main
+from conicshock.cli import COMPUTATION_ERRORS, main
 from conicshock.gas import GasParams
 from conicshock.simulator import SimConfig, init_from_background, projected_explicit_steps
 
@@ -166,6 +169,22 @@ class TestVerify:
         assert res.exit_code == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert list(report["results"]) == ["ellipticity"]
+
+    def test_ellipticity_counts_every_b0(self, runner, tmp_path, monkeypatch):
+        args = ["verify", "--suite", "ellipticity", "--b0", "4", "--b0", "20",
+                "--output-dir", str(tmp_path)]
+        res = _invoke(runner, args)
+        assert res.exit_code == 0
+        suite = json.loads((tmp_path / "verify_report.json").read_text())["results"]["ellipticity"]
+        assert suite["passed"] is True
+        assert {k: v["passed"] for k, v in suite["per_b0"].items()} == {"4": True, "20": True}
+        # a failure below b0 = 40 fails the suite
+        check = cli.check_ellipticity
+        monkeypatch.setattr(cli, "check_ellipticity", lambda ph: dataclasses.replace(
+            check(ph), passed=ph.b0 != 4.0))
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert "ellipticity: FAIL" in res.output
 
     @pytest.mark.parametrize("b0s", [["40"], ["40", "40"]])
     def test_asymptotics_needs_two_distinct_b0(self, runner, tmp_path, monkeypatch, b0s):
@@ -493,3 +512,23 @@ def test_non_finite_config_value_is_usage_error(runner, tmp_path):
                                "--output-dir", str(tmp_path)])
     assert res.exit_code == 2
     assert "--t-end must be finite" in res.output
+
+
+# ---------------------------------------------------------------------------
+# computation errors
+# ---------------------------------------------------------------------------
+
+def test_every_error_class_is_a_computation_error():
+    # an error class outside COMPUTATION_ERRORS would reach the user as a
+    # traceback instead of a one-line message and exit 1
+    errors = {}
+    for module in ("_numerics", "gas", "background", "hodograph", "certificates",
+                   "simulator"):
+        name = f"conicshock.{module}"
+        errors.update((obj.__name__, obj) for obj in vars(import_module(name)).values()
+                      if isinstance(obj, type) and issubclass(obj, Exception)
+                      and obj.__module__ == name)
+    assert {"ConvergenceError", "VacuumError", "BracketError", "SimulationError",
+            "DegenerateShockError"} <= set(errors)
+    assert [name for name, e in errors.items()
+            if not issubclass(e, COMPUTATION_ERRORS)] == []

@@ -233,6 +233,15 @@ class TestEllipticity:
         for sol in (sol40, sol80):
             assert check_ellipticity(psi_hat_from_background(sol)).passed
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("gamma", [1.2, 2.9])
+    @pytest.mark.parametrize("b0", [2.0, 10.0, 30.0])
+    def test_passes_below_asymptotic_regime(self, n, gamma, b0):
+        # verify counts the ellipticity suite at every b0, with no cut at
+        # the certificate's asymptotic threshold b0 = 40
+        sol = solve_background(b0, GasParams(A=1.0, gamma=gamma, rho0=1.0), n=n)
+        assert check_ellipticity(psi_hat_from_background(sol)).passed
+
     def test_radial_coefficient_magnitude(self, sol80):
         rep = check_ellipticity(psi_hat_from_background(sol80))
         target = -(GAS.gamma - 1.0) * sol80.b0 ** 2 / (2.0 * sol80.delta)
