@@ -15,6 +15,7 @@ configuration produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -228,12 +229,6 @@ def background(b0, grid_size, **common):
 # verify
 # ---------------------------------------------------------------------------
 
-SUITES = ("asymptotics", "ellipticity", "profile", "boundary", "stability")
-
-#: suites that run on the straightened profiles
-STRAIGHTENED_SUITES = ("ellipticity", "boundary", "stability")
-
-
 def _profile_checks(sol: SelfSimilarSolution, piston_tol: float) -> dict:
     """Sanity checks on one profile: finite, piston condition, entropy
     excess, supersonic denominator sign, small ODE residual."""
@@ -295,28 +290,41 @@ def _suite_asymptotics(sols) -> dict:
     }
 
 
-def _per_b0(profiles, check, fields) -> dict:
-    """Run ``check`` on each straightened profile and report its verdict and
-    the named report ``fields`` per b0; the suite passes when every one does."""
-    per_b0 = {}
-    for ph in profiles:
-        rep = check(ph)
-        per_b0[f"{ph.b0:g}"] = {"passed": rep.passed,
-                                **{f: getattr(rep, f) for f in fields}}
+def _per_b0(profiles, entry) -> dict:
+    """Report ``entry(profile)`` per b0; the suite passes when every entry does."""
+    per_b0 = {f"{prof.b0:g}": entry(prof) for prof in profiles}
     return {"passed": all(v["passed"] for v in per_b0.values()), "per_b0": per_b0}
 
 
-def _suite_profile(sols) -> dict:
-    per_b0 = {f"{sol.b0:g}": _profile_checks(sol, piston_tol=1e-9)
-              for sol in sols}
-    return {"passed": all(v["passed"] for v in per_b0.values()),
-            "per_b0": per_b0}
+def _verdict(check, *fields):
+    """The per-b0 entry of ``check``: its verdict and the named report fields."""
+    def entry(ph) -> dict:
+        rep = check(ph)
+        return {"passed": rep.passed, **{f: getattr(rep, f) for f in fields}}
+    return entry
+
+
+#: the verify suites in report order.  Each maps the solved profiles and a
+#: call that returns them straightened to its report.  The checks are looked
+#: up on this module when a suite runs, as the benchmark tracer rebinds them.
+SUITES = {
+    "asymptotics": lambda sols, straightened: _suite_asymptotics(sols),
+    "ellipticity": lambda sols, straightened: _per_b0(
+        straightened(), _verdict(check_ellipticity, "margin")),
+    "profile": lambda sols, straightened: _per_b0(
+        sols, lambda sol: _profile_checks(sol, piston_tol=1e-9)),
+    "boundary": lambda sols, straightened: _per_b0(
+        straightened(), _verdict(boundary_signs, "degenerate", "E_min", "D21", "D22", "B21")),
+    "stability": lambda sols, straightened: _per_b0(
+        straightened(), _verdict(local_stability, "transversal", "timelike", "quad_form",
+                                 "delta0", "neumann_residuals")),
+}
 
 
 @main.command()
 @click.option("--b0", "b0_list", type=float, multiple=True,
               help="Piston speeds to sweep (default 10 20 40 80).")
-@click.option("--suite", "suites", type=click.Choice(SUITES), multiple=True,
+@click.option("--suite", "suites", type=click.Choice(tuple(SUITES)), multiple=True,
               help="Restrict to these suites (default: all).")
 @click.option("--profile", "profile_path",
               type=click.Path(exists=True, dir_okay=False), default=None,
@@ -325,24 +333,25 @@ def _suite_profile(sols) -> dict:
 def verify(b0_list, suites, profile_path, **common):
     """Run the verification suites over a piston-speed sweep."""
     t_start = time.perf_counter()
+    if profile_path and (b0_list or suites):
+        raise click.UsageError("--profile checks one file and takes no --b0 or --suite")
     p, gas, out, inputs = _setup(**common)
     _check_finite("--b0", *b0_list)
     p["b0_list"] = list(b0_list) or [10.0, 20.0, 40.0, 80.0]
     p["suites"] = list(suites or SUITES)
-    if not profile_path and "asymptotics" in p["suites"] and len(set(p["b0_list"])) < 2:
+    if "asymptotics" in p["suites"] and len(set(p["b0_list"])) < 2:
         raise click.UsageError("--b0: the asymptotics suite fits slopes over piston "
                                "speeds and needs two or more distinct ones")
-    if not profile_path:
-        # every suite keys its per-b0 entries by f"{b0:g}", so each key must
-        # name one speed, given once
-        seen = {}
-        for b0 in p["b0_list"]:
-            key = f"{b0:g}"
-            if key in seen:
-                raise click.UsageError(
-                    f"--b0: {b0!r} is given twice" if seen[key] == b0 else
-                    f"--b0: {seen[key]!r} and {b0!r} would share the report key {key}")
-            seen[key] = b0
+    # every suite keys its per-b0 entries by f"{b0:g}", so each key must
+    # name one speed, given once
+    seen = {}
+    for b0 in p["b0_list"]:
+        key = f"{b0:g}"
+        if key in seen:
+            raise click.UsageError(
+                f"--b0: {b0!r} is given twice" if seen[key] == b0 else
+                f"--b0: {seen[key]!r} and {b0!r} would share the report key {key}")
+        seen[key] = b0
 
     report = dict(p)
     if profile_path:
@@ -355,25 +364,14 @@ def verify(b0_list, suites, profile_path, **common):
         report["profile_sha256"] = hashlib.sha256(Path(profile_path).read_bytes()).hexdigest()
         report["results"] = {"profile": _profile_checks(sol, piston_tol=1e-6)}
     else:
-        run_suite = {
-            "asymptotics": _suite_asymptotics,
-            "ellipticity": lambda phs: _per_b0(phs, check_ellipticity, ("margin",)),
-            "profile": _suite_profile,
-            "boundary": lambda phs: _per_b0(
-                phs, boundary_signs, ("degenerate", "E_min", "D21", "D22", "B21")),
-            "stability": lambda phs: _per_b0(
-                phs, local_stability, ("transversal", "timelike", "quad_form",
-                                       "delta0", "neumann_residuals")),
-        }
         try:
             sols = [solve_background(b0, gas, n=p["n"]) for b0 in p["b0_list"]]
-            # straighten each profile once for all the suites that need it
-            # (looked up on the module, where the benchmark tracer binds it)
-            phs = ([hodograph.psi_hat_from_background(sol) for sol in sols]
-                   if set(STRAIGHTENED_SUITES) & set(p["suites"]) else [])
-            report["results"] = {
-                name: run_suite[name](phs if name in STRAIGHTENED_SUITES else sols)
-                for name in SUITES if name in p["suites"]}
+            # straighten each profile once, when a suite first asks (looked
+            # up on the module, where the benchmark tracer binds it)
+            straightened = functools.cache(
+                lambda: [hodograph.psi_hat_from_background(sol) for sol in sols])
+            report["results"] = {name: suite(sols, straightened)
+                                 for name, suite in SUITES.items() if name in p["suites"]}
         except COMPUTATION_ERRORS as exc:
             raise click.ClickException(f"verification sweep failed: {exc}")
 

@@ -13,8 +13,8 @@ Boundary closure:
   y = 1 (shock): dzeta/dt = H w / (H - rho0) with H the density recovered
       from the Bernoulli relation, and v = -(dzeta/dt) w from
       differentiating the continuity of the potential along the front; w
-      advanced from the interior.  The Rankine-Hugoniot residual of the
-      recomputed state is logged each output.
+      advanced from the interior.  Each output logs |H w - (H - rho0) zeta'|
+      with zeta' taken from the same H, a residual that shows only rounding.
 
 The module also builds the modified background potential
 Phi_a = (1 + f_a) * Phi_hat whose radial correction factor makes the
@@ -325,10 +325,6 @@ def _rates(t, sigma, sdot, X, y, config: SimConfig, out):
     return csq, V, L
 
 
-def _sound(v, w, gas: GasParams):
-    return np.sqrt((gas.gamma - 1.0) * _flow_bernoulli(v, w * w, gas))
-
-
 def _closure_residual(v, w, slope, gas: GasParams):
     """Shock compatibility residual g = v + zeta' w at the boundary state
     (v, w), zeta' = H w/(H - rho0), and its derivative along the
@@ -510,6 +506,12 @@ class TauOperator:
         self._band_index = (up + r2 - c2) * (2 * m) + c2
         self._band_shape = (lo + up + 1, 2 * m)
 
+    def weights(self, x):
+        """The outgoing characteristic speeds a = (w + c at the wall, w - c
+        at the shock) of the unknowns x: the boundary v rows' weights."""
+        gas, v, w = self.config.gas, x[[0, -4]], x[[1, -3]]
+        return w + [1.0, -1.0] * np.sqrt((gas.gamma - 1.0) * _flow_bernoulli(v, w * w, gas))
+
     def mass(self, a):
         """M in J's layout: 1 on the differential rows, 0 on the algebraic
         ones, and a = (a_wall, a_shock) times w in the boundary v rows."""
@@ -612,7 +614,7 @@ class SelfSimilarStepper:
     def step(self, t_new: float) -> SimState:
         """Advance to t_new by Newton on M (x - hist) = k F(x), each update
         a _bordered_solve on M - k J; raises SimulationError if it stalls."""
-        config, gas, op = self.op.config, self.op.config.gas, self.op
+        config, op = self.op.config, self.op
         dtau = math.log(t_new / self.t)
         x = self.x
         if self._prev is None:
@@ -625,9 +627,7 @@ class SelfSimilarStepper:
             # linear extrapolation in tau of all but q as the Newton start
             x = (1.0 + om) * x - om * self._prev[1]
             x[-1] = self.x[-1]
-        # outgoing characteristic weights w + c at the wall, w - c at the
-        # shock, frozen at the start of the step
-        a = self.x[[1, -3]] + [1.0, -1.0] * _sound(self.x[[0, -4]], self.x[[1, -3]], gas)
+        a = op.weights(self.x)      # frozen at the start of the step
         Mb, Mc = op.mass(a)
 
         for _ in range(_NEWTON_MAXITER):

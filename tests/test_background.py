@@ -1,6 +1,7 @@
 """Tests for the self-similar background solver: jump relations, shooting,
 and large-piston-speed asymptotics."""
 
+import math
 import re
 
 import numpy as np
@@ -127,6 +128,17 @@ class TestSolveBackground:
         gas = GasParams(A=1.0, gamma=2.5, rho0=1.0)
         with pytest.raises(BracketError, match="piston condition missed"):
             solve_background(4.0, gas, n=3, grid_size=5)
+
+    def test_nan_final_pass_misses_piston_condition(self, monkeypatch):
+        # the shots march with stop_on_event=True and converge as usual;
+        # only the final pass on the output grid returns NaN
+        def final_nan(*args, stop_on_event=False, **kw):
+            rhos, ws = _march(*args, stop_on_event=stop_on_event, **kw)
+            return (rhos, ws) if stop_on_event else (rhos, [math.nan] * len(ws))
+
+        monkeypatch.setattr(background, "_march", final_nan)
+        with pytest.raises(BracketError, match=r"piston condition missed: \|u\(b0\) - b0\| = nan"):
+            solve_background(40.0, GAS, n=3, grid_size=256)
 
     @pytest.mark.parametrize("grid_size", [1, 2, 4])
     def test_rejects_grid_below_five_samples(self, grid_size):

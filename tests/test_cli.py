@@ -231,6 +231,60 @@ class TestVerify:
         assert len(calls) == 8
         assert sorted(calls) == [129] * 4 + [4 * 129] * 4
 
+    @pytest.mark.parametrize("suites, straightened", [
+        (["--suite", "profile", "--suite", "asymptotics"], 0),
+        ([], 4),
+    ])
+    def test_profiles_straightened_once_when_asked(self, runner, tmp_path, monkeypatch,
+                                                   suites, straightened):
+        # counted through the module binding the benchmark tracer swaps
+        from conicshock import hodograph
+        calls = []
+        inner = hodograph.psi_hat_from_background
+
+        def counted(sol, *args, **kw):
+            calls.append(sol.b0)
+            return inner(sol, *args, **kw)
+
+        monkeypatch.setattr(hodograph, "psi_hat_from_background", counted)
+        res = _invoke(runner, ["verify", *suites, "--output-dir", str(tmp_path)])
+        assert res.exit_code == 0
+        assert len(calls) == straightened
+        assert len(set(calls)) == straightened
+
+    def test_suites_run_in_table_order(self, runner, tmp_path, monkeypatch):
+        ran = []
+
+        def logged(name):
+            inner = getattr(cli, name)
+
+            def call(arg):
+                ran.append(name)
+                return inner(arg)
+            return call
+
+        for name in ("asymptotic_report", "local_stability"):
+            monkeypatch.setattr(cli, name, logged(name))
+        res = _invoke(runner, ["verify", "--suite", "stability", "--suite", "asymptotics",
+                               "--output-dir", str(tmp_path)])
+        assert res.exit_code == 0
+        assert ran == ["asymptotic_report"] + ["local_stability"] * 4
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert set(report["results"]) == {"asymptotics", "stability"}
+        assert list(cli.SUITES) == ["asymptotics", "ellipticity", "profile",
+                                    "boundary", "stability"]
+
+    @pytest.mark.parametrize("option", [["--b0", "40"], ["--suite", "ellipticity"]])
+    def test_profile_takes_no_b0_or_suite(self, runner, tmp_path, option):
+        _invoke(runner, ["background", "--b0", "40", "--output-dir", str(tmp_path)])
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["verify", "--profile",
+                                   str(tmp_path / "background_b40_g1.4_n3.csv"),
+                                   *option, "--output-dir", str(out)])
+        assert res.exit_code == 2
+        assert "--profile checks one file and takes no --b0 or --suite" in res.output
+        assert not (out / "verify_report.json").exists()
+
     def test_unknown_suite_is_usage_error(self, runner, tmp_path):
         res = runner.invoke(main, ["verify", "--suite", "nonsense",
                                    "--output-dir", str(tmp_path)])

@@ -326,7 +326,7 @@ cfg = simulator.SimConfig(n=3, gas=gas, b0=40.0, grid_points=32)
 sol = solve_background(40.0, gas, n=3, grid_size=256)
 stepper = simulator.SelfSimilarStepper(simulator.init_from_background(sol, cfg), cfg)
 x = stepper.x
-a = x[[1, -3]] + [1.0, -1.0] * simulator._sound(x[[0, -4]], x[[1, -3]], gas)
+a = stepper.op.weights(x)
 F, J = stepper.op(cfg.t0, x, a)
 Mb, Mc = stepper.op.mass(a)
 assert all(np.all(np.isfinite(block)) for block in (F, *J, Mb, Mc))
