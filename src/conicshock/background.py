@@ -484,18 +484,19 @@ def ode_residual(sol: SelfSimilarSolution) -> float:
 
     Fourth-order central differences of the sampled (rho, w) against the
     right-hand side, so the residual tracks the integrator's order under
-    refinement.  Raises ValueError below MIN_GRID_SIZE samples or where
-    the first two samples coincide in s.
+    refinement.  The spacing is taken from the exact offsets s - b0, the
+    absolute s only inside the right-hand side.  Raises ValueError below
+    MIN_GRID_SIZE samples or where the first two samples coincide.
     """
-    s, rho, w = sol.s, sol.rho, sol.w
-    check_grid_size(len(s), "profile samples")
-    h = s[1] - s[0]
+    rho, w = sol.rho, sol.w
+    check_grid_size(len(rho), "profile samples")
+    h = sol.s_off[1] - sol.s_off[0]
     if h == 0.0:
         raise ValueError("profile samples coincide in s: no finite-difference residual")
     d = slice(2, -2)
     drho_fd = (-rho[4:] + 8 * rho[3:-1] - 8 * rho[1:-3] + rho[:-4]) / (12 * h)
     dw_fd = (-w[4:] + 8 * w[3:-1] - 8 * w[1:-3] + w[:-4]) / (12 * h)
-    drho_rhs, du_rhs, _ = _rhs(s[d], rho[d], w[d], sol.gas, sol.n)
+    drho_rhs, du_rhs, _ = _rhs(sol.s[d], rho[d], w[d], sol.gas, sol.n)
     r1 = np.max(np.abs(drho_fd - drho_rhs)) / max(np.max(np.abs(rho)), 1.0)
     r2 = np.max(np.abs(dw_fd - (du_rhs - 1.0)))
     return float(max(r1, r2)) / sol.b0

@@ -314,7 +314,7 @@ SUITES = {
     "profile": lambda sols, straightened: _per_b0(
         sols, lambda sol: _profile_checks(sol, piston_tol=1e-9)),
     "boundary": lambda sols, straightened: _per_b0(
-        straightened(), _verdict(boundary_signs, "degenerate", "E_min", "D21", "D22", "B21")),
+        straightened(), _verdict(boundary_signs, "E_min", "D21", "D22", "B21")),
     "stability": lambda sols, straightened: _per_b0(
         straightened(), _verdict(local_stability, "transversal", "timelike", "quad_form",
                                  "delta0", "neumann_residuals")),
@@ -336,34 +336,34 @@ def verify(b0_list, suites, profile_path, **common):
     if profile_path and (b0_list or suites):
         raise click.UsageError("--profile checks one file and takes no --b0 or --suite")
     p, gas, out, inputs = _setup(**common)
-    _check_finite("--b0", *b0_list)
-    p["b0_list"] = list(b0_list) or [10.0, 20.0, 40.0, 80.0]
-    p["suites"] = list(suites or SUITES)
-    if "asymptotics" in p["suites"] and len(set(p["b0_list"])) < 2:
-        raise click.UsageError("--b0: the asymptotics suite fits slopes over piston "
-                               "speeds and needs two or more distinct ones")
-    # every suite keys its per-b0 entries by f"{b0:g}", so each key must
-    # name one speed, given once
-    seen = {}
-    for b0 in p["b0_list"]:
-        key = f"{b0:g}"
-        if key in seen:
-            raise click.UsageError(
-                f"--b0: {b0!r} is given twice" if seen[key] == b0 else
-                f"--b0: {seen[key]!r} and {b0!r} would share the report key {key}")
-        seen[key] = b0
-
-    report = dict(p)
     if profile_path:
         # file-checking mode: validate the supplied profile only
         inputs.append(profile_path)
         sol = _load_profile(profile_path, gas, p["n"])
+        report = dict(p)
         # name and content, not the path, so the report does not depend
         # on where the profile lives
         report["profile_file"] = Path(profile_path).name
         report["profile_sha256"] = hashlib.sha256(Path(profile_path).read_bytes()).hexdigest()
         report["results"] = {"profile": _profile_checks(sol, piston_tol=1e-6)}
     else:
+        _check_finite("--b0", *b0_list)
+        p["b0_list"] = list(b0_list) or [10.0, 20.0, 40.0, 80.0]
+        p["suites"] = list(suites or SUITES)
+        if "asymptotics" in p["suites"] and len(set(p["b0_list"])) < 2:
+            raise click.UsageError("--b0: the asymptotics suite fits slopes over piston "
+                                   "speeds and needs two or more distinct ones")
+        # every suite keys its per-b0 entries by f"{b0:g}", so each key must
+        # name one speed, given once
+        seen = {}
+        for b0 in p["b0_list"]:
+            key = f"{b0:g}"
+            if key in seen:
+                raise click.UsageError(
+                    f"--b0: {b0!r} is given twice" if seen[key] == b0 else
+                    f"--b0: {seen[key]!r} and {b0!r} would share the report key {key}")
+            seen[key] = b0
+        report = dict(p)
         try:
             sols = [solve_background(b0, gas, n=p["n"]) for b0 in p["b0_list"]]
             # straighten each profile once, when a suite first asks (looked

@@ -109,7 +109,8 @@ def _density_at(hval, gas: GasParams):
 def _nonvacuum(arg, gas: GasParams):
     """The vacuum rule: the Bernoulli argument arg (float or array), or
     VacuumError where it is at or below VACUUM_REL_THRESHOLD * B0 or NaN
-    (the min of an array holding a NaN is NaN)."""
+    (the min of an array holding a NaN is NaN).  numpy orders complex
+    values real part first, so a complex-step argument is judged by it."""
     low = np.minimum.reduce(arg) if isinstance(arg, np.ndarray) else arg
     if not low > VACUUM_REL_THRESHOLD * gas.B0:
         raise VacuumError("Bernoulli argument reached vacuum; flow state is not admissible")

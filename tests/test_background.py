@@ -159,6 +159,14 @@ class TestSolveBackground:
         assert res[0] / res[1] >= 8.0
         assert res[1] / res[2] >= 8.0
 
+    def test_residual_spacing_from_exact_offsets(self):
+        # at gamma 1.2, b0 40 the stand-off 3e-10 is about 43000 ulp of b0,
+        # so a spacing of the 2048 samples is 21 ulp and s[1] - s[0] misses
+        # it by up to 5% (residual 1.6e-4); taken from s - b0 the residual
+        # is 4.9e-6, below verify's 1e-4 bound
+        sol = solve_background(40.0, GasParams(A=1.0, gamma=1.2, rho0=1.0), n=3)
+        assert ode_residual(sol) < 1e-4
+
     def test_denominator_sign_error_names_abscissa(self):
         # a march started at w^2 >= c^2 (here w = -2c at the shock density)
         s0 = 40.0 + 1e-5

@@ -215,7 +215,7 @@ class TestVerify:
 
     def test_one_coefficient_evaluation_per_stencil(self, runner, tmp_path, monkeypatch):
         # per profile: the shared set at its own states (ellipticity and
-        # stability) and the four stacked neighbours of the boundary suite;
+        # stability) and the two stacked neighbours of the boundary suite;
         # counted through the module binding the benchmark tracer swaps
         from conicshock import hodograph
         calls = []
@@ -229,7 +229,7 @@ class TestVerify:
         res = _invoke(runner, ["verify", "--output-dir", str(tmp_path)])
         assert res.exit_code == 0
         assert len(calls) == 8
-        assert sorted(calls) == [129] * 4 + [4 * 129] * 4
+        assert sorted(calls) == [129] * 4 + [2 * 129] * 4
 
     @pytest.mark.parametrize("suites, straightened", [
         (["--suite", "profile", "--suite", "asymptotics"], 0),
@@ -317,9 +317,25 @@ class TestVerify:
         assert report["profile_file"] == name
         assert report["profile_sha256"] == hashlib.sha256(data).hexdigest()
 
+    def test_profile_report_names_no_sweep(self, runner, tmp_path):
+        # --profile checks one file: the sweep's speeds and suites are not
+        # run, so neither the report nor the manifest names them
+        _invoke(runner, ["background", "--b0", "40",
+                         "--output-dir", str(tmp_path)])
+        res = _invoke(runner, ["verify", "--profile",
+                               str(tmp_path / "background_b40_g1.4_n3.csv"),
+                               "--output-dir", str(tmp_path)])
+        assert res.exit_code == 0
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest["params"]) == GAS_KEYS
+        assert set(report) == GAS_KEYS | {"profile_file", "profile_sha256",
+                                          "results", "passed"}
+        assert set(report["results"]) == {"profile"}
+
     def test_unresolved_sample_spacing_fails(self, runner, tmp_path):
-        # at gamma 1.2, b0 80 the stand-off is 6.1e-13, so the first two of
-        # 2048 samples coincide in s and the ODE residual cannot be formed
+        # at gamma 1.2, b0 80 the stand-off is 6.1e-13, about 43 ulp of b0:
+        # the ODE residual is 1.2e-3, above the 1e-4 bound
         res = runner.invoke(main, ["verify", "--suite", "profile", "--gamma", "1.2",
                                    "--b0", "80", "--output-dir", str(tmp_path)])
         assert res.exit_code == 1
