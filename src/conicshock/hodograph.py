@@ -327,8 +327,8 @@ class PsiHat:
         return cs
 
     @cached_property
-    def shock_row(self):
-        """The mass row at R = 2 and its prefactors (see _shock_row)."""
+    def shock_row(self) -> dict:
+        """The mass row at R = 2 and its derivatives (see _shock_row)."""
         return _shock_row(self)
 
 
@@ -425,8 +425,7 @@ def shock_row_residual(ph: PsiHat) -> float:
     G = H psi - (1/b0)(H - rho0)(psi + psi'(2))(b0 + psi) = 0 at R = 2,
     normalized by H * psi.
     """
-    G, pref = ph.shock_row
-    return float(abs(G(ph.states(-1))) / (pref["H"] * ph.psi[-1]))
+    return float(abs(ph.shock_row["G"]) / (ph.shock_row["H"] * ph.psi[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -476,27 +475,27 @@ def _directional(f, st: HodographState, slot: str):
     return f(replace(st, **{slot: getattr(st, slot) + 1j * h})).imag / h
 
 
-def _shock_row(ph: PsiHat):
+def _shock_row(ph: PsiHat) -> dict:
     """The mass row G = H psi - (H - rho0) sigma/(b0 a1), sigma = dTa0 + a0,
-    at the shock R = 2 and unit time T = 1 as a function of the state, and at
-    the background the density H of bernoulli_argument (vacuum-checked) and,
-    with D0 = psi - sigma/(b0 a1), the prefactors
+    at the shock R = 2 and unit time T = 1, and its derivatives along the
+    psi-slots, at the background.  With H the density of bernoulli_argument
+    (vacuum-checked) and D0 = psi - sigma/(b0 a1), the dict holds H, G and
 
-        B20    = -(H - rho0)/(b0 a1) + D0 dH/d(dTpsi),
-        B21    = -(H - rho0) sigma/b0 + D0 dH/d(dRpsi),
-        CalB21 = -(H - rho0) psi/b0 + D0 dH/d(dRpsi).
+        B20    = dG/d(dTpsi) = -(H - rho0)/(b0 a1) + D0 H_T,
+        B21    = dG/d(dRpsi) = -(H - rho0) sigma/b0 + D0 H_R,
+        CalB21 = -(H - rho0) psi/b0 + D0 H_R,
+        D22_0  = dG/dpsi = rho0 - (H - rho0)((sigma - b0) + 1/a1)/b0 + D0 H_psi,
 
-    The H-derivatives are complex steps (see _directional).
+    with sigma - b0 = dTa0 + (R - 1) psi (the background has b = b0) and
+    H_psi, H_T, H_R complex steps of H alone (see _directional).  No two
+    terms of size H cancel there; D22_0 = H - (H - rho0)(sigma + 1/a1)/b0,
+    CalB21 = B21 + (H - rho0) or a step of G itself would leave a rounding
+    floor of eps H.
     """
     gas, b0 = ph.gas, ph.b0
 
     def H(st):
         return _density_at(_nonvacuum(bernoulli_argument(st, gas, b0), gas), gas)
-
-    def G(st):
-        a0, a1 = a_coeffs(st)[:2]
-        Hs = H(st)
-        return Hs * st.psi - (Hs - gas.rho0) / (b0 * a1) * (_dTa0(st) + a0)
 
     st2 = ph.states(-1)
     psi2 = ph.psi[-1]
@@ -504,13 +503,18 @@ def _shock_row(ph: PsiHat):
     H2 = H(st2)
     sigma = _dTa0(st2) + a0
     D0 = psi2 - sigma / (b0 * a1)
+    dH_dpsi = _directional(H, st2, "psi")
     dH_dT = _directional(H, st2, "dTpsi")
     dH_dR = _directional(H, st2, "dRpsi")
-    return G, {
+    return {
         "H": H2,
+        "G": H2 * psi2 - (H2 - gas.rho0) / (b0 * a1) * sigma,
         "B20": float(-(H2 - gas.rho0) / (b0 * a1) + D0 * dH_dT),
         "B21": float(-(H2 - gas.rho0) * sigma / b0 + D0 * dH_dR),
         "CalB21": float(-psi2 / b0 * (H2 - gas.rho0) + D0 * dH_dR),
+        "D22_0": float(gas.rho0 - (H2 - gas.rho0)
+                       * (_dTa0(st2) + (st2.R - 1.0) * psi2 + 1.0 / a1) / b0
+                       + D0 * dH_dpsi),
     }
 
 
@@ -526,20 +530,20 @@ class BoundarySignReport:
     the shock-side stability prefactors B20, B21 (negative), B22 (zero on
     radial states).
 
-    D22_k is the psi-derivative of the mass row
-    H psi - (H - rho0) sigma/(b0 a1), sigma = dTa0 + a0, plus k times its
-    dT psi-derivative:
+    D21_k and D22_k are the closed forms of _shock_row.  D21_k = B21 =
+    dG/d(dRpsi) for every k, G the mass row H psi - (H - rho0) sigma/(b0 a1),
+    sigma = dTa0 + a0; D22_k is its psi-derivative plus k times its dTpsi
+    derivative B20:
 
         D22_k = rho0 - (H - rho0)((2+k) psi + (1+k) dRpsi)/b0
-                + D0 (H_psi + k H_T),   D0 = -psi rho0/(H - rho0),
+                + D0 (H_psi + k H_T),   D0 = psi - sigma/(b0 a1),
 
-    whose large-b0 limit is rho0 (1 - (2+k)/n).  It is negative only from
-    layer k = n - 1 on; at k = n - 2 it vanishes at leading order (about
-    -1e-7 at gamma 1.4, b0 80, n 3), so ``passed`` gates D22_k for
-    k >= n - 1 only.
-
-    B21 is the closed form of D21 = dG/d(dRpsi), G the mass row, since
-    1/a1 = psi + (R-1) dRpsi; B20 equals StabilityReport.CalB20.
+    where D0 equals -psi rho0/(H - rho0) only where the row vanishes.  The
+    large-b0 limit is rho0 (1 - (2+k)/n).  D22_k is negative only from
+    layer k = n - 1 on; at k = n - 2 it vanishes at leading order (-1.4e-7
+    at gamma 1.4, b0 80, n 3; at gamma 1.2, -1.5e-10 for b0 40, n 3 and
+    -1.4e-13 and -1.9e-13 for b0 80, n 2 and 3), so ``passed`` gates D22_k
+    for k >= n - 1 only.  B20 equals StabilityReport.CalB20.
     """
 
     E_min: dict           # k -> min over R of E_k
@@ -559,8 +563,8 @@ def boundary_signs(ph: PsiHat) -> BoundarySignReport:
     Directional derivatives with respect to the psi-slots are complex steps
     (see _directional).  The two neighbours of the interior rows (psi + ih,
     dTpsi + ih) are evaluated in one second_order_coeffs call on the two
-    grids stacked end to end; the shock-row derivatives at R = 2 are
-    scalar evaluations.
+    grids stacked end to end.  The shock-row coefficients at R = 2 are the
+    closed forms of _shock_row: D21_k = B21 and D22_k = D22_0 + k B20.
     """
     gas, b0 = ph.gas, ph.b0
     h = 1e-20 * ph.psi
@@ -581,27 +585,19 @@ def boundary_signs(ph: PsiHat) -> BoundarySignReport:
     dpsi_E = row[0].imag / h
     dTpsi_E = row1[1].imag / h
 
-    E, D21, D22 = {}, {}, {}
+    E = {}
     for k in range(K_MAX + 1):
         Ek = k * (k - 1) * ph.psi + dpsi_E + k * dTpsi_E
         E[k] = float(np.min(Ek))
 
-    st2 = ph.states(-1)
-    shock_row, pref = ph.shock_row
-    d_dR = _directional(shock_row, st2, "dRpsi")
-    d_psi = _directional(shock_row, st2, "psi")
-    d_dT = _directional(shock_row, st2, "dTpsi")
-    for k in range(K_MAX + 1):
-        D21[k] = float(d_dR)
-        D22[k] = float(d_psi + k * d_dT)
-
-    # shock-side stability prefactors, exact expressions at the background
-    B20, B21 = pref["B20"], pref["B21"]
+    shock = ph.shock_row
+    B20, B21 = shock["B20"], shock["B21"]
     B22 = np.zeros(3)  # all angular inputs vanish on radial states
+    D21 = dict.fromkeys(range(K_MAX + 1), B21)
+    D22 = {k: shock["D22_0"] + k * B20 for k in range(K_MAX + 1)}
 
     passed = (
         all(v > 0.0 for v in E.values())
-        and all(v < 0.0 for v in D21.values())
         and all(v < 0.0 for k, v in D22.items() if k >= ph.n - 1)
         and B21 < 0.0
         and np.all(B22 == 0.0)
@@ -685,8 +681,7 @@ def local_stability(ph: PsiHat) -> StabilityReport:
     CalB12 = np.zeros(3)
 
     # shock row prefactors at R = 2
-    pref = ph.shock_row[1]
-    CalB20, CalB21 = pref["B20"], pref["CalB21"]
+    CalB20, CalB21 = ph.shock_row["B20"], ph.shock_row["CalB21"]
     CalB22 = np.zeros(3)
 
     delta0 = (gas.gamma - 1.0) * (ph.delta / b0) ** 2 / 4.0

@@ -172,13 +172,14 @@ class TestBoundaryStability:
         its dT psi-derivative:
 
             D22_k = rho0 - (H - rho0)((2+k) psi + (1+k) dRpsi)/b0
-                    + D0 (H_psi + k H_T),   D0 = -psi rho0/(H - rho0),
+                    + D0 (H_psi + k H_T),   D0 = psi - sigma/(b0 a1),
 
-        so D22_k -> rho0 (1 - (2+k)/n).  It is negative from layer
-        k = n - 1 on; below that the leading order is pinned to the
-        tolerance of test_hodograph's structure test (abs 1e-3).  At
-        k = n - 2 the true value is about 1e-6, under the centred
-        differences' 5e-4 error, so no sign can be read there.
+        (D0 = -psi rho0/(H - rho0) only where the row vanishes), so
+        D22_k -> rho0 (1 - (2+k)/n).  It is negative from layer k = n - 1
+        on; below that the leading order is pinned to the tolerance of
+        test_hodograph's structure test (abs 1e-3).  At k = n - 2 the
+        leading order vanishes and the value is -1.4e-7, so its sign is
+        set by the corrections to that order and is not gated here.
         """
         n, rho0 = sol80.n, GAS14.rho0
         if k >= n - 1:

@@ -326,15 +326,18 @@ class TestBoundarySigns:
     def test_thin_layer_signs_resolved(self, b0, n):
         # at gamma 1.2 the density behind the shock is 4e10 (b0 40) and
         # 4e13 (b0 80) times rho0, and the stand-off 3e-10 and 6e-13; the
-        # complex step still resolves D22_k, to within a tenth of its
-        # increment rho0/n of the limit rho0 (1 - (2+k)/n)
+        # closed form of D22_k has no rounding floor of eps H, so it sits
+        # on its limit rho0 (1 - (2+k)/n) to the stand-off's order (at
+        # most 4.7e-10 rho0 seen) and keeps its sign even at k = n - 2,
+        # where the limit is zero
         gas = GasParams(A=1.0, gamma=1.2, rho0=1.0)
         sol = solve_background(b0, gas, n=n, grid_size=512)
         report = boundary_signs(psi_hat_from_background(sol))
         assert report.passed
-        for k in range(n - 1, 4):
+        for k in range(4):
             limit = gas.rho0 * (1.0 - (2 + k) / n)
-            assert abs(report.D22[k] - limit) < 0.1 * gas.rho0 / n, k
+            assert abs(report.D22[k] - limit) <= 2e-9 * gas.rho0, k
+        assert report.D22[n - 2] < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +414,13 @@ def test_local_stability_independent_of_speed_unit(gamma):
 @pytest.mark.parametrize("gamma", (1.2, 1.4, 2.0))
 @pytest.mark.parametrize("b0", (10.0, 40.0, 80.0))
 def test_shock_row_gradient_prefactors(gamma, b0):
-    # B21 is the closed form of D21 = dG/d(dRpsi); CalB21 weights H - rho0
-    # by psi instead of a0 = b0 + psi, so the two differ by H - rho0
+    # D21 = dG/d(dRpsi) is read from its closed form B21; CalB21 weights
+    # H - rho0 by psi instead of a0 = b0 + psi, so the two differ by H - rho0
     gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
     sol = solve_background(b0, gas, n=3)
     ph = psi_hat_from_background(sol)
     signs, stab = boundary_signs(ph), local_stability(ph)
     H = second_order_coeffs(ph.states(-1), gas, b0).H
     assert stab.CalB21 - signs.B21 == pytest.approx(H - gas.rho0, rel=1e-12)
-    assert signs.B21 == pytest.approx(signs.D21[0], rel=1e-8)
+    assert all(v == signs.B21 for v in signs.D21.values())
     assert signs.B20 == stab.CalB20

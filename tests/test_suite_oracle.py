@@ -530,7 +530,7 @@ def test_suite_reports_within_fd_error(gamma, n, b0):
     # and so is every verdict the oracle resolved.
     ph, _ = _profiles(gamma, n, b0)
     rtol = 10.0 * n / (gamma - 1.0) * FD_STEP ** 2
-    H = ph.shock_row[1]["H"]
+    H = ph.shock_row["H"]
     d22_atol = 8.0 * np.finfo(float).eps * H / FD_STEP
     old_signs = boundary_signs(ph)
     for new, old in ((hodograph.boundary_signs(ph), old_signs),
@@ -552,12 +552,26 @@ def test_suite_reports_within_fd_error(gamma, n, b0):
 @pytest.mark.parametrize("n", DIMS)
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_d21_equals_closed_form_b21(gamma, n, b0):
-    # B21 is the closed form of D21 = dG/d(dRpsi); the complex step leaves
-    # only the rounding of the two formulas (at most 13 eps seen, where the
-    # density reaches 4e13 rho0 at gamma 1.2)
-    signs = hodograph.boundary_signs(_profiles(gamma, n, b0)[0])
-    for v in signs.D21.values():
-        assert abs(v - signs.B21) <= 32.0 * np.finfo(float).eps * abs(signs.B21)
+    # the boundary report reads D21 = B21, and D22_k from the closed forms
+    # B20 and D22_0 of the mass row; here the row G is the oracle's own,
+    # and its derivatives are complex steps of the whole row.  G's two
+    # terms are each of size H, so its steps carry a rounding floor of
+    # eps H (at most 2 eps H seen on B20 and D22_0); B21 is of size H and
+    # agrees relatively (at most 13 eps seen, where the density reaches
+    # 4e13 rho0 at gamma 1.2)
+    ph = _profiles(gamma, n, b0)[0]
+    signs = hodograph.boundary_signs(ph)
+    G = _shock_row(ph)[0]
+    st2 = ph.states(-1)
+    h = 1e-20 * ph.psi[-1]
+    step = lambda slot: G(replace(st2, **{slot: getattr(st2, slot) + 1j * h})).imag / h
+    eps = np.finfo(float).eps
+    floor = 8.0 * eps * ph.shock_row["H"]
+    assert abs(signs.B20 - step("dTpsi")) <= floor
+    assert abs(signs.D22[0] - step("psi")) <= floor
+    d21 = step("dRpsi")
+    for v in (signs.B21, *signs.D21.values()):
+        assert abs(v - d21) <= 32.0 * eps * abs(d21)
 
 
 def _angular_states(rng, sizes):
