@@ -110,8 +110,12 @@ def _nonvacuum(arg, gas: GasParams):
     """The vacuum rule: the Bernoulli argument arg (float or array), or
     VacuumError where it is at or below VACUUM_REL_THRESHOLD * B0 or NaN
     (the min of an array holding a NaN is NaN).  numpy orders complex
-    values real part first, so a complex-step argument is judged by it."""
-    low = np.minimum.reduce(arg) if isinstance(arg, np.ndarray) else arg
+    values real part first, so a complex-step argument is judged by it.
+    A real array's min is read at its argmin, which is the first NaN if
+    there is one, as a reduction's set-up costs more on small arrays."""
+    low = arg
+    if isinstance(arg, np.ndarray):
+        low = np.minimum.reduce(arg) if arg.dtype.kind == "c" else arg.item(arg.argmin())
     if not low > VACUUM_REL_THRESHOLD * gas.B0:
         raise VacuumError("Bernoulli argument reached vacuum; flow state is not admissible")
     return arg

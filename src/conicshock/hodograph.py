@@ -332,9 +332,15 @@ class PsiHat:
         return _shock_row(self)
 
 
-def _fd_derivative(y: np.ndarray, h: float) -> np.ndarray:
+#: the nodes the one-sided end stencils of _fd_derivative read
+_END_NODES = np.array([0, 1, 2, -3, -2, -1])
+_END_NODES.flags.writeable = False
+
+
+def _fd_derivative(y: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Second-order first derivative on a uniform grid along the last axis:
-    centred inside, one-sided at the ends.
+    centred inside, one-sided at the ends; written into out (of y's shape,
+    not overlapping y) when given.
 
     The rows of a 2-D y are differenced in one centred operation over
     their concatenation; the entries where that straddles two rows are the
@@ -343,15 +349,17 @@ def _fd_derivative(y: np.ndarray, h: float) -> np.ndarray:
     """
     n = y.shape[-1]
     flat = y.reshape(-1)
-    d = np.empty_like(flat)
+    d = np.empty_like(flat) if out is None else out.reshape(-1)
     h2 = 2.0 * float(h)
-    np.divide(flat[2:] - flat[:-2], h2, out=d[1:-1])
-    for lo in range(0, flat.size, n):
-        a0, a1, a2 = flat[lo:lo + 3].tolist()
-        b3, b2, b1 = flat[lo + n - 3:lo + n].tolist()
+    inner = d[1:-1]
+    np.subtract(flat[2:], flat[:-2], inner)
+    np.divide(inner, h2, inner)
+    lo = 0
+    for a0, a1, a2, b3, b2, b1 in y.take(_END_NODES, axis=-1).reshape(-1, 6).tolist():
         d[lo] = (-3.0 * a0 + 4.0 * a1 - a2) / h2
-        d[lo + n - 1] = (3.0 * b1 - 4.0 * b2 + b3) / h2
-    return d.reshape(y.shape)
+        lo += n
+        d[lo - 1] = (3.0 * b1 - 4.0 * b2 + b3) / h2
+    return d.reshape(y.shape) if out is None else out
 
 
 def _fd_second(y: np.ndarray, h: float) -> np.ndarray:

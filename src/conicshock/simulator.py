@@ -27,12 +27,13 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._numerics import CubicSpline
 from .background import SelfSimilarSolution, check_n, solve_background
-from .gas import GasParams, _density_at, _flow_bernoulli, density_from_state
+from .gas import GasParams, _density_at, _flow_bernoulli, _nonvacuum, density_from_state
 from .hodograph import _fd_derivative
 
 
@@ -280,49 +281,128 @@ def _entropy_margin(H: float, gas: GasParams) -> float:
     return margin
 
 
-def shock_speed(v, w, gas: GasParams):
-    """Radial Rankine-Hugoniot shock velocity H w / (H - rho0) from the
-    boundary state; raises on entropy violation H <= rho0."""
-    v, w = float(v), float(w)
-    H = _density_at(_flow_bernoulli(v, w * w, gas), gas)
+def _rh_speed(arg: float, w: float, gas: GasParams):
+    """Rankine-Hugoniot shock velocity H w / (H - rho0) and the margin
+    H - rho0 of the post-shock density H at the Bernoulli argument arg and
+    radial velocity w (floats); raises on entropy violation H <= rho0."""
+    H = _density_at(arg, gas)
     margin = _entropy_margin(H, gas)
     return H * w / margin, margin
 
 
-def _kinematics(v, w, w_sq, y, sdot, gas: GasParams):
-    """c^2 at the nodes, the Rankine-Hugoniot shock speed zeta' and the
-    grid node velocity V = sigma' + y (zeta' - sigma') of the state (v, w)
-    with w_sq = w*w and piston speed sdot."""
-    csq = (gas.gamma - 1.0) * _flow_bernoulli(v, w_sq, gas)
-    zdot, _ = shock_speed(v[-1], w[-1], gas)
-    return csq, zdot, sdot + y * (zdot - sdot)
+def shock_speed(v, w, gas: GasParams):
+    """Radial Rankine-Hugoniot shock velocity H w / (H - rho0) from the
+    boundary state, and H - rho0; raises on entropy violation H <= rho0."""
+    v, w = float(v), float(w)
+    return _rh_speed(_flow_bernoulli(v, w * w, gas), w, gas)
 
 
-def _rates(t, sigma, sdot, X, y, config: SimConfig, out):
-    """Tendencies of the state X = (v, w, phi, zeta) in the mapped frame,
-    written into out in that order; sigma and sdot are the piston
-    position and speed at t.  Returns (c^2, V, L): the squared sound
-    speed and the node velocity at the nodes, and the layer width, from
-    which the CFL step of X follows."""
+class _Work(NamedTuple):
+    """Scratch of one explicit step on m nodes (see _work): the rows of a
+    (10, m) block and its two stacked row pairs, the grid spacing, 0-d
+    float64 slots for a stage's scalars, and the stage formulas' constant
+    operands as 0-d float64 arrays."""
+
+    w_sq: np.ndarray
+    arg: np.ndarray     # Bernoulli argument B0 - v - w^2/2
+    csq: np.ndarray
+    V: np.ndarray       # grid node velocity
+    r: np.ndarray
+    tmp: np.ndarray
+    dv: np.ndarray
+    dw: np.ndarray
+    fv: np.ndarray      # V - 2w, then (V - 2w) dv
+    fw: np.ndarray      # w^2 - c^2, then (w^2 - c^2) dw
+    dvw: np.ndarray     # (dv, dw)
+    flux: np.ndarray    # (fv, fw)
+    dy: float
+    L: np.ndarray       # layer width zeta - sigma
+    sigma: np.ndarray   # piston position
+    sdot: np.ndarray    # piston speed
+    q: np.ndarray       # zeta' - sigma'
+    B0: np.ndarray
+    g1: np.ndarray      # gamma - 1
+    nm1: np.ndarray     # n - 1
+    half: np.ndarray
+    two: np.ndarray
+
+
+def _work(y, config: SimConfig) -> _Work:
+    """Scratch for the stage kernel on the grid y.  A ufunc takes a Python
+    float operand slower than a 0-d array, hence the slots and constants."""
+    block = np.empty((10, len(y)))
     gas = config.gas
+    scalars = (0.0, 0.0, 0.0, 0.0, gas.B0, gas.gamma - 1.0, config.n - 1.0, 0.5, 2.0)
+    return _Work(*block, block[6:8], block[8:10], y.item(1) - y.item(0),
+                 *map(np.array, scalars))
+
+
+def _kinematics(v, w, y, sdot, gas: GasParams, work: _Work) -> float:
+    """Write w^2, the Bernoulli argument (_flow_bernoulli's operations and
+    vacuum rule), c^2 and the grid node velocity V = sigma' + y (zeta' -
+    sigma') of the state (v, w) with piston speed sdot into work's rows;
+    return the Rankine-Hugoniot shock speed zeta', taken from the
+    Bernoulli argument at the shock node."""
+    mul, sub = np.multiply, np.subtract
+    w_sq, arg, csq, V, _, tmp = work[:6]
+    mul(w, w, w_sq)
+    sub(work.B0, v, arg)
+    mul(work.half, w_sq, tmp)
+    sub(arg, tmp, arg)
+    _nonvacuum(arg, gas)
+    mul(work.g1, arg, csq)
+    zdot, _ = _rh_speed(arg.item(-1), w.item(-1), gas)
+    q, s = work.q, work.sdot
+    q[()], s[()] = zdot - sdot, sdot
+    mul(y, q, V)
+    np.add(V, s, V)
+    return zdot
+
+
+def _rates(t, sigma, sdot, X, y, config: SimConfig, out, work: _Work):
+    """Tendencies of the state X = (v, w, zeta, phi) in the mapped frame,
+    written into out in that order; sigma and sdot are the piston
+    position and speed at t.  Returns the layer width L; c^2 and the node
+    velocity V, from which the CFL step of X follows, stay in work's rows.
+
+    Every intermediate goes into a row of the step's scratch work (_work),
+    so a stage allocates nothing, and every operand is an array; each
+    ufunc takes its output as third argument.  The operations and their
+    order are those of the plain formulas, so the tendencies are bitwise
+    theirs."""
     m = len(y)
-    L = X[-1] - sigma
+    L = X.item(2 * m) - sigma
     if L <= 0.0:
         raise SimulationError(f"piston overtook the shock at t={t}")
     v, w = X[:m], X[m:2 * m]
-    w_sq = w * w
-    csq, zdot, V = _kinematics(v, w, w_sq, y, sdot, gas)
-    r = sigma + y * L
+    zdot = _kinematics(v, w, y, sdot, config.gas, work)
+    mul, sub, add, div = np.multiply, np.subtract, np.add, np.divide
+    (w_sq, _, csq, V, r, tmp, dv, dw, fv, fw, dvw, flux,
+     dy, L_, sigma_, _, _, _, _, nm1, _, two) = work
+    L_[()], sigma_[()] = L, sigma
+    mul(y, L_, r)
+    add(r, sigma_, r)
     # v and w lie side by side in X: one derivative call for both
-    dv, dw = _fd_derivative(X[:2 * m].reshape(2, m), y[1] - y[0])
-    np.subtract((V - 2.0 * w) * dv, (w_sq - csq) * dw, out=out[:m])
-    np.add(dv, V * dw, out=out[m:2 * m])
-    out[:2 * m] /= L
-    # a float factor: numpy takes a float operand faster than an int
-    out[:m] += csq * (config.n - 1.0) * w / r
-    np.add(v, w * V, out=out[2 * m:-1])
-    out[-1] = zdot
-    return csq, V, L
+    _fd_derivative(X[:2 * m].reshape(2, m), dy, out=dvw)
+    # (V - 2w) dv and (w^2 - c^2) dw in one call on the stacked rows
+    mul(two, w, fv)
+    sub(V, fv, fv)
+    sub(w_sq, csq, fw)
+    mul(flux, dvw, flux)
+    vt, wt, vwt = out[:m], out[m:2 * m], out[:2 * m]
+    sub(fv, fw, vt)
+    mul(V, dw, wt)
+    add(dv, wt, wt)
+    div(vwt, L_, vwt)
+    # + c^2 (n - 1) w / r
+    mul(csq, nm1, tmp)
+    mul(tmp, w, tmp)
+    div(tmp, r, tmp)
+    add(vt, tmp, vt)
+    out[2 * m] = zdot
+    mul(w, V, tmp)
+    add(v, tmp, out[2 * m + 1:])
+    return L
 
 
 def _closure_residual(v, w, slope, gas: GasParams):
@@ -355,7 +435,7 @@ def _apply_bcs(t, v, w, config: SimConfig, sdot):
     gas = config.gas
     g1 = gas.gamma - 1.0
     # piston: prescribe w = dsigma/dt along the (w + c)-characteristic
-    v0, w0 = float(v[0]), float(w[0])
+    v0, w0 = v.item(0), w.item(0)
     c0 = math.sqrt(g1 * _flow_bernoulli(v0, w0 * w0, gas))
     alpha = sdot - w0
     v[0] = v0 - (w0 + c0) * alpha
@@ -363,9 +443,9 @@ def _apply_bcs(t, v, w, config: SimConfig, sdot):
     # shock: enforce potential-continuity compatibility v = -zeta' w with
     # zeta' from the Rankine-Hugoniot relation; Newton in the correction
     # amplitude along the (w - c)-characteristic direction
-    v1, w1 = float(v[-1]), float(w[-1])
+    v1, w1 = v.item(-1), w.item(-1)
     slope = w1 - math.sqrt(g1 * _flow_bernoulli(v1, w1 * w1, gas))
-    alpha = 0.0
+    alpha, tol = 0.0, 1e-12 * max(1.0, abs(v1))
     ga, dg = _closure_residual(v1, w1, slope, gas)
     for _ in range(12):
         if dg == 0.0:
@@ -373,7 +453,7 @@ def _apply_bcs(t, v, w, config: SimConfig, sdot):
                 f"shock closure at t={t}: flat Newton derivative, residual {float(ga)!r}")
         alpha -= ga / dg
         ga, dg = _closure_residual(v1 - slope * alpha, w1 + alpha, slope, gas)
-        if abs(ga) < 1e-12 * max(1.0, abs(v1)):
+        if abs(ga) < tol:
             break
     else:
         raise SimulationError(
@@ -383,12 +463,18 @@ def _apply_bcs(t, v, w, config: SimConfig, sdot):
     w[-1] = w1 + alpha
 
 
-def _cfl_dt(csq, w, V, L, dy, cfl) -> float:
-    """Acoustic CFL step of the explicit scheme on the mapped grid of
-    spacing dy, from c^2 and the node velocity V at the nodes and the
-    layer width L; a float, so that the step's times and piston path are
-    float arithmetic rather than numpy scalar arithmetic."""
-    return float(cfl * dy / (np.maximum.reduce(np.abs(w - V) + np.sqrt(csq)) / L))
+def _cfl_dt(w, L, cfl, work: _Work) -> float:
+    """Acoustic CFL step of the explicit scheme on the mapped grid, from
+    c^2 and the node velocity V in work's rows, the radial velocity w at
+    the nodes and the layer width L; a float, so that the step's times and
+    piston path are float arithmetic rather than numpy scalar arithmetic
+    (the largest speed is read at its argmax, the first NaN if any)."""
+    speed, c = work.tmp, work.fv
+    np.subtract(w, work.V, out=speed)
+    np.abs(speed, out=speed)
+    np.sqrt(work.csq, out=c)
+    np.add(speed, c, out=speed)
+    return float(cfl * work.dy / (speed.item(speed.argmax()) / L))
 
 
 def projected_explicit_steps(state: SimState, config: SimConfig) -> float:
@@ -398,8 +484,9 @@ def projected_explicit_steps(state: SimState, config: SimConfig) -> float:
     ln(t_end/t) * t/dt_CFL.
     """
     y, w = state.y, state.w
-    csq, _, V = _kinematics(state.v, w, w * w, y, config.dsigma(state.t), config.gas)
-    dt = _cfl_dt(csq, w, V, state.zeta - state.sigma, y[1] - y[0], config.cfl)
+    work = _work(y, config)
+    _kinematics(state.v, w, y, config.dsigma(state.t), config.gas, work)
+    dt = _cfl_dt(w, state.zeta - state.sigma, config.cfl, work)
     return math.log(config.t_end / state.t) * state.t / dt
 
 
@@ -412,39 +499,53 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
 
     Without dt the step is the CFL step of the start state, formed from
     the c^2 and node velocity that stage 1 evaluates there.  The piston
-    path is evaluated once at each of the three stage times, the stage
-    tendencies fill one (4, N) buffer, and the updates keep the plain
-    formulas' operations and their order: X0 + (frac dt) k for each stage
-    and X0 + dt/6 ((k0 + 2 k1 + 2 k2) + k3) at the end.
+    path is evaluated once at each of the three stage times.  The state
+    is packed as X = (v, w, zeta, phi); the stage tendencies fill one
+    (4, N) buffer and the stage kernel's intermediates one scratch block
+    (_work), both allocated once per step, and the returned state owns a
+    fresh X.  Every ufunc operand is an array: dt/2, dt and dt/6 are 0-d.
+    No stage reads phi, so a stage state is formed for (v, w, zeta) only.
+    The updates keep the plain formulas' operations and their order:
+    X0 + (frac dt) k for each stage and X0 + dt/6 ((k0 + 2 k1 + 2 k2) + k3)
+    at the end, so the new state is bitwise the plain formulas'.
     """
     t, y, m = state.t, state.y, len(state.y)
-    X0 = np.concatenate([state.v, state.w, state.phi, [state.zeta]])
+    X0 = np.concatenate([state.v, state.w, [state.zeta], state.phi])
     k = np.empty((4, len(X0)))
-    csq, V, L = _rates(t, config.sigma(t), config.dsigma(t), X0, y, config, k[0])
+    work = _work(y, config)
+    L = _rates(t, config.sigma(t), config.dsigma(t), X0, y, config, k[0], work)
     if dt is None:
-        dt = _cfl_dt(csq, state.w, V, L, y[1] - y[0], config.cfl)
+        dt = _cfl_dt(state.w, L, config.cfl, work)
     if not math.isfinite(dt) or dt <= 0:
         raise SimulationError(f"CFL step size invalid at t={t}: dt={dt}")
     th, tn = t + 0.5 * dt, t + dt
     half = (th, config.sigma(th), config.dsigma(th))
     end = (tn, config.sigma(tn), config.dsigma(tn))
+    mul, add = np.multiply, np.add
+    dt_half, dt_full, dt_sixth = map(np.array, (0.5 * dt, dt, dt / 6.0))
     X = np.empty_like(X0)
-    for i, (frac, (tt, sigma, sdot)) in enumerate(((0.5, half), (0.5, half), (1.0, end)), 1):
-        np.multiply(k[i - 1], frac * dt, out=X)
-        X += X0
-        _apply_bcs(tt, X[:m], X[m:2 * m], config, sdot)
-        _rates(tt, sigma, sdot, X, y, config, k[i])
-    k[1:3] *= 2.0
-    k[0] += k[1]
-    k[0] += k[2]
-    k[0] += k[3]
-    k[0] *= dt / 6.0
-    np.add(X0, k[0], out=X)
-    _apply_bcs(tn, X[:m], X[m:2 * m], config, end[2])
-    sn, zn = end[1], X[-1]
+    v, w = X[:m], X[m:2 * m]
+    # no stage reads phi, so the stage states are their (v, w, zeta) part
+    vwz = slice(0, 2 * m + 1)
+    Xs, X0s, ks = X[vwz], X0[vwz], k[:, vwz]
+    for i, (fdt, (tt, sigma, sdot)) in enumerate(((dt_half, half), (dt_half, half),
+                                                  (dt_full, end)), 1):
+        mul(ks[i - 1], fdt, Xs)
+        add(Xs, X0s, Xs)
+        _apply_bcs(tt, v, w, config, sdot)
+        _rates(tt, sigma, sdot, X, y, config, k[i], work)
+    k0, k12 = k[0], k[1:3]
+    mul(k12, work.two, k12)
+    add(k0, k[1], k0)
+    add(k0, k[2], k0)
+    add(k0, k[3], k0)
+    mul(k0, dt_sixth, k0)
+    add(X0, k0, X)
+    _apply_bcs(tn, v, w, config, end[2])
+    sn, zn = end[1], X[2 * m]
     if not sn < zn:
         raise SimulationError(f"piston overtook the shock at t={tn}")
-    return SimState(t=tn, sigma=sn, zeta=zn, y=y, v=X[:m], w=X[m:2 * m], phi=X[2 * m:-1])
+    return SimState(t=tn, sigma=sn, zeta=zn, y=y, v=v, w=w, phi=X[2 * m + 1:])
 
 
 # ---------------------------------------------------------------------------

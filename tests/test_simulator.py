@@ -181,6 +181,25 @@ class TestStep:
         # halving dt shrinks the mismatch at 2nd order (ratio ~4)
         assert diffs[0] / diffs[1] > 3.0
 
+    def test_states_own_their_arrays(self, sol):
+        # step writes every stage into scratch it allocates per call: none
+        # of it may show up in, or write into, a returned state
+        cfg = SimConfig(n=3, gas=GAS, b0=B0, eps=0.01, grid_points=64)
+        st = step(init_from_background(sol, cfg), cfg)
+        fields = ("v", "w", "phi")
+        before = {name: getattr(st, name).copy() for name in fields}
+        first, second = step(st, cfg), step(st, cfg)
+        for name in ("t", "sigma", "zeta", *fields):
+            assert np.asarray(getattr(first, name)).tobytes() == \
+                np.asarray(getattr(second, name)).tobytes(), name
+        for name in fields:
+            assert getattr(st, name).tobytes() == before[name].tobytes(), name
+        nxt = step(first, cfg)
+        for a, b in ((st, first), (first, second), (first, nxt)):
+            for name in fields:
+                for other in fields:
+                    assert not np.shares_memory(getattr(a, name), getattr(b, other)), (name, other)
+
     def test_bad_dt_rejected(self, sol, cfg0):
         st = init_from_background(sol, cfg0)
         with pytest.raises(SimulationError):

@@ -170,12 +170,15 @@ def _same(a, b) -> bool:
 
 
 #: (n, gamma, b0, grid points, cfl, t0, eps): the decay reference case, the
-#: thin layer of the pinned certified case, and an unperturbed n = 2 case
-#: at another CFL number and start time
+#: thin layer of the pinned certified case, an unperturbed n = 2 case
+#: at another CFL number and start time, and an odd grid near the top of
+#: the gamma range, where the stacked (v, w) difference straddles rows of
+#: odd length and the one-sided end stencils sit at odd offsets
 CASES = {
     "decay": (3, 2.0, 4.0, 64, 0.4, 1.0, 0.0123),
     "thin_layer": (3, 1.4, 40.0, 512, 0.4, 1.0, 0.0123),
     "n2": (2, 1.4, 10.0, 32, 0.3, 1.5, 0.0),
+    "odd_grid": (3, 2.9, 10.0, 33, 0.35, 2.0, 0.02),
 }
 STEPS = 300
 
