@@ -332,34 +332,43 @@ class PsiHat:
         return _shock_row(self)
 
 
-#: the nodes the one-sided end stencils of _fd_derivative read
-_END_NODES = np.array([0, 1, 2, -3, -2, -1])
-_END_NODES.flags.writeable = False
-
-
 def _fd_derivative(y: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Second-order first derivative on a uniform grid along the last axis:
-    centred inside, one-sided at the ends; written into out (of y's shape,
-    not overlapping y) when given.
+    centred inside, one-sided at the ends; written into out (C-contiguous,
+    of y's shape, not overlapping y) when given.  One call of the bound
+    form _fd_bound."""
+    return _fd_bound(y, h, np.empty(y.shape) if out is None else out)()
+
+
+def _fd_bound(y: np.ndarray, h: float, out: np.ndarray):
+    """_fd_derivative bound to its source y, its output out and the spacing
+    h: a function of no arguments that differences y's current contents
+    into out and returns out.  y and out hold float64; for a 2-D y to be
+    re-read on each call it must be C-contiguous.
 
     The rows of a 2-D y are differenced in one centred operation over
     their concatenation; the entries where that straddles two rows are the
     end nodes, which the one-sided stencils then overwrite.  The stencils
-    are taken on floats, which round as the array operations do.
+    are taken on floats, which round as the array operations do, read and
+    written through memoryviews, the cheapest float access to an array.
     """
     n = y.shape[-1]
-    flat = y.reshape(-1)
-    d = np.empty_like(flat) if out is None else out.reshape(-1)
+    flat, d = y.reshape(-1), out.reshape(-1)
     h2 = 2.0 * float(h)
-    inner = d[1:-1]
-    np.subtract(flat[2:], flat[:-2], inner)
-    np.divide(inner, h2, inner)
-    lo = 0
-    for a0, a1, a2, b3, b2, b1 in y.take(_END_NODES, axis=-1).reshape(-1, 6).tolist():
-        d[lo] = (-3.0 * a0 + 4.0 * a1 - a2) / h2
-        lo += n
-        d[lo - 1] = (3.0 * b1 - 4.0 * b2 + b3) / h2
-    return d.reshape(y.shape) if out is None else out
+    hi, lo, inner, h2_ = flat[2:], flat[:-2], d[1:-1], np.array(h2)
+    src, dst = memoryview(flat), memoryview(d)
+    ends = [(i, i + n - 1) for i in range(0, flat.size, n)]
+    sub, div = np.subtract, np.divide
+
+    def apply():
+        sub(hi, lo, inner)
+        div(inner, h2_, inner)
+        for a, b in ends:
+            dst[a] = (-3.0 * src[a] + 4.0 * src[a + 1] - src[a + 2]) / h2
+            dst[b] = (3.0 * src[b] - 4.0 * src[b - 1] + src[b - 2]) / h2
+        return out
+
+    return apply
 
 
 def _fd_second(y: np.ndarray, h: float) -> np.ndarray:

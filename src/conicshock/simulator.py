@@ -27,14 +27,13 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from ._numerics import CubicSpline
 from .background import SelfSimilarSolution, check_n, solve_background
 from .gas import GasParams, _density_at, _flow_bernoulli, _nonvacuum, density_from_state
-from .hodograph import _fd_derivative
+from .hodograph import _fd_bound, _fd_derivative
 
 
 class SimulationError(RuntimeError):
@@ -297,112 +296,129 @@ def shock_speed(v, w, gas: GasParams):
     return _rh_speed(_flow_bernoulli(v, w * w, gas), w, gas)
 
 
-class _Work(NamedTuple):
-    """Scratch of one explicit step on m nodes (see _work): the rows of a
-    (10, m) block and its two stacked row pairs, the grid spacing, 0-d
-    float64 slots for a stage's scalars, and the stage formulas' constant
-    operands as 0-d float64 arrays."""
+class _ExplicitRun:
+    """Per-run state of the explicit stepper on the grid y: every buffer a
+    step writes, with its views, built once.  run builds one for the
+    projection and all its steps; step and projected_explicit_steps build
+    one when called without.
 
-    w_sq: np.ndarray
-    arg: np.ndarray     # Bernoulli argument B0 - v - w^2/2
-    csq: np.ndarray
-    V: np.ndarray       # grid node velocity
-    r: np.ndarray
-    tmp: np.ndarray
-    dv: np.ndarray
-    dw: np.ndarray
-    fv: np.ndarray      # V - 2w, then (V - 2w) dv
-    fw: np.ndarray      # w^2 - c^2, then (w^2 - c^2) dw
-    dvw: np.ndarray     # (dv, dw)
-    flux: np.ndarray    # (fv, fw)
-    dy: float
-    L: np.ndarray       # layer width zeta - sigma
-    sigma: np.ndarray   # piston position
-    sdot: np.ndarray    # piston speed
-    q: np.ndarray       # zeta' - sigma'
-    B0: np.ndarray
-    g1: np.ndarray      # gamma - 1
-    nm1: np.ndarray     # n - 1
-    half: np.ndarray
-    two: np.ndarray
+    X0 holds a step's start state, packed as (v, w, zeta, phi), and X the
+    stage state, of which a stage forms (v, w, zeta) only, since no stage
+    reads phi; k holds the four stage tendencies, and a (10, m) scratch
+    block the stage kernel's intermediates: w^2, the Bernoulli argument,
+    c^2, the grid node velocity V, r, a spare row, and the stacked pairs
+    (dv, dw) and (V - 2w, w^2 - c^2).  A ufunc takes a Python float
+    operand slower than a 0-d array, so a stage's scalars (L, sigma,
+    zeta' - sigma', sigma'), the step's dt/2, dt and dt/6 and the
+    formulas' constants are 0-d float64 arrays.  The (v, w) stencil is
+    bound to X's (v, w) rows and the (dv, dw) pair.
+    """
+
+    def __init__(self, y, config: SimConfig):
+        m, gas = len(y), config.gas
+        self.gas, self.cfl, self.dy, self.iz = gas, config.cfl, y.item(1) - y.item(0), 2 * m
+        vwz, vw, phi = slice(0, 2 * m + 1), slice(0, 2 * m), slice(2 * m + 1, None)
+        X0, X, k = np.empty(3 * m + 1), np.empty(3 * m + 1), np.empty((4, 3 * m + 1))
+        self.X0, self.v0, self.w0, self.phi0, self.X0s = X0, X0[:m], X0[m:2 * m], X0[phi], X0[vwz]
+        self.X, self.v, self.w, self.Xs = X, X[:m], X[m:2 * m], X[vwz]
+        block = np.empty((10, m))
+        self.csq, self.V, self.tmp, self.fv = block[2], block[3], block[5], block[8]
+        self.dt_half, self.dt_full, self.dt_sixth = np.zeros(()), np.zeros(()), np.zeros(())
+        consts = [np.array(x) for x in (gas.B0, 0.5, gas.gamma - 1.0, config.n - 1.0, 2.0)]
+        self.two = consts[-1]
+        self._rows = (y, self.v, self.w, *block, block[6:8], block[8:10],
+                      *(np.zeros(()) for _ in range(4)), *consts)
+        self._stencil = _fd_bound(X[vw].reshape(2, m), self.dy, block[6:8])
+        # each tendency row with its v, w, (v, w) and phi parts
+        self.k_rows = [(r, r[:m], r[m:2 * m], r[vw], r[phi]) for r in k]
+        # RK4 stages 2-4: the previous tendency's (v, w, zeta), its factor
+        # and the stage's own tendency row; then the final combination's rows
+        self.stages = tuple(zip(k[:3, vwz], (self.dt_half, self.dt_half, self.dt_full),
+                                self.k_rows[1:]))
+        self.k0, self.k12, self.k123 = k[0], k[1:3], k[1:]
+
+    def load(self, state: SimState) -> None:
+        """Pack state into X0 and its (v, w, zeta) into the stage state X."""
+        self.v0[...] = state.v
+        self.w0[...] = state.w
+        self.X0[self.iz] = state.zeta
+        self.phi0[...] = state.phi
+        self.Xs[...] = self.X0s
+
+    def stage(self, t, sigma, sdot, out):
+        """The stage kernel: tendencies of the stage state X in the mapped
+        frame, written into the tendency row out (one of k_rows) as
+        (v, w, zeta, phi); sigma and sdot are the piston position and speed
+        at t.  Returns the layer width L; c^2 and the node velocity V, from
+        which the CFL step follows (cfl_dt), stay in the scratch rows.
+
+        Every intermediate goes into a scratch row and every operand is an
+        array; each ufunc takes its output as third argument.  The Bernoulli
+        argument takes _flow_bernoulli's operations and vacuum rule, and
+        zeta' comes from it at the shock node (_rh_speed).  The operations
+        and their order are those of the plain formulas, so the tendencies
+        are bitwise theirs."""
+        L = self.X.item(self.iz) - sigma
+        if L <= 0.0:
+            raise SimulationError(f"piston overtook the shock at t={t}")
+        mul, sub, add, div = np.multiply, np.subtract, np.add, np.divide
+        (y, v, w, w_sq, arg, csq, V, r, tmp, dv, dw, fv, fw, dvw, flux,
+         L_, sigma_, q, sdot_, B0, half, g1, nm1, two) = self._rows
+        mul(w, w, w_sq)
+        sub(B0, v, arg)
+        mul(half, w_sq, tmp)
+        sub(arg, tmp, arg)
+        _nonvacuum(arg, self.gas)
+        mul(g1, arg, csq)
+        zdot, _ = _rh_speed(arg.item(-1), w.item(-1), self.gas)
+        L_[()], sigma_[()], q[()], sdot_[()] = L, sigma, zdot - sdot, sdot
+        mul(y, q, V)
+        add(V, sdot_, V)
+        mul(y, L_, r)
+        add(r, sigma_, r)
+        self._stencil()
+        # (V - 2w) dv and (w^2 - c^2) dw in one call on the stacked rows
+        mul(two, w, fv)
+        sub(V, fv, fv)
+        sub(w_sq, csq, fw)
+        mul(flux, dvw, flux)
+        row, vt, wt, vwt, phit = out
+        sub(fv, fw, vt)
+        mul(V, dw, wt)
+        add(dv, wt, wt)
+        div(vwt, L_, vwt)
+        # + c^2 (n - 1) w / r
+        mul(csq, nm1, tmp)
+        mul(tmp, w, tmp)
+        div(tmp, r, tmp)
+        add(vt, tmp, vt)
+        row[self.iz] = zdot
+        mul(w, V, tmp)
+        add(v, tmp, phit)
+        return L
+
+    def cfl_dt(self, L) -> float:
+        """Acoustic CFL step of the explicit scheme on the mapped grid, from
+        c^2 and the node velocity V of the last stage, the stage state's w
+        and the layer width L; a float, so that the step's times and piston
+        path are float arithmetic rather than numpy scalar arithmetic (the
+        largest speed is read at its argmax, the first NaN if any)."""
+        speed, c = self.tmp, self.fv
+        np.subtract(self.w, self.V, out=speed)
+        np.abs(speed, out=speed)
+        np.sqrt(self.csq, out=c)
+        np.add(speed, c, out=speed)
+        return float(self.cfl * self.dy / (speed.item(speed.argmax()) / L))
 
 
-def _work(y, config: SimConfig) -> _Work:
-    """Scratch for the stage kernel on the grid y.  A ufunc takes a Python
-    float operand slower than a 0-d array, hence the slots and constants."""
-    block = np.empty((10, len(y)))
-    gas = config.gas
-    scalars = (0.0, 0.0, 0.0, 0.0, gas.B0, gas.gamma - 1.0, config.n - 1.0, 0.5, 2.0)
-    return _Work(*block, block[6:8], block[8:10], y.item(1) - y.item(0),
-                 *map(np.array, scalars))
-
-
-def _kinematics(v, w, y, sdot, gas: GasParams, work: _Work) -> float:
-    """Write w^2, the Bernoulli argument (_flow_bernoulli's operations and
-    vacuum rule), c^2 and the grid node velocity V = sigma' + y (zeta' -
-    sigma') of the state (v, w) with piston speed sdot into work's rows;
-    return the Rankine-Hugoniot shock speed zeta', taken from the
-    Bernoulli argument at the shock node."""
-    mul, sub = np.multiply, np.subtract
-    w_sq, arg, csq, V, _, tmp = work[:6]
-    mul(w, w, w_sq)
-    sub(work.B0, v, arg)
-    mul(work.half, w_sq, tmp)
-    sub(arg, tmp, arg)
-    _nonvacuum(arg, gas)
-    mul(work.g1, arg, csq)
-    zdot, _ = _rh_speed(arg.item(-1), w.item(-1), gas)
-    q, s = work.q, work.sdot
-    q[()], s[()] = zdot - sdot, sdot
-    mul(y, q, V)
-    np.add(V, s, V)
-    return zdot
-
-
-def _rates(t, sigma, sdot, X, y, config: SimConfig, out, work: _Work):
-    """Tendencies of the state X = (v, w, zeta, phi) in the mapped frame,
-    written into out in that order; sigma and sdot are the piston
-    position and speed at t.  Returns the layer width L; c^2 and the node
-    velocity V, from which the CFL step of X follows, stay in work's rows.
-
-    Every intermediate goes into a row of the step's scratch work (_work),
-    so a stage allocates nothing, and every operand is an array; each
-    ufunc takes its output as third argument.  The operations and their
-    order are those of the plain formulas, so the tendencies are bitwise
-    theirs."""
-    m = len(y)
-    L = X.item(2 * m) - sigma
-    if L <= 0.0:
-        raise SimulationError(f"piston overtook the shock at t={t}")
-    v, w = X[:m], X[m:2 * m]
-    zdot = _kinematics(v, w, y, sdot, config.gas, work)
-    mul, sub, add, div = np.multiply, np.subtract, np.add, np.divide
-    (w_sq, _, csq, V, r, tmp, dv, dw, fv, fw, dvw, flux,
-     dy, L_, sigma_, _, _, _, _, nm1, _, two) = work
-    L_[()], sigma_[()] = L, sigma
-    mul(y, L_, r)
-    add(r, sigma_, r)
-    # v and w lie side by side in X: one derivative call for both
-    _fd_derivative(X[:2 * m].reshape(2, m), dy, out=dvw)
-    # (V - 2w) dv and (w^2 - c^2) dw in one call on the stacked rows
-    mul(two, w, fv)
-    sub(V, fv, fv)
-    sub(w_sq, csq, fw)
-    mul(flux, dvw, flux)
-    vt, wt, vwt = out[:m], out[m:2 * m], out[:2 * m]
-    sub(fv, fw, vt)
-    mul(V, dw, wt)
-    add(dv, wt, wt)
-    div(vwt, L_, vwt)
-    # + c^2 (n - 1) w / r
-    mul(csq, nm1, tmp)
-    mul(tmp, w, tmp)
-    div(tmp, r, tmp)
-    add(vt, tmp, vt)
-    out[2 * m] = zdot
-    mul(w, V, tmp)
-    add(v, tmp, out[2 * m + 1:])
-    return L
+def _rates(t, sigma, sdot, ex: _ExplicitRun, out):
+    """Tendencies of one RK4 stage of the explicit step: the stage kernel
+    ex.stage on ex's stage state, written into the tendency row out.  step
+    makes each of its four stage evaluations through this module-level
+    name, looked up at call time, so that a rebinding of it (the benchmark
+    tracer's) sees every one; projected_explicit_steps calls ex.stage
+    itself."""
+    return ex.stage(t, sigma, sdot, out)
 
 
 def _closure_residual(v, w, slope, gas: GasParams):
@@ -463,34 +479,24 @@ def _apply_bcs(t, v, w, config: SimConfig, sdot):
     w[-1] = w1 + alpha
 
 
-def _cfl_dt(w, L, cfl, work: _Work) -> float:
-    """Acoustic CFL step of the explicit scheme on the mapped grid, from
-    c^2 and the node velocity V in work's rows, the radial velocity w at
-    the nodes and the layer width L; a float, so that the step's times and
-    piston path are float arithmetic rather than numpy scalar arithmetic
-    (the largest speed is read at its argmax, the first NaN if any)."""
-    speed, c = work.tmp, work.fv
-    np.subtract(w, work.V, out=speed)
-    np.abs(speed, out=speed)
-    np.sqrt(work.csq, out=c)
-    np.add(speed, c, out=speed)
-    return float(cfl * work.dy / (speed.item(speed.argmax()) / L))
-
-
-def projected_explicit_steps(state: SimState, config: SimConfig) -> float:
-    """Explicit steps from state.t to t_end at the state's CFL step.
+def projected_explicit_steps(state: SimState, config: SimConfig,
+                             ex: _ExplicitRun | None = None) -> float:
+    """Explicit steps from state.t to t_end at the state's CFL step, taken
+    with ex (a per-run state on the state's grid, built when not given).
 
     On the self-similar flow the CFL step grows like t, so the count is
     ln(t_end/t) * t/dt_CFL.
     """
-    y, w = state.y, state.w
-    work = _work(y, config)
-    _kinematics(state.v, w, y, config.dsigma(state.t), config.gas, work)
-    dt = _cfl_dt(w, state.zeta - state.sigma, config.cfl, work)
-    return math.log(config.t_end / state.t) * state.t / dt
+    if ex is None:
+        ex = _ExplicitRun(state.y, config)
+    t = state.t
+    ex.load(state)
+    dt = ex.cfl_dt(ex.stage(t, state.sigma, config.dsigma(t), ex.k_rows[0]))
+    return math.log(config.t_end / t) * t / dt
 
 
-def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimState:
+def step(state: SimState, config: SimConfig, dt: float | None = None,
+         ex: _ExplicitRun | None = None) -> SimState:
     """Advance one step with classical 4-stage explicit Runge-Kutta.
 
     The 4-stage scheme is used (rather than a 2-stage one) because its
@@ -499,53 +505,52 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
 
     Without dt the step is the CFL step of the start state, formed from
     the c^2 and node velocity that stage 1 evaluates there.  The piston
-    path is evaluated once at each of the three stage times.  The state
-    is packed as X = (v, w, zeta, phi); the stage tendencies fill one
-    (4, N) buffer and the stage kernel's intermediates one scratch block
-    (_work), both allocated once per step, and the returned state owns a
-    fresh X.  Every ufunc operand is an array: dt/2, dt and dt/6 are 0-d.
-    No stage reads phi, so a stage state is formed for (v, w, zeta) only.
-    The updates keep the plain formulas' operations and their order:
-    X0 + (frac dt) k for each stage and X0 + dt/6 ((k0 + 2 k1 + 2 k2) + k3)
-    at the end, so the new state is bitwise the plain formulas'.
+    path is evaluated once at each of the three stage times.  Every
+    buffer the step writes belongs to ex, the per-run state that run
+    builds once for all its steps (one is built when not given): the
+    packed start state X0 = (v, w, zeta, phi), the stage state, the (4, N)
+    tendency buffer and the stage kernel's scratch.  The returned state
+    owns a fresh X.  Every ufunc operand is an array: dt/2, dt and dt/6
+    are 0-d.  No stage reads phi, so a stage state is formed for (v, w,
+    zeta) only.  The updates keep the plain formulas' operations and their
+    order: X0 + (frac dt) k for each stage and
+    X0 + dt/6 ((k0 + 2 k1 + 2 k2) + k3) at the end, so the new state is
+    bitwise the plain formulas'.
     """
-    t, y, m = state.t, state.y, len(state.y)
-    X0 = np.concatenate([state.v, state.w, [state.zeta], state.phi])
-    k = np.empty((4, len(X0)))
-    work = _work(y, config)
-    L = _rates(t, config.sigma(t), config.dsigma(t), X0, y, config, k[0], work)
+    if ex is None:
+        ex = _ExplicitRun(state.y, config)
+    t = state.t
+    ex.load(state)
+    L = _rates(t, config.sigma(t), config.dsigma(t), ex, ex.k_rows[0])
     if dt is None:
-        dt = _cfl_dt(state.w, L, config.cfl, work)
+        dt = ex.cfl_dt(L)
     if not math.isfinite(dt) or dt <= 0:
         raise SimulationError(f"CFL step size invalid at t={t}: dt={dt}")
     th, tn = t + 0.5 * dt, t + dt
     half = (th, config.sigma(th), config.dsigma(th))
     end = (tn, config.sigma(tn), config.dsigma(tn))
+    ex.dt_half[()], ex.dt_full[()], ex.dt_sixth[()] = 0.5 * dt, dt, dt / 6.0
     mul, add = np.multiply, np.add
-    dt_half, dt_full, dt_sixth = map(np.array, (0.5 * dt, dt, dt / 6.0))
-    X = np.empty_like(X0)
-    v, w = X[:m], X[m:2 * m]
-    # no stage reads phi, so the stage states are their (v, w, zeta) part
-    vwz = slice(0, 2 * m + 1)
-    Xs, X0s, ks = X[vwz], X0[vwz], k[:, vwz]
-    for i, (fdt, (tt, sigma, sdot)) in enumerate(((dt_half, half), (dt_half, half),
-                                                  (dt_full, end)), 1):
-        mul(ks[i - 1], fdt, Xs)
+    Xs, X0s, v, w = ex.Xs, ex.X0s, ex.v, ex.w
+    for (k_prev, fdt, out), (tt, sigma, sdot) in zip(ex.stages, (half, half, end)):
+        mul(k_prev, fdt, Xs)
         add(Xs, X0s, Xs)
         _apply_bcs(tt, v, w, config, sdot)
-        _rates(tt, sigma, sdot, X, y, config, k[i], work)
-    k0, k12 = k[0], k[1:3]
-    mul(k12, work.two, k12)
-    add(k0, k[1], k0)
-    add(k0, k[2], k0)
-    add(k0, k[3], k0)
-    mul(k0, dt_sixth, k0)
-    add(X0, k0, X)
+        _rates(tt, sigma, sdot, ex, out)
+    k0 = ex.k0
+    mul(ex.k12, ex.two, ex.k12)
+    for ki in ex.k123:
+        add(k0, ki, k0)
+    mul(k0, ex.dt_sixth, k0)
+    X = np.empty(len(k0))
+    add(ex.X0, k0, X)
+    m = len(v)
+    v, w = X[:m], X[m:2 * m]
     _apply_bcs(tn, v, w, config, end[2])
     sn, zn = end[1], X[2 * m]
     if not sn < zn:
         raise SimulationError(f"piston overtook the shock at t={tn}")
-    return SimState(t=tn, sigma=sn, zeta=zn, y=y, v=v, w=w, phi=X[2 * m + 1:])
+    return SimState(t=tn, sigma=sn, zeta=zn, y=state.y, v=v, w=w, phi=X[2 * m + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +886,8 @@ def run(config: SimConfig, sol: SelfSimilarSolution | None = None,
 
     record(state)
     start = _time.monotonic()
-    projected = projected_explicit_steps(state, config)
+    ex = _ExplicitRun(state.y, config)
+    projected = projected_explicit_steps(state, config, ex)
     if projected > IMPLICIT_STEP_THRESHOLD:
         stepper = "implicit"
         implicit = SelfSimilarStepper(state, config)
@@ -898,7 +904,7 @@ def run(config: SimConfig, sol: SelfSimilarSolution | None = None,
         stepper = "explicit"
 
         def advance(st: SimState) -> SimState:
-            return step(st, config)
+            return step(st, config, ex=ex)
 
     steps, next_out, completed = 0, 1, True
     while state.t < config.t_end:

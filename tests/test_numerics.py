@@ -22,8 +22,9 @@ from conicshock.background import (ShootingError, _piston_offset, shock_jump_fro
                                    solve_background)
 from conicshock.cli import COMPUTATION_ERRORS, main
 from conicshock.gas import GasParams
-from conicshock.hodograph import (_fd_derivative, _fd_second, check_ellipticity,
+from conicshock.hodograph import (_fd_bound, _fd_derivative, _fd_second, check_ellipticity,
                                   psi_hat_from_background, second_order_coeffs)
+from test_stepper_oracle import _fd_derivative as _plain_fd_derivative
 
 GAS = GasParams(A=1.0, gamma=1.4, rho0=1.0)
 
@@ -235,6 +236,35 @@ class TestStraightenedProfile:
             np.testing.assert_array_equal(
                 check_ellipticity(ph).A6_2_eigmax,
                 np.array([np.max(np.linalg.eigvalsh(m)) for m in A62]))
+
+
+class TestBoundStencil:
+    """_fd_derivative and its bound form, against the plain one-row
+    stencil of the stepper oracle, applied to each row."""
+
+    @staticmethod
+    def _plain(y, h):
+        return np.array([_plain_fd_derivative(row, h) for row in y.reshape(-1, y.shape[-1])]
+                        ).reshape(y.shape)
+
+    @pytest.mark.parametrize("m", [3, 4, 33, 512])
+    @pytest.mark.parametrize("rows", [None, 2, 3])
+    def test_bitwise_plain(self, m, rows):
+        rng = np.random.default_rng(m)
+        shape = (m,) if rows is None else (rows, m)
+        h = 1.0 / (m - 1)
+        y = rng.standard_normal(shape)
+        want = self._plain(y, h)
+        out = np.empty(shape)
+        for got in (_fd_derivative(y, h), _fd_derivative(y, h, out=out), out):
+            assert got.shape == shape and got.tobytes() == want.tobytes()
+        # bound once, it re-reads its source on every call: the stepper's
+        # use, with the source overwritten in place between calls
+        out = np.empty(shape)
+        apply = _fd_bound(y, h, out)
+        for _ in range(3):
+            assert apply() is out and out.tobytes() == self._plain(y, h).tobytes()
+            y[...] = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8)
 
 
 # ---------------------------------------------------------------------------

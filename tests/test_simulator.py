@@ -182,23 +182,45 @@ class TestStep:
         assert diffs[0] / diffs[1] > 3.0
 
     def test_states_own_their_arrays(self, sol):
-        # step writes every stage into scratch it allocates per call: none
-        # of it may show up in, or write into, a returned state
+        # step writes every stage into the buffers of a per-run state, its
+        # own when called alone: none of it may show up in, or write into,
+        # a returned state
         cfg = SimConfig(n=3, gas=GAS, b0=B0, eps=0.01, grid_points=64)
         st = step(init_from_background(sol, cfg), cfg)
         fields = ("v", "w", "phi")
         before = {name: getattr(st, name).copy() for name in fields}
         first, second = step(st, cfg), step(st, cfg)
-        for name in ("t", "sigma", "zeta", *fields):
-            assert np.asarray(getattr(first, name)).tobytes() == \
-                np.asarray(getattr(second, name)).tobytes(), name
+        # through one shared per-run state, as run steps: two steps from st,
+        # then one from the first of them
+        ex = simulator._ExplicitRun(st.y, cfg)
+        shared = [step(st, cfg, ex=ex), step(st, cfg, ex=ex)]
+        shared.append(step(shared[0], cfg, ex=ex))
+        for other in (second, *shared[:2]):
+            for name in ("t", "sigma", "zeta", *fields):
+                assert np.asarray(getattr(first, name)).tobytes() == \
+                    np.asarray(getattr(other, name)).tobytes(), name
         for name in fields:
             assert getattr(st, name).tobytes() == before[name].tobytes(), name
         nxt = step(first, cfg)
-        for a, b in ((st, first), (first, second), (first, nxt)):
+        assert all(getattr(nxt, name).tobytes() == getattr(shared[2], name).tobytes()
+                   for name in fields)
+        for a, b in ((st, first), (first, second), (first, nxt), *zip(shared, shared[1:])):
             for name in fields:
                 for other in fields:
                     assert not np.shares_memory(getattr(a, name), getattr(b, other)), (name, other)
+        buffers = [x for x in vars(ex).values() if isinstance(x, np.ndarray)]
+        assert buffers
+        for a in shared:
+            for name in fields:
+                for buf in buffers:
+                    assert not np.shares_memory(getattr(a, name), buf), name
+        # nothing outlives a run: 64, 32, then 64 points again in one process
+        runs = [run(SimConfig(n=3, gas=GAS, b0=B0, eps=0.01, grid_points=m, t_end=1.2), sol=sol)
+                for m in (64, 32, 64)]
+        arrays = [name for name, x in vars(runs[0]).items() if isinstance(x, np.ndarray)]
+        assert len(arrays) == 8 and runs[0].steps > 0
+        for name in arrays:
+            assert getattr(runs[0], name).tobytes() == getattr(runs[2], name).tobytes(), name
 
     def test_bad_dt_rejected(self, sol, cfg0):
         st = init_from_background(sol, cfg0)
@@ -355,6 +377,22 @@ class TestRun:
         assert res.completed
         assert np.max(res.zeta_dev) < 1e-4
         assert np.min(res.entropy_margin) > 0
+
+    def test_explicit_run_builds_one_stepper_state(self, sol, monkeypatch):
+        # the projection and every step of an explicit run share the one
+        # per-run state that run builds
+        built = []
+
+        class Counted(simulator._ExplicitRun):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(simulator, "_ExplicitRun", Counted)
+        cfg = SimConfig(n=3, gas=GAS, b0=B0, eps=0.01, grid_points=32, t_end=1.2)
+        res = run(cfg, sol=sol)
+        assert res.stepper == "explicit" and res.steps > 1
+        assert len(built) == 1
 
     def test_wall_clock_budget_truncates(self, sol):
         cfg = SimConfig(n=3, gas=GAS, b0=B0, eps=0.0, grid_points=64, t_end=50.0)
