@@ -247,14 +247,15 @@ def shock_flux_betas(sol: SelfSimilarSolution, bc: BoundaryCoeffs) -> dict:
     beta_hat11 > 0, beta_hat13 < 0, beta_hat14 > 0.  The weight b_sigma
     enters, mu does not.
     """
-    s0 = sol.s0
-    u = float(sol.u[-1])
-    p0 = float(sol.csq[-1])
-    bs = float(_b_sigma(s0, sol.b0, float(multiplier_e(sol.n, sol.gas.gamma))))
-    beta11 = -0.5 * bs + u * s0 - 0.5 * s0 ** 2
+    s0, b0 = sol.s0, sol.b0
+    u, p0 = float(sol.u[-1]), float(sol.csq[-1])
+    e = float(multiplier_e(sol.n, sol.gas.gamma))
+    bs = float(_b_sigma(s0, b0, e))
+    tilt = 0.5 * s0 * s0 * e * sol.delta / b0     # (bs - s0^2)/2, in delta = s0 - b0
+    beta11 = s0 * float(sol.w[-1]) - tilt          # -bs/2 + u s0 - s0^2/2, in w+ = u - s0
     beta12 = s0 * (u ** 2 - p0 - bs)
     beta13 = bs * (0.5 * u ** 2 - 0.5 * p0 - s0 * u) + 0.5 * s0 ** 2 * (u ** 2 - p0)
-    beta14 = 0.5 * p0 * (bs - s0 ** 2)
+    beta14 = p0 * tilt
     m1 = bc.mu1
     return {
         "beta11": beta11,

@@ -332,19 +332,19 @@ class PsiHat:
         return _shock_row(self)
 
 
-def _fd_derivative(y: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+def _fd_derivative(y: np.ndarray, h: float) -> np.ndarray:
     """Second-order first derivative on a uniform grid along the last axis:
-    centred inside, one-sided at the ends; written into out (C-contiguous,
-    of y's shape, not overlapping y) when given.  One call of the bound
-    form _fd_bound."""
-    return _fd_bound(y, h, np.empty(y.shape) if out is None else out)()
+    centred inside, one-sided at the ends.  One call of the bound form
+    _fd_bound, so y is as that takes it."""
+    return _fd_bound(y, h, np.empty(y.shape))()
 
 
 def _fd_bound(y: np.ndarray, h: float, out: np.ndarray):
     """_fd_derivative bound to its source y, its output out and the spacing
     h: a function of no arguments that differences y's current contents
-    into out and returns out.  y and out hold float64; for a 2-D y to be
-    re-read on each call it must be C-contiguous.
+    into out and returns out.  y and out are float64 arrays of one shape,
+    not overlapping, each flattening to a view of itself (a 2-D one is
+    C-contiguous); ValueError otherwise, as a copy would go stale.
 
     The rows of a 2-D y are differenced in one centred operation over
     their concatenation; the entries where that straddles two rows are the
@@ -354,6 +354,8 @@ def _fd_bound(y: np.ndarray, h: float, out: np.ndarray):
     """
     n = y.shape[-1]
     flat, d = y.reshape(-1), out.reshape(-1)
+    if not (np.may_share_memory(flat, y) and np.may_share_memory(d, out)):
+        raise ValueError("_fd_bound: y and out must flatten to views (C-contiguous)")
     h2 = 2.0 * float(h)
     hi, lo, inner, h2_ = flat[2:], flat[:-2], d[1:-1], np.array(h2)
     src, dst = memoryview(flat), memoryview(d)

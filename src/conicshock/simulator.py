@@ -272,28 +272,23 @@ def init_from_background(sol: SelfSimilarSolution, config: SimConfig) -> SimStat
 # stepping
 # ---------------------------------------------------------------------------
 
-def _entropy_margin(H: float, gas: GasParams) -> float:
-    """H - rho0 of the post-shock density H; raises on entropy violation."""
+def _rh_speed(arg: float, w: float, gas: GasParams):
+    """The post-shock rule, in one place: the density H at the shock node's
+    Bernoulli argument arg, the entropy condition H > rho0 (SimulationError
+    otherwise) and the Rankine-Hugoniot shock velocity zeta' = H w / (H -
+    rho0) at the radial velocity w; returns (zeta', H - rho0, H)."""
+    H = _density_at(arg, gas)
     margin = H - gas.rho0
     if margin <= 0.0:
         raise SimulationError(f"entropy condition violated at shock: H - rho0 = {margin}")
-    return margin
-
-
-def _rh_speed(arg: float, w: float, gas: GasParams):
-    """Rankine-Hugoniot shock velocity H w / (H - rho0) and the margin
-    H - rho0 of the post-shock density H at the Bernoulli argument arg and
-    radial velocity w (floats); raises on entropy violation H <= rho0."""
-    H = _density_at(arg, gas)
-    margin = _entropy_margin(H, gas)
-    return H * w / margin, margin
+    return H * w / margin, margin, H
 
 
 def shock_speed(v, w, gas: GasParams):
     """Radial Rankine-Hugoniot shock velocity H w / (H - rho0) from the
     boundary state, and H - rho0; raises on entropy violation H <= rho0."""
     v, w = float(v), float(w)
-    return _rh_speed(_flow_bernoulli(v, w * w, gas), w, gas)
+    return _rh_speed(_flow_bernoulli(v, w * w, gas), w, gas)[:2]
 
 
 class _ExplicitRun:
@@ -370,7 +365,7 @@ class _ExplicitRun:
         sub(arg, tmp, arg)
         _nonvacuum(arg, self.gas)
         mul(g1, arg, csq)
-        zdot, _ = _rh_speed(arg.item(-1), w.item(-1), self.gas)
+        zdot = _rh_speed(arg.item(-1), w.item(-1), self.gas)[0]
         L_[()], sigma_[()], q[()], sdot_[()] = L, sigma, zdot - sdot, sdot
         mul(y, q, V)
         add(V, sdot_, V)
@@ -421,19 +416,14 @@ def _rates(t, sigma, sdot, ex: _ExplicitRun, out):
     return ex.stage(t, sigma, sdot, out)
 
 
-def _closure_residual(v, w, slope, gas: GasParams):
+def _closure_residual(arg, v, w, slope, gas: GasParams):
     """Shock compatibility residual g = v + zeta' w at the boundary state
-    (v, w), zeta' = H w/(H - rho0), and its derivative along the
-    correction direction (dv, dw) = (-slope, 1).
-
-    With arg = B0 - v - w^2/2: d arg = slope - w, dH = H/c^2 d arg with
-    c^2 = (gamma-1) arg, d zeta' = H/(H - rho0) - rho0 w dH/(H - rho0)^2,
-    and dg = -slope + w d zeta' + zeta'.
-    """
-    arg = _flow_bernoulli(v, w * w, gas)
-    H = _density_at(arg, gas)
-    margin = _entropy_margin(H, gas)
-    zdot = H * w / margin
+    (v, w) of Bernoulli argument arg, which the caller formed, with zeta'
+    from _rh_speed; and dg along the correction direction (dv, dw) =
+    (-slope, 1): d arg = slope - w, dH = H/c^2 d arg with c^2 =
+    (gamma-1) arg, d zeta' = H/(H - rho0) - rho0 w dH/(H - rho0)^2, and
+    dg = -slope + w d zeta' + zeta'."""
+    zdot, margin, H = _rh_speed(arg, w, gas)
     dH = H / ((gas.gamma - 1.0) * arg) * (slope - w)
     dzdot = H / margin - gas.rho0 * w * dH / (margin * margin)
     return v + zdot * w, -slope + w * dzdot + zdot
@@ -445,8 +435,9 @@ def _apply_bcs(t, v, w, config: SimConfig, sdot):
     (dv, dw) = (-(w -+ c), 1), which leaves the outgoing Riemann
     combination untouched; sdot is the piston speed dsigma/dt(t).  Works
     on floats; the shock Newton step uses the closed-form derivative of
-    _closure_residual.  Raises SimulationError if the Newton solve at the
-    shock does not converge.
+    _closure_residual, and forms the shock node's Bernoulli argument once
+    per Newton pass.  Raises SimulationError if the Newton solve at the
+    shock does not converge or an iterate violates the entropy condition.
     """
     gas = config.gas
     g1 = gas.gamma - 1.0
@@ -460,23 +451,24 @@ def _apply_bcs(t, v, w, config: SimConfig, sdot):
     # zeta' from the Rankine-Hugoniot relation; Newton in the correction
     # amplitude along the (w - c)-characteristic direction
     v1, w1 = v.item(-1), w.item(-1)
-    slope = w1 - math.sqrt(g1 * _flow_bernoulli(v1, w1 * w1, gas))
+    arg = _flow_bernoulli(v1, w1 * w1, gas)
+    slope = w1 - math.sqrt(g1 * arg)
     alpha, tol = 0.0, 1e-12 * max(1.0, abs(v1))
-    ga, dg = _closure_residual(v1, w1, slope, gas)
+    ga, dg = _closure_residual(arg, v1, w1, slope, gas)
     for _ in range(12):
         if dg == 0.0:
             raise SimulationError(
                 f"shock closure at t={t}: flat Newton derivative, residual {float(ga)!r}")
         alpha -= ga / dg
-        ga, dg = _closure_residual(v1 - slope * alpha, w1 + alpha, slope, gas)
+        vn, wn = v1 - slope * alpha, w1 + alpha
+        ga, dg = _closure_residual(_flow_bernoulli(vn, wn * wn, gas), vn, wn, slope, gas)
         if abs(ga) < tol:
             break
     else:
         raise SimulationError(
             f"shock closure at t={t} did not converge: residual {float(ga)!r} "
             "after 12 Newton iterations")
-    v[-1] = v1 - slope * alpha
-    w[-1] = w1 + alpha
+    v[-1], w[-1] = vn, wn
 
 
 def projected_explicit_steps(state: SimState, config: SimConfig,
@@ -636,9 +628,11 @@ class TauOperator:
         row is the algebraic boundary condition, as in _apply_bcs:
         w - sigma' = 0 at the wall, v + zeta' w = 0 at the shock.  Then come
         the ell row q - ell and the algebraic Rankine-Hugoniot row
-        zeta' (H - rho0) - H w.  J is (Jb, C, B, D): the band storage
-        (bands _BANDS) of its node block, its ell and q columns on the node
-        rows, its ell and RH rows on the node columns, and the 2x2 corner.
+        zeta' (H - rho0) - H w, H and H - rho0 from _rh_speed, which rejects
+        an entropy-violating shock as the explicit step does.  J is
+        (Jb, C, B, D): the band storage (bands _BANDS) of its node block,
+        its ell and q columns on the node rows, its ell and RH rows on the
+        node columns, and the 2x2 corner.
         """
         config, gas = self.config, self.config.gas
         g1 = gas.gamma - 1.0
@@ -693,12 +687,12 @@ class TauOperator:
         Jb[up, 1] = 1.0
         Jb[up + 1, -2], Jb[up, -1] = 1.0, zdot
 
-        H = _density_at(arg[-1], gas)
+        _, margin, H = _rh_speed(arg[-1], w[-1], gas)
         dH = -H / csq[-1] * np.array([1.0, w[-1]])      # dH/dv, dH/dw
         B = np.zeros((2, 2 * m))
         B[1, -2:] = (zdot - w[-1]) * dH - [0.0, H]
-        D = np.array([[-1.0, 1.0], [0.0, H - gas.rho0]])
-        F[-2:] = q - ell, zdot * (H - gas.rho0) - H * w[-1]
+        D = np.array([[-1.0, 1.0], [0.0, margin]])
+        F[-2:] = q - ell, zdot * margin - H * w[-1]
         return F, (Jb, C, B, D)
 
 

@@ -4,6 +4,7 @@ bulk K-coefficient signs and shock-flux coefficients."""
 import dataclasses
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -331,6 +332,28 @@ class TestBoundary:
         assert betas["beta13"] == pytest.approx(-(g - 1) * b0 ** 4 / 2, rel=0.05)
         assert betas["beta14"] == pytest.approx(
             (g - 1) / 4 * multiplier_e(3, g) * b0 ** 3 * sol80.delta, rel=0.05)
+
+    @pytest.mark.parametrize("gamma, b0", [
+        (1.4, 10.0), (1.4, 25.3), (1.4, 40.0), (1.4, 55.3), (1.4, 80.0), (1.4, 100.0),
+        (1.2, 40.0), (1.2, 80.0), (2.0, 10.0), (2.0, 80.0)])
+    def test_beta11_beta14_match_exact_rationals(self, gamma, b0):
+        # beta11 = -bs/2 + u s0 - s0^2/2 and beta14 = p0 (bs - s0^2)/2
+        # with bs = s0^2 (1 + (e/b0)(s0 - b0)), evaluated in exact
+        # rationals of the profile's floats, with s0 = b0 + delta and
+        # u = s0 + w+ taken exactly.  Formed as differences of O(s0^2)
+        # floats, beta14 reads 49% high at gamma 1.2, b0 80, and 5e-7 high
+        # at gamma 1.4, b0 100; the offset forms keep a few ulps.
+        gas = GasParams(gamma=gamma)
+        sol = solve_background(b0, gas, n=3)
+        betas = shock_flux_betas(sol, boundary_coeffs(sol))
+        B0 = Fraction(sol.b0)
+        s0 = B0 + Fraction(sol.delta)
+        u = s0 + Fraction(float(sol.w[-1]))
+        p0, e = Fraction(float(sol.csq[-1])), Fraction(multiplier_e(3, gamma))
+        bs = s0 ** 2 * (1 + (e / B0) * (s0 - B0))
+        exact = {"beta11": -bs / 2 + u * s0 - s0 ** 2 / 2, "beta14": p0 * (bs - s0 ** 2) / 2}
+        for key, want in exact.items():
+            assert abs(Fraction(betas[key]) / want - 1) <= 4 * np.finfo(float).eps, key
 
 
 # ---------------------------------------------------------------------------

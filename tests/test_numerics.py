@@ -255,9 +255,8 @@ class TestBoundStencil:
         h = 1.0 / (m - 1)
         y = rng.standard_normal(shape)
         want = self._plain(y, h)
-        out = np.empty(shape)
-        for got in (_fd_derivative(y, h), _fd_derivative(y, h, out=out), out):
-            assert got.shape == shape and got.tobytes() == want.tobytes()
+        got = _fd_derivative(y, h)
+        assert got.shape == shape and got.tobytes() == want.tobytes()
         # bound once, it re-reads its source on every call: the stepper's
         # use, with the source overwritten in place between calls
         out = np.empty(shape)
@@ -265,6 +264,16 @@ class TestBoundStencil:
         for _ in range(3):
             assert apply() is out and out.tobytes() == self._plain(y, h).tobytes()
             y[...] = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8)
+
+    @pytest.mark.parametrize("source", ["y", "out"])
+    def test_bound_rejects_copying_flatten(self, source):
+        # a 2-D array that is not C-contiguous flattens to a copy: a bound
+        # source would not be re-read, and a bound output would drop the
+        # result (it returned zeros without an error)
+        arrays = {"y": np.zeros((2, 8)), "out": np.zeros((2, 8))}
+        arrays[source] = np.zeros((8, 2)).T
+        with pytest.raises(ValueError, match="flatten to views"):
+            _fd_bound(arrays["y"], 0.1, arrays["out"])
 
 
 # ---------------------------------------------------------------------------

@@ -228,11 +228,12 @@ class TestStep:
             step(st, cfg0, dt=-1.0)
 
     def test_shock_closure_raises_without_convergence(self, sol, cfg0, monkeypatch):
-        # a NaN closure residual stays NaN on every Newton pass
+        # a residual that stays finite and above tolerance on every Newton
+        # pass, its derivative so steep that the iterates stay admissible
         st = init_from_background(sol, cfg0)
         monkeypatch.setattr(simulator, "_closure_residual",
-                            lambda v, w, slope, gas: (float("nan"), 1.0))
-        with pytest.raises(SimulationError, match="did not converge: residual nan"):
+                            lambda arg, v, w, slope, gas: (1.0, 1e30))
+        with pytest.raises(SimulationError, match="did not converge: residual 1.0 "):
             simulator._apply_bcs(st.t, st.v.copy(), st.w.copy(), cfg0, cfg0.dsigma(st.t))
 
     def test_shock_closure_raises_on_flat_derivative(self, sol, cfg0, monkeypatch):
@@ -240,7 +241,7 @@ class TestStep:
         # residual v + zeta' w = v no longer depends on it: dg/da = 0
         st = init_from_background(sol, cfg0)
         monkeypatch.setattr(simulator, "_closure_residual",
-                            lambda v, w, slope, gas: (v, 0.0))
+                            lambda arg, v, w, slope, gas: (v, 0.0))
         with pytest.raises(SimulationError, match="flat Newton derivative"):
             simulator._apply_bcs(st.t, st.v.copy(), st.w.copy(), cfg0, cfg0.dsigma(st.t))
 
@@ -272,6 +273,26 @@ class TestStep:
         with pytest.raises(SimulationError, match="entropy condition violated"):
             simulator._apply_bcs(st.t, v, w, cfg0, cfg0.dsigma(st.t))
 
+    def test_shock_closure_forms_each_argument_once(self, sol, cfg0, monkeypatch):
+        # a shock state 1% off the closure takes several Newton passes;
+        # the slope and the first residual share the start state's
+        # Bernoulli argument, and each iterate's is formed once
+        st = init_from_background(sol, cfg0)
+        v, w = st.v.copy(), st.w.copy()
+        w[-1] *= 1.01
+        calls = []
+
+        def recorded(phi_t, grad_sq, gas):
+            calls.append((phi_t, grad_sq))
+            return _flow_bernoulli(phi_t, grad_sq, gas)
+
+        monkeypatch.setattr(simulator, "_flow_bernoulli", recorded)
+        simulator._apply_bcs(st.t, v, w, cfg0, cfg0.dsigma(st.t))
+        # the piston node's, the start state's and at least two iterates'
+        assert len(calls) >= 4
+        assert len(set(calls)) == len(calls), calls
+        assert calls[-1] == (v[-1], w[-1] * w[-1])
+
 
 # ---------------------------------------------------------------------------
 # closed forms of the stepping hot path, cross-checked
@@ -300,7 +321,9 @@ class TestClosedForms:
             slope = w1 - float(np.sqrt((gas.gamma - 1.0) * _flow_bernoulli(v1, w1 * w1, gas)))
 
             def g(a):
-                return simulator._closure_residual(v1 - slope * a, w1 + a, slope, gas)
+                v, w = v1 - slope * a, w1 + a
+                return simulator._closure_residual(_flow_bernoulli(v, w * w, gas), v, w,
+                                                   slope, gas)
 
             h = 1e-5 * max(1.0, abs(w1))
             for a in (-0.01 * abs(w1), 0.0, 0.01 * abs(w1)):
@@ -525,6 +548,16 @@ class TestImplicitStep:
             e[col] = h
             fd = (op(1.1, x + e, a)[0] - op(1.1, x - e, a)[0]) / (2 * h)
             assert np.max(np.abs(J[:, col] - fd)) <= 1e-6 * np.max(np.abs(J[:, col])), col
+
+    def test_entropy_violation_raises(self):
+        # a shock state whose Bernoulli density is rho0 / 2, as the
+        # explicit closure's test: the Rankine-Hugoniot row rejects it
+        stepper = _stepped(2.0, 4.0)
+        x, op, gas = stepper.x.copy(), stepper.op, stepper.op.config.gas
+        a = op.weights(x)
+        x[-4] = gas.B0 - enthalpy(0.5 * gas.rho0, gas) - 0.5 * x[-3] ** 2
+        with pytest.raises(SimulationError, match="entropy condition violated"):
+            op(1.1, x, a)
 
     def test_wall_clock_budget_truncates(self, sol, monkeypatch):
         # a zero budget stops the implicit path after its first output

@@ -6,8 +6,12 @@ operations of the plain formulas and their order, so every output must be
 bitwise that of the plain versions.  Those are kept here verbatim as the
 reference: ``step``, ``_rates``, ``_cfl_dt``, ``E`` and ``grad_phi_a``,
 with the helpers the stage kernel rewrote (``_bernoulli``, ``_sound``,
-``_apply_bcs`` and the one-column ``_fd_derivative``).  Helpers the kernel
-left as they were (``shock_speed``, ``_closure_residual``) are shared.
+``_apply_bcs`` and the one-column ``_fd_derivative``) and the shock rule's
+own copy: ``shock_speed`` and ``_closure_residual``, each forming the
+density H, the entropy margin H - rho0 and zeta' = H w / (H - rho0) inline.
+The package takes all three from one ``_rh_speed``, with the shock node's
+Bernoulli argument formed once per Newton pass, so the comparison also
+pins the closure's operations.  Nothing of the stepper is shared.
 """
 
 import math
@@ -18,9 +22,8 @@ import pytest
 from conicshock import simulator
 from conicshock.background import solve_background
 from conicshock.gas import VACUUM_REL_THRESHOLD, GasParams, VacuumError
-from conicshock.simulator import (SimConfig, SimState, SimulationError,
-                                  _closure_residual, init_from_background,
-                                  modified_background, shock_speed)
+from conicshock.simulator import (SimConfig, SimState, SimulationError, init_from_background,
+                                  modified_background)
 
 # ---------------------------------------------------------------------------
 # reference: the plain formulas
@@ -45,6 +48,31 @@ def _bernoulli(v, w, gas):
 
 def _sound(v, w, gas):
     return np.sqrt((gas.gamma - 1.0) * _bernoulli(v, w, gas))
+
+
+def _density(arg, gas):
+    return ((gas.gamma - 1.0) * arg / (gas.A * gas.gamma)) ** (1.0 / (gas.gamma - 1.0))
+
+
+def shock_speed(v, w, gas):
+    v, w = float(v), float(w)
+    H = _density(_bernoulli(v, w, gas), gas)
+    margin = H - gas.rho0
+    if margin <= 0.0:
+        raise SimulationError(f"entropy condition violated at shock: H - rho0 = {margin}")
+    return H * w / margin, margin
+
+
+def _closure_residual(v, w, slope, gas):
+    arg = _bernoulli(v, w, gas)
+    H = _density(arg, gas)
+    margin = H - gas.rho0
+    if margin <= 0.0:
+        raise SimulationError(f"entropy condition violated at shock: H - rho0 = {margin}")
+    zdot = H * w / margin
+    dH = H / ((gas.gamma - 1.0) * arg) * (slope - w)
+    dzdot = H / margin - gas.rho0 * w * dH / (margin * margin)
+    return v + zdot * w, -slope + w * dzdot + zdot
 
 
 def _rates(t, sigma, zeta, y, v, w, config):
