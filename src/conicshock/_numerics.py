@@ -9,10 +9,10 @@ start-up; only an implicit ``simulate`` run loads it (``scipy.linalg``):
 * ``brentq``: the C kernel behind ``scipy.optimize.brentq``, on floats;
 * ``cumulative_simpson``: ``scipy.integrate.cumulative_simpson`` with ``x``
   given and ``initial=0.0``;
-* ``CubicSpline``: ``scipy.interpolate.CubicSpline(x, y, bc_type=...)``
-  for the "natural" and "not-a-knot" end conditions, its slope system
-  solved as LAPACK ``dgtsv`` does and its pieces evaluated as ``PPoly``
-  does.
+* ``CubicSpline``: ``scipy.interpolate.CubicSpline(x, y, bc_type="natural")``,
+  its slope system solved as LAPACK ``dgtsv`` does and its pieces
+  evaluated as ``PPoly`` does; the simulator samples the background
+  through it.
 """
 
 from __future__ import annotations
@@ -176,17 +176,14 @@ def _dgtsv(dl: list, d: list, du: list, b: np.ndarray) -> np.ndarray:
 
 
 class CubicSpline:
-    """C2 cubic spline through (x[i], y[i]), bitwise as
-    ``scipy.interpolate.CubicSpline(x, y, bc_type=bc_type)`` inside
-    [x[0], x[-1]] for at least four samples.  bc_type is "natural" (zero
-    second derivative at both ends) or "not-a-knot" (the first two and the
-    last two pieces are one cubic each).  y has one column per interpolated
-    quantity; outside the span the end pieces continue.
+    """Natural C2 cubic spline (zero second derivative at both ends) through
+    (x[i], y[i]), bitwise as ``scipy.interpolate.CubicSpline(x, y,
+    bc_type="natural")`` inside [x[0], x[-1]] for at least four samples.
+    y has one column per interpolated quantity; outside the span the end
+    pieces continue.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, bc_type: str):
-        if bc_type not in ("natural", "not-a-knot"):
-            raise ValueError(f"unsupported bc_type {bc_type!r}")
+    def __init__(self, x: np.ndarray, y: np.ndarray):
         if len(x) < 4:
             raise ValueError("a spline needs at least 4 samples")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -197,20 +194,13 @@ class CubicSpline:
         dxr = dx[:, None]
         slope = np.diff(y, axis=0) / dxr
         # slopes s from the tridiagonal system dl s[i-1] + d s[i] + du s[i+1] = b,
-        # whose end rows state the end condition
+        # whose end rows state the natural end condition
         h = dx.tolist()
-        d = [0.0, *(2 * (dx[:-1] + dx[1:])).tolist(), 0.0]
-        du, dl = [0.0, *h[:-1]], [*h[1:], 0.0]
+        d = [2 * h[0], *(2 * (dx[:-1] + dx[1:])).tolist(), 2 * h[-1]]
+        du, dl = h[:1] + h[:-1], h[1:] + h[-1:]
         b = np.empty_like(y, dtype=float)
         b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-        if bc_type == "natural":
-            d[0], du[0], d[-1], dl[-1] = 2 * h[0], h[0], 2 * h[-1], h[-1]
-            b[0], b[-1] = 3 * (y[1] - y[0]), 3 * (y[-1] - y[-2])
-        else:
-            w0, w1 = x[2] - x[0], x[-1] - x[-3]
-            d[0], du[0], d[-1], dl[-1] = h[1], float(w0), h[-2], float(w1)
-            b[0] = ((dxr[0] + 2 * w0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / w0
-            b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * w1 + dxr[-1]) * dxr[-2] * slope[-1]) / w1
+        b[0], b[-1] = 3 * (y[1] - y[0]), 3 * (y[-1] - y[-2])
         s = _dgtsv(dl, d, du, b)
         # Hermite pieces in PPoly's layout, highest power first
         t = (s[:-1] + s[1:] - 2 * slope) / dxr

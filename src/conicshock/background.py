@@ -518,24 +518,26 @@ class AsymptoticsReport:
 
 def _deviations(sol: SelfSimilarSolution) -> dict:
     """The report items of one profile: item -> deviation from its large-b0
-    leading order (drho_magnitude: sup |rho'| * b0, magnitude only)."""
+    leading order (drho_magnitude: sup |rho'| * b0, magnitude only).
+    shock_speed, velocity and du_ratio (|s0/b0 - 1|, max|u/b0 - 1|,
+    max|u'/(1 - n) - 1|) are taken in offsets, with no subtraction."""
     gas = sol.gas
     g = gas.gamma
     b0 = sol.b0
-    rho, u, w, csq = sol.rho, sol.u, sol.w, sol.csq
+    rho, u, w, s, csq = sol.rho, sol.u, sol.w, sol.s, sol.csq
     c = np.sqrt(csq)
     lead_rho = _strong_shock_density(b0, gas)
     sq = np.sqrt((g - 1.0) / 2.0) * b0
     return {
-        "shock_speed": abs(sol.s0 / b0 - 1.0),
-        "velocity": float(np.max(np.abs(u / b0 - 1.0))),
+        "shock_speed": sol.delta / b0,
+        "velocity": float(np.max(np.abs(sol.u_off)) / b0),
         "density": float(np.max(np.abs(rho / lead_rho - 1.0))),
         "usq_minus_csq": float(np.max(np.abs((u * u - csq) / ((3.0 - g) / 2.0 * b0 * b0) - 1.0))),
         "denominator": float(np.max(np.abs((w * w - csq) / (-(g - 1.0) / 2.0 * b0 * b0) - 1.0))),
         "char_plus": float(np.max(np.abs((w + c) / sq - 1.0))),
         "char_minus": float(np.max(np.abs((w - c) / (-sq) - 1.0))),
         "drho_magnitude": float(np.max(np.abs(sol.drho)) * b0),
-        "du_ratio": float(np.max(np.abs(sol.du / (-(sol.n - 1)) - 1.0))),
+        "du_ratio": float(np.max(np.abs(w * (csq + s * w) / (s * (w * w - csq))))),
     }
 
 

@@ -23,8 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._numerics import CubicSpline
-from .background import SelfSimilarSolution
+from .background import SelfSimilarSolution, _rhs
 from .gas import GasParams, _density_at, _nonvacuum
 
 __all__ = [
@@ -293,8 +292,10 @@ class PsiHat:
 
     ``psi``/``dpsi``/``d2psi`` are sampled on the uniform ``R``-grid;
     ``dpsi``/``d2psi`` use second-order finite differences (one-sided at the
-    ends).  ``u_off`` is u - b0, interpolated from the shifted background
-    profile so small combinations keep precision.
+    ends).  ``u_off`` is u - b0; it and psi - delta are resampled from the
+    shifted background profile, so small combinations keep precision, by
+    cubic Hermite pieces on the profile's own slopes, within h^4/384
+    max|f''''| (see psi_hat_from_background).
 
     The coefficient set at the profile's own states (``coeffs``) and the
     shock row (``shock_row``) are evaluated on first use and shared by every
@@ -386,14 +387,20 @@ def psi_hat_from_background(sol: SelfSimilarSolution, n_points: int = 129) -> Ps
 
     psi(R(s)) = s - b0 - phi(s)/b0 with R(s) = (s - b0)/psi + 1; using the
     shifted profile arrays this is psi = delta + q/b0 with no cancellation.
-    Resampling onto uniform R uses one not-a-knot cubic spline for both
-    columns (the package's bitwise port of scipy's CubicSpline).  The grid
-    needs at least 4 points, which the end stencils of psi'' read.
+    Both columns, q/b0 and u_off, are resampled onto uniform R by the cubic
+    Hermite piece on the two samples that bracket each target, with exact
+    slopes, as the profile carries them: d(q/b0)/ds = -u_off/b0 (q is the
+    integral of u_off from s0 down) and du/ds from the ODE (``sol.du``),
+    each over dR/ds = (psi + s_off u_off/b0)/psi^2.  So it misses by at
+    most h^4/384 max|f''''| on a piece h wide in R, and R = 1 and R = 2
+    are end samples.  The grid needs at least 4 points, which the end
+    stencils of psi'' read.
     """
     if n_points < 4:
         raise ValueError(f"n_points = {n_points}: the straightened grid needs at "
                          "least 4 points, which the end stencils of psi'' read")
-    q_b0 = sol.q / sol.b0
+    b0, u_s = sol.b0, sol.u_off
+    q_b0 = sol.q / b0
     psi_s = sol.delta + q_b0
     if np.any(psi_s <= 0.0):
         raise ValueError("straightened profile not positive; corrupted background")
@@ -402,16 +409,28 @@ def psi_hat_from_background(sol: SelfSimilarSolution, n_points: int = 129) -> Ps
         raise ValueError("non-monotone R(s); corrupted background")
 
     R = np.linspace(1.0, 2.0, n_points)
-    # interpolate the small offset psi - delta (= q/b0) so derivative stencils
-    # act on full-precision values instead of quantized O(delta) floats; the
-    # C2 spline keeps stencil noise below the stencil truncation error
-    cols = np.column_stack([q_b0, sol.u_off])
-    psi_off, u_off = CubicSpline(R_s, cols, "not-a-knot")(R).T
-    h = R[1] - R[0]
+    # resample the small offset psi - delta (= q/b0), so derivative stencils
+    # act on full-precision values instead of quantized O(delta) floats.
+    # Samples k[0] and k[1] bracket each target; R = 2 takes the last piece
+    i = np.minimum(np.searchsorted(R_s, R, side="right"), len(R_s) - 1) - 1
+    k = np.stack([i, i + 1])
+    s_off, psi, u = sol.s_off[k], psi_s[k], u_s[k]
+    du = _rhs(b0 + s_off, sol.rho[k], sol.w[k], sol.gas, sol.n)[1]
+    ds_dR = psi * psi / (psi + s_off * u / b0)
+    f, m = np.stack([q_b0[k], u]), np.stack([-u / b0, du]) * ds_dR
+    R_k = R_s[k]
+    h = R_k[1] - R_k[0]
+    t = (R - R_k[0]) / h
+    t2 = t * t
+    t3 = t2 * t
+    # the Hermite basis: exactly sample k[0] at t = 0 and k[1] at t = 1
+    psi_off, u_off = ((2.0 * t3 - 3.0 * t2 + 1.0) * f[:, 0] + (3.0 * t2 - 2.0 * t3) * f[:, 1]
+                      + ((t3 - 2.0 * t2 + t) * m[:, 0] + (t3 - t2) * m[:, 1]) * h)
+    dR = R[1] - R[0]
     return PsiHat(
         R=R, psi=sol.delta + psi_off,
-        dpsi=_fd_derivative(psi_off, h), d2psi=_fd_second(psi_off, h), u_off=u_off,
-        b0=sol.b0, delta=sol.delta, gas=sol.gas, n=sol.n,
+        dpsi=_fd_derivative(psi_off, dR), d2psi=_fd_second(psi_off, dR), u_off=u_off,
+        b0=b0, delta=sol.delta, gas=sol.gas, n=sol.n,
     )
 
 

@@ -130,7 +130,7 @@ class BackgroundSampler:
             raise ValueError("background span insufficient for interpolation")
         self.b0 = sol.b0
         cols = np.column_stack([sol.u_off, sol.phi])
-        self._spline = CubicSpline(x, cols, "natural")
+        self._spline = CubicSpline(x, cols)
         # piston (0) and shock (-1) ends: x, (u - b0, phi) and u'
         self._x_end, self._cols_end, self._du_end = x[[0, -1]], cols[[0, -1]], sol.du[[0, -1]]
 

@@ -3,6 +3,7 @@ and large-piston-speed asymptotics."""
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from conicshock.background import (
     ode_residual,
     shock_jump_from_speed,
     solve_background,
+    _deviations,
     _jump_function,
     _march,
     _piston_offset,
@@ -366,3 +368,23 @@ class TestAsymptotics:
         # sup|rho'| ~ 1/b0: scaled magnitude stays O(1), raw slope near -1
         assert np.all(report.deviations["drho_magnitude"] < 50.0)
         assert -1.3 < report.slopes["drho_magnitude"] < -0.7
+
+    @pytest.mark.parametrize("gamma, b0, n", [(1.2, 80.0, 3), (1.2, 80.0, 2), (1.4, 100.0, 3),
+                                              (1.4, 10.0, 3), (2.9, 10.0, 3)])
+    def test_offset_items_match_exact_rationals(self, gamma, b0, n):
+        # shock_speed = |s0/b0 - 1|, velocity = max|u/b0 - 1| and du_ratio =
+        # max|u'/(1 - n) - 1| in exact rationals on the stored floats (s = b0 +
+        # s_off, u = s + w, c^2 from the stored density), against the offset
+        # forms: a few roundings apart.  The absolute forms were 1.3e-2 off at
+        # gamma 1.2, b0 80, n 3, where delta/b0 is only about 30 ulp(1)
+        sol = solve_background(b0, GasParams(A=1.0, gamma=gamma, rho0=1.0), n=n)
+        dev = _deviations(sol)
+        B = Fraction(b0)
+        exact = {"shock_speed": abs((B + Fraction(sol.delta)) / B - 1), "velocity": 0, "du_ratio": 0}
+        for s_off, w, csq in zip(sol.s_off.tolist(), sol.w.tolist(), sol.csq.tolist()):
+            s, w, csq = B + Fraction(s_off), Fraction(w), Fraction(csq)
+            du = (n - 1) * csq * (s + w) / (s * (w * w - csq))
+            exact["velocity"] = max(exact["velocity"], abs((s + w) / B - 1))
+            exact["du_ratio"] = max(exact["du_ratio"], abs(du / (1 - n) - 1))
+        for k, v in exact.items():
+            assert abs(Fraction(dev[k]) - v) <= 4 * Fraction(np.finfo(float).eps) * v, k

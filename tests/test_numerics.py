@@ -1,6 +1,7 @@
-"""The in-package ports of scipy's brentq, cumulative_simpson and natural and
-not-a-knot CubicSpline: bitwise against scipy, typed non-convergence, and the
-commands that run without scipy."""
+"""The in-package ports of scipy's brentq, cumulative_simpson and natural
+CubicSpline: bitwise against scipy, typed non-convergence, and the commands
+that run without scipy.  The straightened profile's Hermite resample is
+compared with scipy's not-a-knot spline."""
 
 import json
 import os
@@ -16,13 +17,13 @@ from scipy.interpolate import CubicSpline as ScipyCubicSpline
 from scipy.optimize import brentq as scipy_brentq
 
 import conicshock
-from conicshock import background
+from conicshock import _numerics, background
 from conicshock._numerics import ConvergenceError, CubicSpline, brentq, cumulative_simpson
 from conicshock.background import (ShootingError, _piston_offset, shock_jump_from_speed,
                                    solve_background)
 from conicshock.cli import COMPUTATION_ERRORS, main
 from conicshock.gas import GasParams
-from conicshock.hodograph import (_fd_bound, _fd_derivative, _fd_second, check_ellipticity,
+from conicshock.hodograph import (_fd_bound, _fd_derivative, check_ellipticity,
                                   psi_hat_from_background, second_order_coeffs)
 from test_stepper_oracle import _fd_derivative as _plain_fd_derivative
 
@@ -142,32 +143,26 @@ def _r_grid(sol):
     return sol.s_off / (sol.delta + sol.q / sol.b0) + 1.0
 
 
-def _spline_data(sol, bc_type):
-    """(x, columns) of the package's spline with this end condition on one
-    profile: the simulator's natural spline over s, verify's not-a-knot one
-    over R."""
-    if bc_type == "natural":
-        return sol.s_off, np.column_stack([sol.u_off, sol.phi])
-    return _r_grid(sol), np.column_stack([sol.q / sol.b0, sol.u_off])
-
-
 def _assert_bitwise_scipy(x, y, bc_type, xv):
-    ours, theirs = CubicSpline(x, y, bc_type), ScipyCubicSpline(x, y, bc_type=bc_type)
+    ours, theirs = CubicSpline(x, y), ScipyCubicSpline(x, y, bc_type=bc_type)
     np.testing.assert_array_equal(ours.c, theirs.c)
     np.testing.assert_array_equal(ours(xv), theirs(xv))
 
 
 class TestCubicSpline:
-    @pytest.mark.parametrize("bc_type", ["natural", "not-a-knot"])
+    """The port against scipy's spline with the port's one end condition."""
+
+    @pytest.mark.parametrize("bc_type", ["natural"])
     def test_bitwise_scipy_on_profiles(self, profiles, bc_type):
         rng = np.random.default_rng(7)
         for sol in profiles:
-            x, cols = _spline_data(sol, bc_type)
+            # the simulator's spline over s
+            x, cols = sol.s_off, np.column_stack([sol.u_off, sol.phi])
             xv = np.concatenate([x, rng.uniform(x[0], x[-1], 2000)])
             _assert_bitwise_scipy(x, cols, bc_type, xv)
-            assert CubicSpline(x, cols, bc_type)(x[-1]).shape == (2,)
+            assert CubicSpline(x, cols)(x[-1]).shape == (2,)
 
-    @pytest.mark.parametrize("bc_type", ["natural", "not-a-knot"])
+    @pytest.mark.parametrize("bc_type", ["natural"])
     def test_bitwise_scipy_on_random_grids(self, bc_type):
         # spacings spread over e^±6, so many systems need row interchanges
         rng = np.random.default_rng(11)
@@ -178,7 +173,7 @@ class TestCubicSpline:
             _assert_bitwise_scipy(x, y, bc_type,
                                   np.concatenate([x, rng.uniform(x[0], x[-1], 50)]))
 
-    @pytest.mark.parametrize("bc_type", ["natural", "not-a-knot"])
+    @pytest.mark.parametrize("bc_type", ["natural"])
     def test_pivoting_grid_bitwise_scipy(self, bc_type):
         # spacing growing ninefold: the natural system interchanges rows
         x = np.array([0.0, 1.0, 10.0, 11.0])
@@ -187,9 +182,8 @@ class TestCubicSpline:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_rejects_fewer_than_four_samples(self, n):
-        for bc_type in ("natural", "not-a-knot"):
-            with pytest.raises(ValueError, match="at least 4 samples"):
-                CubicSpline(np.arange(float(n)), np.zeros((n, 1)), bc_type)
+        with pytest.raises(ValueError, match="at least 4 samples"):
+            CubicSpline(np.arange(float(n)), np.zeros((n, 1)))
 
 
 class TestNaturalSpline:
@@ -198,7 +192,7 @@ class TestNaturalSpline:
     @staticmethod
     def _pair(sol):
         cols = np.column_stack([sol.u_off, sol.phi])
-        return (CubicSpline(sol.s_off, cols, "natural"),
+        return (CubicSpline(sol.s_off, cols),
                 ScipyCubicSpline(sol.s_off, cols, bc_type="natural"))
 
     def test_coefficients_bitwise_scipy(self, profiles):
@@ -216,18 +210,60 @@ class TestNaturalSpline:
             assert ours(sol.delta).shape == (2,)
 
 
+def _scipy_resample(sol, n_points=129):
+    """(dpsi, u_off, psi) of sol straightened by scipy's not-a-knot spline
+    over R, the stencil as psi_hat_from_background takes it."""
+    R_s, R = _r_grid(sol), np.linspace(1.0, 2.0, n_points)
+    psi_off, u_off = ScipyCubicSpline(R_s, np.column_stack([sol.q / sol.b0, sol.u_off]))(R).T
+    return _fd_derivative(psi_off, R[1] - R[0]), u_off, sol.delta + psi_off
+
+
+#: (gamma, b0, n) of the 2048-sample profiles compared with scipy's spline
+SPLINE_CASES = [(1.4, 40.0, 3), (1.2, 80.0, 3), (1.2, 80.0, 2)]
+
+#: (gamma, b0, n) of the profiles whose resample converges as scipy's does
+CONVERGENCE_CASES = [(1.4, 40.0, 3), (1.2, 80.0, 2), (2.0, 4.0, 3), (2.9, 10.0, 3)]
+
+
 class TestStraightenedProfile:
-    def test_psi_hat_bitwise_scipy(self, profiles):
-        # the formulas of psi_hat_from_background, on scipy's spline
-        for sol in profiles:
+    @pytest.mark.parametrize("gamma, b0, n", SPLINE_CASES)
+    def test_psi_hat_near_scipy_spline(self, gamma, b0, n):
+        # on verify's 2048 samples the Hermite pieces and scipy's
+        # not-a-knot spline both sit at the rounding floor: psi within 1
+        # ulp, u_off within a few ulp of its size, psi' to 1e-13
+        sol = solve_background(b0, GasParams(A=1.0, gamma=gamma, rho0=1.0), n=n)
+        assert len(sol.s_off) == 2048
+        ph = psi_hat_from_background(sol)
+        dpsi, u_off, psi = _scipy_resample(sol)
+        assert np.all(np.abs(ph.psi - psi) <= np.spacing(np.abs(psi)))
+        assert np.max(np.abs(ph.u_off - u_off)) <= 4.0 * np.spacing(np.max(np.abs(u_off)))
+        assert np.max(np.abs(ph.dpsi - dpsi)) <= 1e-13 * np.max(np.abs(dpsi))
+
+    @pytest.mark.parametrize("gamma, b0, n", CONVERGENCE_CASES)
+    def test_psi_hat_converges_as_scipy_spline(self, gamma, b0, n):
+        # against a 16385-sample profile, on 65 to 1025 samples: the
+        # Hermite error in psi' and u_off is at most scipy's spline error
+        # (to a factor 1.5 and the 1e-13 rounding floor).  psi - delta is
+        # not compared: psi is quantized at ulp(delta)
+        gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
+        ref = psi_hat_from_background(solve_background(b0, gas, n=n, grid_size=16385))
+        for m in (65, 129, 257, 513, 1025):
+            sol = solve_background(b0, gas, n=n, grid_size=m)
             ph = psi_hat_from_background(sol)
-            R_s, R = _r_grid(sol), np.linspace(1.0, 2.0, 129)
-            psi_off = ScipyCubicSpline(R_s, sol.q / sol.b0)(R)
-            h = R[1] - R[0]
-            np.testing.assert_array_equal(ph.psi, sol.delta + psi_off)
-            np.testing.assert_array_equal(ph.dpsi, _fd_derivative(psi_off, h))
-            np.testing.assert_array_equal(ph.d2psi, _fd_second(psi_off, h))
-            np.testing.assert_array_equal(ph.u_off, ScipyCubicSpline(R_s, sol.u_off)(R))
+            dpsi, u_off, _ = _scipy_resample(sol)
+            for ours, theirs, want in ((ph.dpsi, dpsi, ref.dpsi), (ph.u_off, u_off, ref.u_off)):
+                scale = np.max(np.abs(want))
+                err, spline_err = (np.max(np.abs(x - want)) / scale for x in (ours, theirs))
+                assert err <= 1.5 * spline_err + 1e-13, m
+
+    def test_psi_hat_solves_no_system(self, profiles, monkeypatch):
+        # the resample reads the profile's own slopes: no tridiagonal solve
+        def no_solve(*args):
+            raise AssertionError("psi_hat_from_background reached _dgtsv")
+
+        monkeypatch.setattr(_numerics, "_dgtsv", no_solve)
+        for sol in profiles:
+            assert psi_hat_from_background(sol).psi.shape == (129,)
 
     def test_ellipticity_eigmax_per_matrix(self, profiles):
         for sol in profiles:
