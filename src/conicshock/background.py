@@ -12,7 +12,9 @@ For fast pistons the stand-off distance ``s0 - b0`` is tiny relative to
 ``b0`` (it scales like ``b0**(1 - 2/(gamma-1))``), so the solver integrates
 the *shifted* quantities ``w = u - s`` and offsets ``s - b0`` rather than the
 raw profiles; this keeps full relative precision in every small combination
-used downstream (potential offsets, straightened-coordinate profiles).
+used downstream (potential offsets, straightened-coordinate profiles).  The
+march carries the squared sound speed as an offset ``c^2 - c+^2`` from its
+value behind the shock, and the density is formed from it once per profile.
 """
 
 from __future__ import annotations
@@ -154,51 +156,59 @@ def _rhs(s, rho, w, gas: GasParams, n: int):
     return drho, du, den
 
 
-def _march(abscissas, rho, w, h, gas: GasParams, n: int, stop_on_event: bool = False):
-    """RK4 steps of the profile ODE from (rho, w): one step of size h from
-    each abscissa in turn.  Returns the lists of rho and w after each step.
-    With stop_on_event, stops after the first step that ends at w >= 0.
+def _march(abscissas, csq, w, h, gas: GasParams, n: int, stop_on_event: bool = False):
+    """RK4 steps of the profile ODE from (c^2, w) = (csq, w): one step of
+    size h from each abscissa in turn.  Returns the lists of d and w after
+    each step, with d = c^2 - csq the squared sound speed as an offset from
+    its start.  With stop_on_event, stops after the first step that ends
+    at w >= 0.
 
-    The loop writes the four stages of _rhs out on local floats, with
-    A*gamma, gamma - 1 and n - 1 bound once.  Every operation and its
-    association are those of four _rhs calls per step (at s, twice at
-    s + 0.5*h, at s + h, combined as h/6*(((k1 + 2 k2) + 2 k3) + k4)), so
-    the results are bitwise theirs; tests/test_shooting_oracle.py keeps
-    that step as the reference.  Raises DenominatorSignError, naming the
-    abscissa, where a step starts at w^2 >= c^2.
+    The state is (d, w), with w = u - s.  With den = w^2 - c^2 < 0 and the
+    quotient a = c^2 u/(s den), the equations are d' = -(gamma-1)(n-1) w a
+    (from rho' and c^2 ~ rho^(gamma-1)) and w' = (n-1) a - 1.  So a stage
+    forms one quotient, takes no power and divides once; the caller
+    converts d to the density once, after the march.  The loop writes the
+    four stages out on local floats, with -(gamma-1)(n-1) and n - 1 bound
+    once; every operation and its association are those of a plain RK4
+    step on (d, w) (stage states d + h/2 k, so c^2 = csq + (d + h/2 k)),
+    whose results are bitwise the loop's: tests/test_shooting_oracle.py
+    keeps that step as the reference.  Raises DenominatorSignError, naming
+    the abscissa, where a step starts at w^2 >= c^2.
     """
-    # n - 1 as a float: the int converts exactly, so every product is the
-    # same, and float-by-float products run faster than mixed ones
-    Ag, g1, n1 = gas.A * gas.gamma, gas.gamma - 1.0, float(n - 1)
-    m1, h2, h6 = -n1, 0.5 * h, h / 6.0
-    rhos, ws = [], []
+    # n - 1 as a float: float-by-float products run faster than mixed ones
+    m, n1 = -(gas.gamma - 1.0) * (n - 1), float(n - 1)
+    h2, h6 = 0.5 * h, h / 6.0
+    d = 0.0
+    ds, ws = [], []
     for s in abscissas:
-        csq = Ag * rho ** g1
-        den = w * w - csq
+        c = csq + d
+        den = w * w - c
         if den >= 0.0:
             raise DenominatorSignError(f"(s-u)^2 - c^2 >= 0 at s = {s}")
-        u, sd = s + w, s * den
-        k1r, k1w = m1 * w * rho * u / sd, n1 * csq * u / sd - 1.0
+        a = c * (s + w) / (s * den)
+        k1d, k1w = m * w * a, n1 * a - 1.0
         sm, se = s + h2, s + h
-        r, v = rho + h2 * k1r, w + h2 * k1w
-        csq = Ag * r ** g1
-        u, sd = sm + v, sm * (v * v - csq)
-        k2r, k2w = m1 * v * r * u / sd, n1 * csq * u / sd - 1.0
-        r, v = rho + h2 * k2r, w + h2 * k2w
-        csq = Ag * r ** g1
-        u, sd = sm + v, sm * (v * v - csq)
-        k3r, k3w = m1 * v * r * u / sd, n1 * csq * u / sd - 1.0
-        r, v = rho + h * k3r, w + h * k3w
-        csq = Ag * r ** g1
-        u, sd = se + v, se * (v * v - csq)
-        k4r, k4w = m1 * v * r * u / sd, n1 * csq * u / sd - 1.0
-        rho = rho + h6 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        c2, v = csq + (d + h2 * k1d), w + h2 * k1w
+        a = c2 * (sm + v) / (sm * (v * v - c2))
+        k2d, k2w = m * v * a, n1 * a - 1.0
+        c2, v = csq + (d + h2 * k2d), w + h2 * k2w
+        a = c2 * (sm + v) / (sm * (v * v - c2))
+        k3d, k3w = m * v * a, n1 * a - 1.0
+        c2, v = csq + (d + h * k3d), w + h * k3w
+        a = c2 * (se + v) / (se * (v * v - c2))
+        k4d, k4w = m * v * a, n1 * a - 1.0
+        d = d + h6 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
         w = w + h6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        rhos.append(rho)
+        ds.append(d)
         ws.append(w)
         if stop_on_event and w >= 0.0:
             break
-    return rhos, ws
+    return ds, ws
+
+
+def _dw(s, csq, w, n: int):
+    """w' = u' - 1 of the profile ODE at s, from (c^2, w)."""
+    return (n - 1) * (csq * (s + w) / (s * (w * w - csq))) - 1.0
 
 
 def _cubic_event(xi_a, w_a, dw_a, xi_b, w_b, dw_b):
@@ -225,19 +235,25 @@ def _cubic_event(xi_a, w_a, dw_a, xi_b, w_b, dw_b):
                   xtol=1e-15 * abs(h), rtol=8.9e-16)
 
 
-#: fixed RK4 steps of one shooting shot across [s0 - 2 delta, s0]
+#: RK4 steps of the first shots across [s0 - 2 delta, s0]; each solve
+#: doubles them until the shot's own error is below SHOOT_XTOL
+SHOOT_STEPS_FIRST = 16
+
+#: the most RK4 steps one shooting shot takes across [s0 - 2 delta, s0];
+#: SHOOT_STEPS_FIRST times a power of two, which the doubling reaches
 SHOOT_STEPS = 512
 
 
 def _post_shock(s0: float, gas: GasParams):
-    """(rho+, w+) just behind a shock of speed s0, with w+ = u+ - s0 =
-    -s0 rho0 / rho+ from the mass jump."""
+    """(rho+, c+^2, w+) just behind a shock of speed s0, with w+ = u+ - s0
+    = -s0 rho0 / rho+ from the mass jump."""
     rho_plus = shock_jump_from_speed(s0, gas).rho_plus
-    return rho_plus, -s0 * gas.rho0 / rho_plus
+    return rho_plus, gas.A * gas.gamma * rho_plus ** (gas.gamma - 1.0), -s0 * gas.rho0 / rho_plus
 
 
-def _piston_offset(delta: float, b0: float, gas: GasParams, n: int) -> float:
-    """Integrate down from the shock s0 = b0 + delta; return (event - b0).
+def _piston_offset(delta: float, b0: float, gas: GasParams, n: int, steps: int) -> float:
+    """Integrate down from the shock s0 = b0 + delta in ``steps`` RK4 steps
+    across [s0 - 2 delta, s0]; return (event - b0).
 
     The event is the abscissa where u = s.  Works in the offset coordinate
     xi = s - s0 so the event location is resolved to full relative precision
@@ -245,25 +261,28 @@ def _piston_offset(delta: float, b0: float, gas: GasParams, n: int) -> float:
     -delta if the event does not occur before xi reaches -2*delta (candidate
     shock speed too small): the true offset lies below -delta there, so the
     finite surrogate has the right sign for the root-find.  Expects plain
-    floats: on numpy scalars an RK4 step of the march runs about three
-    times as slow (3.6-5.0 against 1.2-1.6 us) and a shot about 2.3 times
-    (CPython 3.11, numpy 2.4, shared 2-vCPU host).
+    floats: on numpy scalars every stage operation of the march is a ufunc
+    call.  A step takes 0.73-0.76 us on plain floats, where the
+    march on the density took 0.93-0.97 us (minimum of 20 final passes of
+    2047 steps, gamma 1.4, n 3, b0 10-80; CPython 3.11, shared 2-vCPU
+    host).
     """
     s0 = b0 + delta
-    rho, w = _post_shock(s0, gas)
-    h = -2.0 * delta / SHOOT_STEPS
+    _, csq, w = _post_shock(s0, gas)
+    h = -2.0 * delta / steps
     # xi before each step, accumulated by repeated + h
-    xis = list(accumulate(repeat(h, SHOOT_STEPS - 1), initial=0.0))
-    rhos, ws = _march((s0 + xi for xi in xis), rho, w, h, gas, n, stop_on_event=True)
+    xis = list(accumulate(repeat(h, steps - 1), initial=0.0))
+    ds, ws = _march((s0 + xi for xi in xis), csq, w, h, gas, n, stop_on_event=True)
     if not ws[-1] >= 0.0:  # negated, so that a NaN w counts as no event
         return -delta
     # the event lies on the last step, from xi to xi + h
     xi = xis[len(ws) - 1]
-    if len(ws) > 1:
-        rho, w = rhos[-2], ws[-2]
-    _, du_a, _ = _rhs(s0 + xi, rho, w, gas, n)
-    _, du_b, _ = _rhs(s0 + (xi + h), rhos[-1], ws[-1], gas, n)
-    return delta + _cubic_event(xi, w, du_a - 1.0, xi + h, ws[-1], du_b - 1.0)
+    if ws[-1] == 0.0:  # at its end: no root-find
+        return delta + (xi + h)
+    c_a, w_a = (csq + ds[-2], ws[-2]) if len(ws) > 1 else (csq, w)
+    dw_a = _dw(s0 + xi, c_a, w_a, n)
+    dw_b = _dw(s0 + (xi + h), csq + ds[-1], ws[-1], n)
+    return delta + _cubic_event(xi, w_a, dw_a, xi + h, ws[-1], dw_b)
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +396,31 @@ def solve_background(
     doubles delta on the no-event surrogate g = -delta) until g changes
     sign, then runs Brent's method on x = log(delta) over the last two
     shots, to SHOOT_XTOL in x.  Iterates are clamped to [16 eps b0, 2 b0].
-    Measured on gamma 1.05-2.9, n 2 and 3, b0 1.2-100: 1-8 shots per
-    solve, mean 5.4.  The stand-off agrees with a bisection on the same
-    shot function to 1e-12 relative, also where delta is a few dozen ulp
-    of b0 (measured: at most 3.5e-14 against a bisection to 4 eps).  That
-    is the floor; the shooting resolves nothing finer.  Both the shots and
-    the final pass run on _march; a solve takes about 4-6 ms at grid_size
-    2048 and 2.5-3.5 ms at 1024 (median over gamma 1.4, n 3, b0 10-80;
-    CPython 3.11 on a shared 2-vCPU host), 0.55-0.75 of what four _rhs
-    calls per RK4 step took.
+    Each step count has its own shot function, of x alone.
+
+    The shots size themselves by their own RK4 error.  The solve converges
+    first on shots of SHOOT_STEPS_FIRST = 16 steps across [s0 - 2 delta,
+    s0], then takes one check shot at twice the steps at that root
+    delta_N: g_2N(delta_N) misses by about the error of N steps.  Within
+    SHOOT_XTOL delta_N, delta_N stands.  Otherwise the count doubles until
+    RK4's fourth order (16 times less error per doubling) predicts the
+    tolerance, at most SHOOT_STEPS, and the solve reseeds at delta_N -
+    g_2N and converges again.  Measured on gamma 1.05-2.9, n 2 and 3, b0
+    1.2-100 (74 cases that solve): 2-13 shots per solve, mean 8.5, and
+    24-1359 RK4 steps in them, mean 490 (every shot at 512 steps took 1-8
+    shots and 256-2023 steps).  Thin layers (gamma <= 1.4 from b0 10,
+    gamma 2 from b0 20) converge on 16-step shots and pass one 32-step
+    check; gamma 2.9 climbs to 64-512 steps as b0 falls, and thick layers
+    (b0 <= 2) to SHOOT_STEPS.
+    Against the root of a fixed 8192-step shot the stand-off is within
+    max(1.1 times the 512-step solve's error, 2 SHOOT_XTOL); it agrees
+    with a bisection on the SHOOT_STEPS shot to 1e-11 relative, also
+    where delta is a few dozen ulp of b0.  Both the shots and the final
+    pass run on _march; a solve takes about 2.0-2.2 ms at grid_size 2048
+    and 1.1-1.3 ms at 1024, the final pass about 1.5 and 0.75 ms of it,
+    against 3.4-4.1 and 2.3-3.0 ms with 512-step shots on the density
+    (median of 15, gamma 1.4, n 3, b0 10-80; CPython 3.11 on a shared
+    2-vCPU host).
 
     Raises BracketError when an iterate reaches an end of the clamp
     interval with the sign unchanged (the piston condition has no root
@@ -406,71 +441,90 @@ def solve_background(
     # because the shooting works in offset coordinates.
     lo, hi = 16.0 * sys.float_info.epsilon * b0, 2.0 * b0
     x_lo, x_hi = math.log(lo), math.log(hi)
-    shots = {}  # x -> g, every shot taken
+    shots = {}  # (x, steps) -> g, every shot taken
 
     def progress():
         if not shots:
             return "0 shots"
-        x = next(reversed(shots))
-        return (f"{len(shots)} shots, last delta = {math.exp(x):.6e} "
-                f"with mismatch {shots[x]:.3e}")
+        key = next(reversed(shots))
+        return (f"{len(shots)} shots, last delta = {math.exp(key[0]):.6e} "
+                f"with mismatch {shots[key]:.3e}")
 
-    def offset(x):
-        g = shots.get(x)
-        if g is None:
-            g = _piston_offset(math.exp(x), b0, gas, n)
-            if not math.isfinite(g):
-                raise ShootingError(f"shot at delta = {math.exp(x)!r} for b0={b0} "
-                                    f"returned {g} after {progress()}")
-            shots[x] = g
-        return g
+    def shot(steps):
+        # the shot at a fixed step count, a function of x alone, so that
+        # each root-find is on one function
+        def offset(x):
+            g = shots.get((x, steps))
+            if g is None:
+                g = _piston_offset(math.exp(x), b0, gas, n, steps)
+                if not math.isfinite(g):
+                    raise ShootingError(f"shot at delta = {math.exp(x)!r} for b0={b0} "
+                                        f"returned {g} after {progress()}")
+                shots[x, steps] = g
+            return g
+        return offset
 
-    seed = gas.rho0 * b0 / (n * shock_jump_from_speed(b0, gas).rho_plus)
-    x = math.log(min(max(seed, lo), hi))
-    g = offset(x)
-    for _ in range(SHOOT_MAXITER):
-        if g == 0.0:
-            break
-        if x == x_lo and g > 0.0:
-            raise BracketError(f"no shooting bracket for b0={b0}: the stand-off falls "
-                               f"below the representability floor 16*eps*b0 = {lo:.3e}, "
-                               f"where s0 = b0 + delta is no longer told apart from b0 "
-                               f"({progress()})")
-        if x == x_hi and g < 0.0:
-            raise BracketError(f"no shooting bracket for b0={b0}: mismatch keeps "
-                               f"its sign up to the end of [{lo:.3e}, {hi:.3e}] "
-                               f"({progress()})")
-        x_next = math.log(min(max(math.exp(x) - g, lo), hi))
-        if abs(x_next - x) <= SHOOT_XTOL:
-            # the step is below the resolution the root-find asks for
-            x = x_next
-            break
-        g_next = offset(x_next)
-        if (g_next < 0.0) != (g < 0.0):
-            # brentq opens on the last two shots, already taken
-            try:
-                x = brentq(offset, min(x, x_next), max(x, x_next), xtol=SHOOT_XTOL,
-                           maxiter=SHOOT_MAXITER)
-            except ConvergenceError as exc:
-                raise ShootingError(f"shooting for b0={b0} did not converge: {exc} "
-                                    f"({progress()})") from exc
-            break
-        x, g = x_next, g_next
-    else:
+    def root(offset, x):
+        g = offset(x)
+        for _ in range(SHOOT_MAXITER):
+            if g == 0.0:
+                return x
+            if x == x_lo and g > 0.0:
+                raise BracketError(f"no shooting bracket for b0={b0}: the stand-off falls "
+                                   f"below the representability floor 16*eps*b0 = {lo:.3e}, "
+                                   f"where s0 = b0 + delta is no longer told apart from b0 "
+                                   f"({progress()})")
+            if x == x_hi and g < 0.0:
+                raise BracketError(f"no shooting bracket for b0={b0}: mismatch keeps "
+                                   f"its sign up to the end of [{lo:.3e}, {hi:.3e}] "
+                                   f"({progress()})")
+            x_next = math.log(min(max(math.exp(x) - g, lo), hi))
+            if abs(x_next - x) <= SHOOT_XTOL:
+                # the step is below the resolution the root-find asks for
+                return x_next
+            g_next = offset(x_next)
+            # a shot that lands on 0 is the root, returned at the next pass
+            if g_next != 0.0 and (g_next < 0.0) != (g < 0.0):
+                # brentq opens on the last two shots, already taken
+                try:
+                    return brentq(offset, min(x, x_next), max(x, x_next), xtol=SHOOT_XTOL,
+                                  maxiter=SHOOT_MAXITER)
+                except ConvergenceError as exc:
+                    raise ShootingError(f"shooting for b0={b0} did not converge: {exc} "
+                                        f"({progress()})") from exc
+            x, g = x_next, g_next
         raise ShootingError(f"shooting for b0={b0} did not converge: no sign change "
                             f"in {SHOOT_MAXITER} steps ({progress()})")
+
+    seed = gas.rho0 * b0 / (n * shock_jump_from_speed(b0, gas).rho_plus)
+    steps = SHOOT_STEPS_FIRST
+    x = root(shot(steps), math.log(min(max(seed, lo), hi)))
+    while steps < SHOOT_STEPS:
+        # the check shot at twice the steps misses the root by about the
+        # error of this count
+        delta = math.exp(x)
+        g = shot(2 * steps)(x)
+        if abs(g) <= SHOOT_XTOL * delta:
+            break
+        # RK4: each doubling of the steps cuts the error 16-fold
+        err = abs(g)
+        while steps < SHOOT_STEPS and err > SHOOT_XTOL * delta:
+            steps, err = 2 * steps, err / 16.0
+        x = root(shot(steps), math.log(min(max(delta - g, lo), hi)))
     delta = math.exp(x)
 
     # Final pass: fixed-step integration on the output grid, shock to piston,
-    # on floats like the shots.
-    rho_plus, w_plus = _post_shock(b0 + delta, gas)
+    # on floats like the shots; the density from d = c^2 - c+^2 once
+    rho_plus, csq_plus, w_plus = _post_shock(b0 + delta, gas)
     h = delta / (grid_size - 1)
     s_off = np.linspace(0.0, delta, grid_size)
     # one step from each abscissa b0 + s_off but the piston's, shock first
-    rhos, ws = _march((b0 + s_off[:0:-1]).tolist(), rho_plus, w_plus, -h, gas, n)
+    ds, ws = _march((b0 + s_off[:0:-1]).tolist(), csq_plus, w_plus, -h, gas, n)
+    d = np.array(ds[::-1] + [0.0])
     sol = SelfSimilarSolution(
         gas=gas, n=n, b0=b0, delta=delta, s_off=s_off,
-        rho=np.array(rhos[::-1] + [rho_plus]), w=np.array(ws[::-1] + [w_plus]),
+        rho=rho_plus + rho_plus * np.expm1(np.log1p(d / csq_plus) / (gas.gamma - 1.0)),
+        w=np.array(ws[::-1] + [w_plus]),
     )
     if not abs(sol.w[0]) <= 1e-9 * b0:      # a NaN final pass fails too
         raise BracketError(

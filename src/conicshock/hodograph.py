@@ -290,12 +290,14 @@ def second_order_coeffs(st: HodographState, gas: GasParams, b0: float, T: float 
 class PsiHat:
     """Background profile in the straightened coordinate.
 
-    ``psi``/``dpsi``/``d2psi`` are sampled on the uniform ``R``-grid;
-    ``dpsi``/``d2psi`` use second-order finite differences (one-sided at the
-    ends).  ``u_off`` is u - b0; it and psi - delta are resampled from the
-    shifted background profile, so small combinations keep precision, by
-    cubic Hermite pieces on the profile's own slopes, within h^4/384
-    max|f''''| (see psi_hat_from_background).
+    ``psi``/``dpsi``/``d2psi`` are sampled on the uniform ``R``-grid.
+    ``dpsi`` is the first-order identity (b0 + (1-R)(b0-u)) psi' = (b0-u)
+    psi solved for psi' on the samples; ``d2psi`` is the second-order finite
+    difference of ``psi_off`` (one-sided at the ends).  ``u_off`` is u - b0
+    and ``psi_off`` is psi - delta at full precision; both are resampled
+    from the shifted background profile, so small combinations keep
+    precision, by cubic Hermite pieces on the profile's own slopes, within
+    h^4/384 max|f''''| (see psi_hat_from_background).
 
     The coefficient set at the profile's own states (``coeffs``) and the
     shock row (``shock_row``) are evaluated on first use and shared by every
@@ -304,6 +306,7 @@ class PsiHat:
 
     R: np.ndarray
     psi: np.ndarray
+    psi_off: np.ndarray
     dpsi: np.ndarray
     d2psi: np.ndarray
     u_off: np.ndarray
@@ -426,10 +429,12 @@ def psi_hat_from_background(sol: SelfSimilarSolution, n_points: int = 129) -> Ps
     # the Hermite basis: exactly sample k[0] at t = 0 and k[1] at t = 1
     psi_off, u_off = ((2.0 * t3 - 3.0 * t2 + 1.0) * f[:, 0] + (3.0 * t2 - 2.0 * t3) * f[:, 1]
                       + ((t3 - 2.0 * t2 + t) * m[:, 0] + (t3 - t2) * m[:, 1]) * h)
-    dR = R[1] - R[0]
+    psi = sol.delta + psi_off
+    # psi' from the first-order identity (b0 + (1-R)(b0-u)) psi' = (b0-u) psi
+    bu = -u_off
     return PsiHat(
-        R=R, psi=sol.delta + psi_off,
-        dpsi=_fd_derivative(psi_off, dR), d2psi=_fd_second(psi_off, dR), u_off=u_off,
+        R=R, psi=psi, psi_off=psi_off, dpsi=bu * psi / (b0 + (1.0 - R) * bu),
+        d2psi=_fd_second(psi_off, R[1] - R[0]), u_off=u_off,
         b0=b0, delta=sol.delta, gas=sol.gas, n=sol.n,
     )
 
@@ -438,12 +443,16 @@ def transform_identity_residual(ph: PsiHat) -> float:
     """Max residual of the first-derivative identity linking psi to the flow.
 
     (b0 + (1-R)(b0-u)) psi' = (b0-u) psi must hold along the background;
-    normalized by b0 * max|psi'|.
+    normalized by b0 * max|psi'|.  ``ph.dpsi`` is that identity solved for
+    psi', so psi' here is the second-order stencil of psi - delta
+    (``psi_off``), and the residual falls with the stencil's error, about
+    4x per halving of the R-step.
     """
+    dpsi = _fd_derivative(ph.psi_off, ph.R[1] - ph.R[0])
     bu = -ph.u_off  # b0 - u
-    lhs = (ph.b0 + (1.0 - ph.R) * bu) * ph.dpsi
+    lhs = (ph.b0 + (1.0 - ph.R) * bu) * dpsi
     rhs = bu * ph.psi
-    return float(np.max(np.abs(lhs - rhs)) / (ph.b0 * np.max(np.abs(ph.dpsi))))
+    return float(np.max(np.abs(lhs - rhs)) / (ph.b0 * np.max(np.abs(dpsi))))
 
 
 def profile_ode_residual(ph: PsiHat) -> float:
@@ -685,7 +694,20 @@ class StabilityReport:
 
     @property
     def passed(self) -> bool:
-        """All shock-side checks hold and the piston row is Neumann."""
+        """All shock-side checks hold and the piston row is Neumann.
+
+        The 1e-10 Neumann bound: at R = 1 a radial state has a0 = b0,
+        a1 = 1/psi and slip = -b0 psi'/psi, so the residuals are |CalA2| =
+        b0 |psi'|/c^2, |CalA4 + CalB11| = slip^2/c^2 (rounded at eps, as
+        it is formed from CalA4 = slip^2/c^2 - 1) and |CalA5 + CalB12| = 0,
+        with c^2 at the piston.  psi' there is the identity's, -(u - b0)
+        psi/b0, so |CalA2| = |w(b0)| psi/c^2, with w(b0) = u(b0) - b0 the
+        final pass's piston mismatch.  That pass rejects |w(b0)| > 1e-9 b0,
+        so the bound holds wherever b0 psi/c^2 < 0.1 at the piston; fast
+        pistons have b0 psi/c^2 ~ 2 delta/((gamma-1) b0), at most 0.07 on
+        gamma 1.2-2.9, b0 10-80.  The shooting leaves |w(b0)| at about
+        1e-13 delta, and the residuals read at most 3.4e-16 there.
+        """
         return (self.transversal and self.timelike and self.quad_form_positive
                 and max(self.neumann_residuals) < 1e-10)
 

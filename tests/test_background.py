@@ -13,6 +13,8 @@ from click.testing import CliRunner
 
 from conicshock import background
 from conicshock.background import (
+    SHOOT_STEPS,
+    SHOOT_XTOL,
     BracketError,
     DenominatorSignError,
     SelfSimilarSolution,
@@ -176,7 +178,7 @@ class TestSolveBackground:
         w = -2.0 * float(sound_speed(rho, GAS))
         with pytest.raises(DenominatorSignError,
                            match=re.escape(f"(s-u)^2 - c^2 >= 0 at s = {s0}")):
-            _march([s0, s0 - 1e-8], rho, w, -1e-8, GAS, 3)
+            _march([s0, s0 - 1e-8], float(sound_speed(rho, GAS)) ** 2, w, -1e-8, GAS, 3)
 
     def test_n2_solves(self):
         sol = solve_background(40.0, GAS, n=2, grid_size=256)
@@ -196,6 +198,17 @@ SHOOTING_CASES = [(g, b0) for g in (1.2, 1.4, 2.0) for b0 in (10.0, 40.0, 80.0)]
 #: thick, thin and unbracketed layers at the ends of the gamma range
 SEEDED_CASES = [(g, b0) for g in (1.05, 2.9) for b0 in (1.5, 4.0, 100.0)]
 
+#: RK4 steps the shots of one solve marched when every shot took
+#: SHOOT_STEPS (n 3, grid 256; 0 for the subsonic piston, 1 where the
+#: first shot, at the representability floor, already overshoots)
+FIXED_STEP_SHOT_STEPS = {
+    (1.2, 10.0): 1026, (1.2, 40.0): 513, (1.2, 80.0): 256,
+    (1.4, 10.0): 1283, (1.4, 40.0): 1026, (1.4, 80.0): 769,
+    (2.0, 10.0): 1282, (2.0, 40.0): 1027, (2.0, 80.0): 1027,
+    (1.05, 1.5): 1765, (1.05, 4.0): 1282, (1.05, 100.0): 1,
+    (2.9, 1.5): 0, (2.9, 4.0): 1569, (2.9, 100.0): 1284,
+}
+
 #: gamma 2.9 at b0 1.2 and 1.5 is subsonic, gamma 1.2 at b0 100 has no root
 #: above 16 eps b0; the rest solve
 PARITY_CASES = [(g, b0) for g in (1.2, 1.4, 2.9) for b0 in (1.2, 1.5, 4.0, 100.0)]
@@ -205,7 +218,7 @@ class TestShooting:
     @pytest.mark.parametrize("gamma, b0", SHOOTING_CASES)
     def test_matches_bisection_oracle(self, gamma, b0):
         gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
-        oracle = bisect(lambda d: _piston_offset(d, b0, gas, 3),
+        oracle = bisect(lambda d: _piston_offset(d, b0, gas, 3, SHOOT_STEPS),
                         16.0 * EPS * b0, 2.0 * b0, xtol=1e-300, rtol=1e-14,
                         maxiter=300)
         delta = solve_background(b0, gas, n=3, grid_size=256).delta
@@ -216,7 +229,7 @@ class TestShooting:
         # forth over a band of 6e-8 relative around this root
         b0 = 40.0
         delta = solve_background(b0, GAS, n=3, grid_size=256).delta
-        signs = [_piston_offset(delta * (1.0 + k * 1e-9), b0, GAS, 3) > 0.0
+        signs = [_piston_offset(delta * (1.0 + k * 1e-9), b0, GAS, 3, SHOOT_STEPS) > 0.0
                  for k in range(-10, 11)]
         assert sum(a != b for a, b in zip(signs, signs[1:])) == 1
         assert not signs[0] and signs[-1]
@@ -224,42 +237,57 @@ class TestShooting:
     def test_surrogate_offset_below_event_range(self):
         # no event within 2 delta: the finite surrogate -delta, not -inf
         lo = 16.0 * EPS * 40.0
-        assert _piston_offset(lo, 40.0, GAS, 3) == -lo
+        assert _piston_offset(lo, 40.0, GAS, 3, SHOOT_STEPS) == -lo
 
-    def test_shots_per_solve(self, monkeypatch):
-        calls = []
+    @staticmethod
+    def _count_shots(monkeypatch):
+        """Record each shot's (delta, steps) and the RK4 steps the shots
+        march, through the module bindings the solve looks up."""
+        calls, marched = [], []
 
         def counting(delta, *args):
-            calls.append(delta)
+            calls.append((delta, args[-1]))
             return _piston_offset(delta, *args)
 
+        def counting_march(*args, stop_on_event=False, **kw):
+            ds, ws = _march(*args, stop_on_event=stop_on_event, **kw)
+            if stop_on_event:
+                marched.append(len(ws))
+            return ds, ws
+
         monkeypatch.setattr(background, "_piston_offset", counting)
+        monkeypatch.setattr(background, "_march", counting_march)
+        return calls, marched
+
+    def test_shots_per_solve(self, monkeypatch):
+        calls, marched = self._count_shots(monkeypatch)
         for gamma, b0 in SHOOTING_CASES:
             calls.clear()
+            marched.clear()
             solve_background(b0, GasParams(A=1.0, gamma=gamma, rho0=1.0), n=3,
                              grid_size=256)
             assert len(calls) <= 30, (gamma, b0, len(calls))
             assert len(set(calls)) == len(calls)  # no shot repeated
+            assert len(marched) == len(calls)
+            assert sum(marched) <= FIXED_STEP_SHOT_STEPS[gamma, b0], (gamma, b0, sum(marched))
+            if gamma == 1.4:
+                assert sum(marched) <= 64, (b0, sum(marched))
 
     @pytest.mark.parametrize("gamma, b0", SHOOTING_CASES + SEEDED_CASES)
     def test_seeded_shots_per_solve(self, monkeypatch, gamma, b0):
         # the seed at the thin-layer mass balance and the steps
         # delta <- delta - g reach a sign change in a few shots, then Brent
-        # closes the last two; a case without a bracket stops at its end
-        calls = []
-
-        def counting(delta, *args):
-            calls.append(delta)
-            return _piston_offset(delta, *args)
-
-        monkeypatch.setattr(background, "_piston_offset", counting)
+        # closes the last two, at each step count the solve takes; a case
+        # without a bracket stops at its end
+        calls, marched = self._count_shots(monkeypatch)
         try:
             solve_background(b0, GasParams(A=1.0, gamma=gamma, rho0=1.0), n=3,
                              grid_size=256)
         except BracketError:
             pass
-        assert len(calls) <= 8
+        assert len(calls) <= 13
         assert len(set(calls)) == len(calls)  # no shot repeated
+        assert sum(marched) <= FIXED_STEP_SHOT_STEPS[gamma, b0], sum(marched)
 
     def test_stand_off_below_representability_floor(self):
         # gamma 1.2, b0 100: the stand-off falls below the clamp's lower end
@@ -278,14 +306,15 @@ class TestShooting:
         gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
         lo, hi = 16.0 * EPS * b0, 2.0 * b0
         try:
-            bracketed = _piston_offset(lo, b0, gas, 3) < 0.0 < _piston_offset(hi, b0, gas, 3)
+            bracketed = (_piston_offset(lo, b0, gas, 3, SHOOT_STEPS) < 0.0
+                         < _piston_offset(hi, b0, gas, 3, SHOOT_STEPS))
         except ValueError:
             bracketed = False
         if not bracketed:
             with pytest.raises(BracketError):
                 solve_background(b0, gas, n=3, grid_size=256)
             return
-        oracle = bisect(lambda d: _piston_offset(d, b0, gas, 3), lo, hi,
+        oracle = bisect(lambda d: _piston_offset(d, b0, gas, 3, SHOOT_STEPS), lo, hi,
                         xtol=1e-300, rtol=1e-14, maxiter=300)
         delta = solve_background(b0, gas, n=3, grid_size=256).delta
         assert delta == pytest.approx(oracle, rel=1e-11, abs=0.0)
@@ -300,10 +329,10 @@ class TestShooting:
             solve_background(40.0, GAS, n=3)
 
     @staticmethod
-    def _nan_inside_bracket(delta, b0, gas, n):
+    def _nan_inside_bracket(delta, b0, gas, n, steps):
         # a shot function that never settles: finite at the bracket ends
         # only, so the root-find cannot converge
-        return _piston_offset(delta, b0, gas, n) if not 1e-9 < delta < b0 \
+        return _piston_offset(delta, b0, gas, n, steps) if not 1e-9 < delta < b0 \
             else float("nan")
 
     def test_unconverged_shot_raises_typed_error(self, monkeypatch):
@@ -325,6 +354,104 @@ class TestShooting:
         assert res.exit_code == 1
         assert "certificate evaluation failed" in res.output
         assert "returned nan" in res.output
+
+
+# ---------------------------------------------------------------------------
+# stand-off accuracy: a fixed fine shot, the march's order, the mass balance
+# ---------------------------------------------------------------------------
+
+#: RK4 steps of the reference shot across [s0 - 2 delta, s0]
+REFERENCE_STEPS = 8192
+
+STANDOFF_B0 = (1.2, 1.5, 2.0, 4.0, 10.0, 20.0, 40.0, 80.0, 100.0)
+
+#: |delta/delta_ref - 1| of the solve when every shot took SHOOT_STEPS =
+#: 512 steps, rounded up, by (n, gamma) over STANDOFF_B0; None where the
+#: solve raises (a subsonic piston, or a stand-off below 16 eps b0)
+FIXED_STEP_STANDOFF_ERRORS = {
+    (2, 1.05): (2.5e-13, 1.2e-14, 3.4e-14, 3.1e-14, 5.8e-14, None, None, None, None),
+    (2, 1.2): (4.9e-13, 1.5e-13, 5.4e-14, 4.8e-14, 2.3e-15, 2.8e-14, 7.2e-14, 3.4e-15, None),
+    (2, 1.4): (7.2e-13, 1.3e-13, 5.1e-14, 1.9e-14, 2.1e-14, 6.1e-14, 6.5e-14, 5.4e-14, 5.5e-14),
+    (2, 2.0): (None, 5.9e-13, 1.5e-13, 3.6e-14, 5.5e-14, 5.1e-14, 4.5e-14, 6.6e-14, 1.2e-14),
+    (2, 2.9): (None, None, 4.7e-13, 3.8e-14, 2.5e-14, 3.2e-14, 4.4e-14, 6.1e-14, 1.3e-14),
+    (3, 1.05): (7.2e-13, 1.2e-13, 4.6e-14, 1.7e-14, 3.5e-14, None, None, None, None),
+    (3, 1.2): (1.6e-12, 2.1e-13, 4.4e-14, 3.8e-14, 4.4e-14, 5.0e-14, 1.6e-14, 8.0e-14, None),
+    (3, 1.4): (3.3e-12, 5.1e-13, 8.5e-14, 7.4e-14, 5.5e-14, 2.9e-15, 7.3e-14, 1.1e-14, 6.1e-14),
+    (3, 2.0): (None, 2.3e-12, 3.4e-13, 6.1e-14, 1.1e-14, 1.4e-14, 9.0e-15, 5.2e-15, 5.8e-14),
+    (3, 2.9): (None, None, 1.2e-12, 5.2e-14, 3.4e-14, 4.6e-14, 7.1e-14, 3.9e-14, 2.9e-14),
+}
+
+
+def _reference_stand_off(delta, b0, gas, n):
+    """Root of the REFERENCE_STEPS shot, by secant steps from delta."""
+    shot = lambda d: _piston_offset(d, b0, gas, n, REFERENCE_STEPS)
+    x0, g0 = delta, shot(delta)
+    x1 = delta - g0
+    for _ in range(8):
+        g1 = shot(x1)
+        if g1 == 0.0 or g1 == g0:
+            break
+        x0, g0, x1 = x1, g1, x1 - g1 * (x1 - x0) / (g1 - g0)
+        if abs(x1 - x0) <= 4.0 * EPS * x1:
+            break
+    return x1
+
+
+class TestStandOff:
+    def test_against_reference_shot(self):
+        # the stand-off at the step counts the solve chooses is no farther
+        # from the fine shot's root than the fixed 512-step solve was, or
+        # within twice the root-find's tolerance; the cases that raise
+        # raise as they did
+        solved = 0
+        for (n, gamma), errors in FIXED_STEP_STANDOFF_ERRORS.items():
+            gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
+            for b0, fixed in zip(STANDOFF_B0, errors):
+                case = (n, gamma, b0)
+                if fixed is None:
+                    with pytest.raises(BracketError):
+                        solve_background(b0, gas, n=n, grid_size=256)
+                    continue
+                delta = solve_background(b0, gas, n=n, grid_size=256).delta
+                ref = _reference_stand_off(delta, b0, gas, n)
+                err = abs(delta / ref - 1.0)
+                assert err <= max(1.1 * fixed, 2.0 * SHOOT_XTOL), (case, err, fixed)
+                solved += 1
+        assert solved == 74
+
+    def test_march_fourth_order(self):
+        # the (d, w) march across a thick layer, from the shock to the
+        # piston: successive differences under step halving shrink 16-fold
+        gas, b0, n = GasParams(A=1.0, gamma=2.9, rho0=1.0), 2.0, 3
+        delta = solve_background(b0, gas, n=n, grid_size=64).delta
+        _, csq, w = background._post_shock(b0 + delta, gas)
+        ends = []
+        for steps in (16, 32, 64, 128):
+            h = delta / steps
+            ds, ws = _march([b0 + delta - k * h for k in range(steps)], csq, w, -h, gas, n)
+            ends.append(np.array([ds[-1], ws[-1]]))
+        diffs = [np.abs(a - b) for a, b in zip(ends, ends[1:])]
+        orders = [np.log2(a / b) for a, b in zip(diffs, diffs[1:])]
+        for d_order, w_order in orders:
+            assert 3.8 <= w_order <= 4.2, orders
+            assert d_order >= 3.8, orders
+
+    @pytest.mark.parametrize("gamma", [1.4, 2.0, 2.9])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_thin_layer_mass_balance(self, gamma, n):
+        # the gas swept from [0, s0] sits in the layer [b0, s0] at about
+        # rho+: rho0 s0^n = rho+ (s0^n - b0^n), so delta n rho+/(rho0 b0) =
+        # 1 + (n + 1)/2 delta/b0 + O((delta/b0)^2), and tends to 1 as b0
+        # grows; delta itself is resolved to SHOOT_XTOL relative
+        gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
+        excess = []
+        for b0 in (10.0, 20.0, 40.0, 80.0):
+            sol = solve_background(b0, gas, n=n, grid_size=64)
+            e = sol.delta / b0
+            r = sol.delta * n * sol.jump.rho_plus / (gas.rho0 * b0) - 1.0
+            assert abs(r - (n + 1) / 2.0 * e) <= 10.0 * e * e + 2.0 * SHOOT_XTOL, (b0, r, e)
+            excess.append(r)
+        assert all(a > b > 0.0 for a, b in zip(excess, excess[1:])), excess
 
 
 # ---------------------------------------------------------------------------

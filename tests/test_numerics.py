@@ -19,8 +19,8 @@ from scipy.optimize import brentq as scipy_brentq
 import conicshock
 from conicshock import _numerics, background
 from conicshock._numerics import ConvergenceError, CubicSpline, brentq, cumulative_simpson
-from conicshock.background import (ShootingError, _piston_offset, shock_jump_from_speed,
-                                   solve_background)
+from conicshock.background import (SHOOT_STEPS, ShootingError, _piston_offset,
+                                   shock_jump_from_speed, solve_background)
 from conicshock.cli import COMPUTATION_ERRORS, main
 from conicshock.gas import GasParams
 from conicshock.hodograph import (_fd_bound, _fd_derivative, check_ellipticity,
@@ -109,7 +109,7 @@ class TestNonConvergence:
         delta = solve_background(10.0, GAS, n=3, grid_size=65).delta
         _starve(monkeypatch, "hermite")
         with pytest.raises(ConvergenceError, match="did not converge in 1 iterations"):
-            _piston_offset(delta, 10.0, GAS, 3)
+            _piston_offset(delta, 10.0, GAS, 3, SHOOT_STEPS)
 
     def test_shooting_keeps_its_error(self, monkeypatch):
         _starve(monkeypatch, "offset")
@@ -211,8 +211,9 @@ class TestNaturalSpline:
 
 
 def _scipy_resample(sol, n_points=129):
-    """(dpsi, u_off, psi) of sol straightened by scipy's not-a-knot spline
-    over R, the stencil as psi_hat_from_background takes it."""
+    """(stencil of psi - delta, u_off, psi) of sol straightened by scipy's
+    not-a-knot spline over R, the stencil as transform_identity_residual
+    takes it."""
     R_s, R = _r_grid(sol), np.linspace(1.0, 2.0, n_points)
     psi_off, u_off = ScipyCubicSpline(R_s, np.column_stack([sol.q / sol.b0, sol.u_off]))(R).T
     return _fd_derivative(psi_off, R[1] - R[0]), u_off, sol.delta + psi_off
@@ -230,19 +231,22 @@ class TestStraightenedProfile:
     def test_psi_hat_near_scipy_spline(self, gamma, b0, n):
         # on verify's 2048 samples the Hermite pieces and scipy's
         # not-a-knot spline both sit at the rounding floor: psi within 1
-        # ulp, u_off within a few ulp of its size, psi' to 1e-13
+        # ulp, u_off within a few ulp of its size, and the stencil of
+        # psi - delta to 1e-13 (psi' itself is the identity's)
         sol = solve_background(b0, GasParams(A=1.0, gamma=gamma, rho0=1.0), n=n)
         assert len(sol.s_off) == 2048
         ph = psi_hat_from_background(sol)
         dpsi, u_off, psi = _scipy_resample(sol)
         assert np.all(np.abs(ph.psi - psi) <= np.spacing(np.abs(psi)))
         assert np.max(np.abs(ph.u_off - u_off)) <= 4.0 * np.spacing(np.max(np.abs(u_off)))
-        assert np.max(np.abs(ph.dpsi - dpsi)) <= 1e-13 * np.max(np.abs(dpsi))
+        stencil = _fd_derivative(ph.psi_off, ph.R[1] - ph.R[0])
+        assert np.max(np.abs(stencil - dpsi)) <= 1e-13 * np.max(np.abs(dpsi))
 
     @pytest.mark.parametrize("gamma, b0, n", CONVERGENCE_CASES)
     def test_psi_hat_converges_as_scipy_spline(self, gamma, b0, n):
         # against a 16385-sample profile, on 65 to 1025 samples: the
-        # Hermite error in psi' and u_off is at most scipy's spline error
+        # Hermite error in the stencil of psi - delta and in u_off is at
+        # most scipy's spline error
         # (to a factor 1.5 and the 1e-13 rounding floor).  psi - delta is
         # not compared: psi is quantized at ulp(delta)
         gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
@@ -251,7 +255,9 @@ class TestStraightenedProfile:
             sol = solve_background(b0, gas, n=n, grid_size=m)
             ph = psi_hat_from_background(sol)
             dpsi, u_off, _ = _scipy_resample(sol)
-            for ours, theirs, want in ((ph.dpsi, dpsi, ref.dpsi), (ph.u_off, u_off, ref.u_off)):
+            stencil = lambda p: _fd_derivative(p.psi_off, p.R[1] - p.R[0])
+            for ours, theirs, want in ((stencil(ph), dpsi, stencil(ref)),
+                                       (ph.u_off, u_off, ref.u_off)):
                 scale = np.max(np.abs(want))
                 err, spline_err = (np.max(np.abs(x - want)) / scale for x in (ours, theirs))
                 assert err <= 1.5 * spline_err + 1e-13, m

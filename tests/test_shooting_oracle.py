@@ -1,13 +1,16 @@
 """Bitwise oracle for the background shooting and its final pass.
 
-``_march`` writes the four RK4 stages of the profile ODE out on local
-floats and the shot loop and final pass of ``solve_background`` run on it.
-Every operation and its association are those of the plain formulas, so
-each shot, stand-off and profile must be bitwise that of the plain
-versions.  Those are kept here verbatim as the reference: ``_rhs``
-(returning w'), ``_rk4_step``, the shot loop of ``_piston_offset`` and
+``_march`` writes the four RK4 stages of the profile ODE in (d, w) out on
+local floats (d = c^2 - c+^2, w = u - s), and the shots, the step-count
+loop and the final pass of ``solve_background`` run on it.  Every
+operation and its association are those of the plain formulas, so each
+shot, stand-off and profile must be bitwise that of the plain versions.
+Those are kept here verbatim as the reference: ``_rhs`` (returning d' and
+w'), ``_rk4_step``, the shot loop of ``_piston_offset`` and
 ``solve_background`` with its final pass.  The jump solve, the event
-root-find and the profile container are shared.
+root-find and the profile container are shared.  How close the shooting
+is to the exact stand-off is checked apart from this, in
+tests/test_background.py against a fixed 8192-step reference shot.
 """
 
 import math
@@ -18,10 +21,10 @@ import pytest
 
 from conicshock import background
 from conicshock._numerics import ConvergenceError, brentq
-from conicshock.background import (SHOOT_MAXITER, SHOOT_STEPS, SHOOT_XTOL, BracketError,
-                                   DenominatorSignError, SelfSimilarSolution, ShootingError,
-                                   _cubic_event, _piston_offset, check_grid_size, check_n,
-                                   shock_jump_from_speed, solve_background)
+from conicshock.background import (SHOOT_MAXITER, SHOOT_STEPS, SHOOT_STEPS_FIRST, SHOOT_XTOL,
+                                   BracketError, DenominatorSignError, SelfSimilarSolution,
+                                   ShootingError, _cubic_event, _piston_offset, check_grid_size,
+                                   check_n, shock_jump_from_speed, solve_background)
 from conicshock.gas import GasParams, sound_speed
 
 # ---------------------------------------------------------------------------
@@ -29,42 +32,47 @@ from conicshock.gas import GasParams, sound_speed
 # ---------------------------------------------------------------------------
 
 
-def _rhs(s, rho, w, gas, n):
-    csq = gas.A * gas.gamma * rho ** (gas.gamma - 1.0)
-    den = w * w - csq
-    u = s + w
-    drho = -(n - 1) * w * rho * u / (s * den)
-    dw = (n - 1) * csq * u / (s * den) - 1.0
-    return drho, dw, den
+def _rhs(s, d, w, csq, gas, n):
+    c = csq + d
+    den = w * w - c
+    a = c * (s + w) / (s * den)
+    return -(gas.gamma - 1.0) * (n - 1) * w * a, (n - 1) * a - 1.0, den
 
 
-def _rk4_step(s, rho, w, h, gas, n):
-    k1r, k1w, den = _rhs(s, rho, w, gas, n)
+def _rk4_step(s, d, w, h, csq, gas, n):
+    k1d, k1w, den = _rhs(s, d, w, csq, gas, n)
     if den >= 0.0:
         raise DenominatorSignError(f"(s-u)^2 - c^2 >= 0 at s = {s}")
-    k2r, k2w, _ = _rhs(s + 0.5 * h, rho + 0.5 * h * k1r, w + 0.5 * h * k1w, gas, n)
-    k3r, k3w, _ = _rhs(s + 0.5 * h, rho + 0.5 * h * k2r, w + 0.5 * h * k2w, gas, n)
-    k4r, k4w, _ = _rhs(s + h, rho + h * k3r, w + h * k3w, gas, n)
-    rho1 = rho + h / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+    k2d, k2w, _ = _rhs(s + 0.5 * h, d + 0.5 * h * k1d, w + 0.5 * h * k1w, csq, gas, n)
+    k3d, k3w, _ = _rhs(s + 0.5 * h, d + 0.5 * h * k2d, w + 0.5 * h * k2w, csq, gas, n)
+    k4d, k4w, _ = _rhs(s + h, d + h * k3d, w + h * k3w, csq, gas, n)
+    d1 = d + h / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
     w1 = w + h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-    return rho1, w1
+    return d1, w1
 
 
-def _shot(delta, b0, gas, n):
+def _csq(rho, gas):
+    return gas.A * gas.gamma * rho ** (gas.gamma - 1.0)
+
+
+def _shot(delta, b0, gas, n, steps):
     s0 = b0 + delta
     jump = shock_jump_from_speed(s0, gas)
     w = -s0 * gas.rho0 / jump.rho_plus
-    rho = jump.rho_plus
-    h = -2.0 * delta / SHOOT_STEPS
+    csq = _csq(jump.rho_plus, gas)
+    d = 0.0
+    h = -2.0 * delta / steps
     xi = 0.0
-    for _ in range(SHOOT_STEPS):
-        rho1, w1 = _rk4_step(s0 + xi, rho, w, h, gas, n)
+    for _ in range(steps):
+        d1, w1 = _rk4_step(s0 + xi, d, w, h, csq, gas, n)
         xi1 = xi + h
         if w1 >= 0.0:
-            _, dw_a, _ = _rhs(s0 + xi, rho, w, gas, n)
-            _, dw_b, _ = _rhs(s0 + xi1, rho1, w1, gas, n)
+            if w1 == 0.0:
+                return delta + xi1
+            _, dw_a, _ = _rhs(s0 + xi, d, w, csq, gas, n)
+            _, dw_b, _ = _rhs(s0 + xi1, d1, w1, csq, gas, n)
             return delta + _cubic_event(xi, w, dw_a, xi1, w1, dw_b)
-        xi, rho, w = xi1, rho1, w1
+        xi, d, w = xi1, d1, w1
     return -delta
 
 
@@ -82,71 +90,97 @@ def _solve(b0, gas, n=3, grid_size=2048):
     def progress():
         if not shots:
             return "0 shots"
-        x = next(reversed(shots))
+        x, steps = next(reversed(shots))
         return (f"{len(shots)} shots, last delta = {math.exp(x):.6e} "
-                f"with mismatch {shots[x]:.3e}")
+                f"with mismatch {shots[x, steps]:.3e}")
 
-    def offset(x):
-        g = shots.get(x)
-        if g is None:
-            g = _shot(math.exp(x), b0, gas, n)
-            if not math.isfinite(g):
-                raise ShootingError(f"shot at delta = {math.exp(x)!r} for b0={b0} "
-                                    f"returned {g} after {progress()}")
-            shots[x] = g
-        return g
+    def shot(steps):
+        def offset(x):
+            g = shots.get((x, steps))
+            if g is None:
+                g = _shot(math.exp(x), b0, gas, n, steps)
+                if not math.isfinite(g):
+                    raise ShootingError(f"shot at delta = {math.exp(x)!r} for b0={b0} "
+                                        f"returned {g} after {progress()}")
+                shots[x, steps] = g
+            return g
+        return offset
 
-    seed = gas.rho0 * b0 / (n * shock_jump_from_speed(b0, gas).rho_plus)
-    x = math.log(min(max(seed, lo), hi))
-    g = offset(x)
-    for _ in range(SHOOT_MAXITER):
-        if g == 0.0:
-            break
-        if x == (x_hi if g < 0.0 else x_lo):
-            raise BracketError(f"no shooting bracket for b0={b0}: mismatch keeps "
-                               f"its sign up to the end of [{lo:.3e}, {hi:.3e}] "
-                               f"({progress()})")
-        x_next = math.log(min(max(math.exp(x) - g, lo), hi))
-        if abs(x_next - x) <= SHOOT_XTOL:
-            x = x_next
-            break
-        g_next = offset(x_next)
-        if (g_next < 0.0) != (g < 0.0):
-            try:
-                x = brentq(offset, min(x, x_next), max(x, x_next), xtol=SHOOT_XTOL,
-                           maxiter=SHOOT_MAXITER)
-            except ConvergenceError as exc:
-                raise ShootingError(f"shooting for b0={b0} did not converge: {exc} "
-                                    f"({progress()})") from exc
-            break
-        x, g = x_next, g_next
-    else:
+    def root(offset, x):
+        g = offset(x)
+        for _ in range(SHOOT_MAXITER):
+            if g == 0.0:
+                return x
+            if x == x_lo and g > 0.0:
+                raise BracketError(f"no shooting bracket for b0={b0}: the stand-off falls "
+                                   f"below the representability floor 16*eps*b0 = {lo:.3e}, "
+                                   f"where s0 = b0 + delta is no longer told apart from b0 "
+                                   f"({progress()})")
+            if x == x_hi and g < 0.0:
+                raise BracketError(f"no shooting bracket for b0={b0}: mismatch keeps "
+                                   f"its sign up to the end of [{lo:.3e}, {hi:.3e}] "
+                                   f"({progress()})")
+            x_next = math.log(min(max(math.exp(x) - g, lo), hi))
+            if abs(x_next - x) <= SHOOT_XTOL:
+                return x_next
+            g_next = offset(x_next)
+            if g_next != 0.0 and (g_next < 0.0) != (g < 0.0):
+                try:
+                    return brentq(offset, min(x, x_next), max(x, x_next), xtol=SHOOT_XTOL,
+                                  maxiter=SHOOT_MAXITER)
+                except ConvergenceError as exc:
+                    raise ShootingError(f"shooting for b0={b0} did not converge: {exc} "
+                                        f"({progress()})") from exc
+            x, g = x_next, g_next
         raise ShootingError(f"shooting for b0={b0} did not converge: no sign change "
                             f"in {SHOOT_MAXITER} steps ({progress()})")
+
+    seed = gas.rho0 * b0 / (n * shock_jump_from_speed(b0, gas).rho_plus)
+    steps = SHOOT_STEPS_FIRST
+    x = root(shot(steps), math.log(min(max(seed, lo), hi)))
+    while steps < SHOOT_STEPS:
+        delta = math.exp(x)
+        g = shot(2 * steps)(x)
+        if abs(g) <= SHOOT_XTOL * delta:
+            break
+        err = abs(g)
+        while steps < SHOOT_STEPS and err > SHOOT_XTOL * delta:
+            steps, err = 2 * steps, err / 16.0
+        x = root(shot(steps), math.log(min(max(delta - g, lo), hi)))
     delta = math.exp(x)
 
     s0 = b0 + delta
     jump = shock_jump_from_speed(s0, gas)
+    csq = _csq(jump.rho_plus, gas)
     N = grid_size
     h = delta / (N - 1)
     s_off = np.linspace(0.0, delta, N)
-    rho = [0.0] * N
+    d = [0.0] * N
     w = [0.0] * N
-    rho[N - 1] = jump.rho_plus
     w[N - 1] = -s0 * gas.rho0 / jump.rho_plus
     s = (b0 + s_off).tolist()
     for i in range(N - 1, 0, -1):
-        rho[i - 1], w[i - 1] = _rk4_step(s[i], rho[i], w[i], -h, gas, n)
+        d[i - 1], w[i - 1] = _rk4_step(s[i], d[i], w[i], -h, csq, gas, n)
+    rho = jump.rho_plus + jump.rho_plus * np.expm1(np.log1p(np.array(d) / csq) / (gas.gamma - 1.0))
 
     sol = SelfSimilarSolution(
         gas=gas, n=n, b0=b0, delta=delta,
-        s_off=s_off, rho=np.array(rho), w=np.array(w),
+        s_off=s_off, rho=rho, w=np.array(w),
     )
     if abs(sol.w[0]) > 1e-9 * b0:
         raise BracketError(
             f"piston condition missed: |u(b0) - b0| = {abs(sol.w[0]):.3e} > 1e-9*b0"
         )
     return sol
+
+
+def _profile_rhs(s, rho, w, gas, n):
+    """(rho', u') of the profile ODE on the sampled density, as the
+    profile's drho and du read it."""
+    csq = _csq(rho, gas)
+    den = w * w - csq
+    u = s + w
+    return -(n - 1) * w * rho * u / (s * den), (n - 1) * csq * u / (s * den)
 
 
 def _du(sol):
@@ -191,14 +225,17 @@ def test_shots_bitwise(gamma, n, b0):
     first = 400.0 * root
     s0 = b0 + first
     rho_plus = shock_jump_from_speed(s0, gas).rho_plus
-    _, w1 = _rk4_step(s0, rho_plus, -s0 * gas.rho0 / rho_plus, -2.0 * first / SHOOT_STEPS, gas, n)
+    _, w1 = _rk4_step(s0, 0.0, -s0 * gas.rho0 / rho_plus, -2.0 * first / SHOOT_STEPS,
+                      _csq(rho_plus, gas), gas, n)
     assert w1 >= 0.0
     # no event within 2 delta: the surrogate -delta
     lo = 16.0 * sys.float_info.epsilon * b0
-    assert _shot(lo, b0, gas, n) == -lo
-    for delta in deltas + [first, lo]:
-        assert _same(_outcome(_piston_offset, delta, b0, gas, n),
-                     _outcome(_shot, delta, b0, gas, n)), delta
+    assert _shot(lo, b0, gas, n, SHOOT_STEPS) == -lo
+    # the first count of a solve, one it doubles to, and the most
+    for steps in (SHOOT_STEPS_FIRST, 4 * SHOOT_STEPS_FIRST, SHOOT_STEPS):
+        for delta in deltas + [first, lo]:
+            assert _same(_outcome(_piston_offset, delta, b0, gas, n, steps),
+                         _outcome(_shot, delta, b0, gas, n, steps)), (delta, steps)
 
 
 @pytest.mark.parametrize("grid_size", [2048, 1024])
@@ -216,9 +253,9 @@ def test_solves_bitwise(grid_size):
         assert got.delta == ref.delta, case
         for name in ("s_off", "rho", "w", "q"):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), (case, name)
-        # u' now read from _rhs, and what is built on it
+        # u' and rho' on the sampled profile, and what is built on them
         assert got.du.tobytes() == _du(ref).tobytes(), case
-        assert got.drho.tobytes() == _rhs(ref.s, ref.rho, ref.w, gas, n)[0].tobytes(), case
+        assert got.drho.tobytes() == _profile_rhs(ref.s, ref.rho, ref.w, gas, n)[0].tobytes(), case
     # the subsonic piston at gamma 2.9, n 2 and 3
     assert errors == 2
 
@@ -236,23 +273,28 @@ def test_errors_match(grid_size, match):
 
 
 def test_steps_bitwise_on_random_states():
-    # single steps from states off any solved layer, with steps long enough
-    # that the rho increment reaches the last bits of rho (inside a thin
+    # two steps from states off any solved layer, with steps long enough
+    # that the d increment reaches the last bits of c^2 (inside a thin
     # layer it does not, so the shots and solves above alone would miss a
-    # reassociated rho update)
+    # reassociated update); the second step starts from d != 0
     rng = np.random.default_rng(20261019)
     checked = 0
     for _ in range(2000):
         gas = GasParams(gamma=float(rng.uniform(1.1, 2.9)))
         n = int(rng.integers(2, 4))
         rho = float(10.0 ** rng.uniform(-1.0, 3.0))
-        w = -float(rng.uniform(0.05, 0.95)) * float(sound_speed(rho, gas))
+        csq = _csq(rho, gas)
+        w = -float(rng.uniform(0.05, 0.95)) * math.sqrt(csq)
         s = float(rng.uniform(0.5, 20.0))
         h = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, -0.5))
-        ref = _rk4_step(s, rho, w, h, gas, n)
-        if not all(isinstance(x, float) and math.isfinite(x) for x in ref):
+        try:
+            one = _rk4_step(s, 0.0, w, h, csq, gas, n)
+            two = _rk4_step(s + h, *one, h, csq, gas, n)
+        except DenominatorSignError:
             continue
-        rhos, ws = background._march([s], rho, w, h, gas, n)
-        assert (rhos[0], ws[0]) == ref, (gas.gamma, n, s, rho, w, h)
+        if not all(isinstance(x, float) and math.isfinite(x) for x in one + two):
+            continue
+        ds, ws = background._march([s, s + h], csq, w, h, gas, n)
+        assert list(zip(ds, ws)) == [one, two], (gas.gamma, n, s, rho, w, h)
         checked += 1
     assert checked > 1000
