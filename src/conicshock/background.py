@@ -13,8 +13,8 @@ For fast pistons the stand-off distance ``s0 - b0`` is tiny relative to
 the *shifted* quantities ``w = u - s`` and offsets ``s - b0`` rather than the
 raw profiles; this keeps full relative precision in every small combination
 used downstream (potential offsets, straightened-coordinate profiles).  The
-march carries the squared sound speed as an offset ``c^2 - c+^2`` from its
-value behind the shock, and the density is formed from it once per profile.
+march and the profile carry the squared sound speed as an offset ``c^2 - c+^2``
+from its value behind the shock; the density is formed from it once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from ._numerics import ConvergenceError, brentq, cumulative_simpson
-from .gas import GasParams
+from .gas import GasParams, _csq_at
 
 __all__ = [
     "ShockJump",
@@ -143,17 +143,14 @@ def shock_jump_from_speed(s0: float, gas: GasParams) -> ShockJump:
 # ODE right-hand side in shifted variables
 # ---------------------------------------------------------------------------
 
-def _rhs(s, rho, w, gas: GasParams, n: int):
-    """Derivatives (rho', u') at s, with w = u - s, so that w' = u' - 1.0.
-
-    The denominator w^2 - c^2 must be negative between piston and shock.
+def _rhs(s, csq, w, gas: GasParams, n: int):
+    """((c^2)', u') of the profile ODE at s from (c^2, w), w = u - s, on
+    floats or arrays: with a = c^2 u/(s (w^2 - c^2)), (c^2)' = -(gamma-1)
+    (n-1) w a (from rho' and c^2 ~ rho^(gamma-1)) and u' = (n-1) a, the
+    operations of a stage of _march.  The denominator must be negative.
     """
-    csq = gas.A * gas.gamma * rho ** (gas.gamma - 1.0)
-    den = w * w - csq
-    u = s + w
-    drho = -(n - 1) * w * rho * u / (s * den)
-    du = (n - 1) * csq * u / (s * den)
-    return drho, du, den
+    a = csq * (s + w) / (s * (w * w - csq))
+    return -(gas.gamma - 1.0) * (n - 1) * w * a, (n - 1) * a
 
 
 def _march(abscissas, csq, w, h, gas: GasParams, n: int, stop_on_event: bool = False):
@@ -163,17 +160,15 @@ def _march(abscissas, csq, w, h, gas: GasParams, n: int, stop_on_event: bool = F
     its start.  With stop_on_event, stops after the first step that ends
     at w >= 0.
 
-    The state is (d, w), with w = u - s.  With den = w^2 - c^2 < 0 and the
-    quotient a = c^2 u/(s den), the equations are d' = -(gamma-1)(n-1) w a
-    (from rho' and c^2 ~ rho^(gamma-1)) and w' = (n-1) a - 1.  So a stage
-    forms one quotient, takes no power and divides once; the caller
-    converts d to the density once, after the march.  The loop writes the
-    four stages out on local floats, with -(gamma-1)(n-1) and n - 1 bound
-    once; every operation and its association are those of a plain RK4
-    step on (d, w) (stage states d + h/2 k, so c^2 = csq + (d + h/2 k)),
-    whose results are bitwise the loop's: tests/test_shooting_oracle.py
-    keeps that step as the reference.  Raises DenominatorSignError, naming
-    the abscissa, where a step starts at w^2 >= c^2.
+    The state is (d, w), with w = u - s, d' = (c^2)' and w' = u' - 1 of
+    _rhs.  So a stage forms one quotient, takes no power and divides once.
+    The loop writes the four stages out on local floats, with
+    -(gamma-1)(n-1) and n - 1 bound once; every operation and its
+    association are those of a plain RK4 step on (d, w) (stage states d +
+    h/2 k, so c^2 = csq + (d + h/2 k)), whose results are bitwise the
+    loop's: tests/test_shooting_oracle.py keeps that step as the reference.
+    Raises DenominatorSignError, naming the abscissa, where a step starts
+    at w^2 >= c^2.
     """
     # n - 1 as a float: float-by-float products run faster than mixed ones
     m, n1 = -(gas.gamma - 1.0) * (n - 1), float(n - 1)
@@ -204,11 +199,6 @@ def _march(abscissas, csq, w, h, gas: GasParams, n: int, stop_on_event: bool = F
         if stop_on_event and w >= 0.0:
             break
     return ds, ws
-
-
-def _dw(s, csq, w, n: int):
-    """w' = u' - 1 of the profile ODE at s, from (c^2, w)."""
-    return (n - 1) * (csq * (s + w) / (s * (w * w - csq))) - 1.0
 
 
 def _cubic_event(xi_a, w_a, dw_a, xi_b, w_b, dw_b):
@@ -248,7 +238,7 @@ def _post_shock(s0: float, gas: GasParams):
     """(rho+, c+^2, w+) just behind a shock of speed s0, with w+ = u+ - s0
     = -s0 rho0 / rho+ from the mass jump."""
     rho_plus = shock_jump_from_speed(s0, gas).rho_plus
-    return rho_plus, gas.A * gas.gamma * rho_plus ** (gas.gamma - 1.0), -s0 * gas.rho0 / rho_plus
+    return rho_plus, _csq_at(rho_plus, gas), -s0 * gas.rho0 / rho_plus
 
 
 def _piston_offset(delta: float, b0: float, gas: GasParams, n: int, steps: int) -> float:
@@ -262,10 +252,7 @@ def _piston_offset(delta: float, b0: float, gas: GasParams, n: int, steps: int) 
     shock speed too small): the true offset lies below -delta there, so the
     finite surrogate has the right sign for the root-find.  Expects plain
     floats: on numpy scalars every stage operation of the march is a ufunc
-    call.  A step takes 0.73-0.76 us on plain floats, where the
-    march on the density took 0.93-0.97 us (minimum of 20 final passes of
-    2047 steps, gamma 1.4, n 3, b0 10-80; CPython 3.11, shared 2-vCPU
-    host).
+    call.
     """
     s0 = b0 + delta
     _, csq, w = _post_shock(s0, gas)
@@ -280,8 +267,8 @@ def _piston_offset(delta: float, b0: float, gas: GasParams, n: int, steps: int) 
     if ws[-1] == 0.0:  # at its end: no root-find
         return delta + (xi + h)
     c_a, w_a = (csq + ds[-2], ws[-2]) if len(ws) > 1 else (csq, w)
-    dw_a = _dw(s0 + xi, c_a, w_a, n)
-    dw_b = _dw(s0 + (xi + h), csq + ds[-1], ws[-1], n)
+    dw_a = _rhs(s0 + xi, c_a, w_a, gas, n)[1] - 1.0
+    dw_b = _rhs(s0 + (xi + h), csq + ds[-1], ws[-1], gas, n)[1] - 1.0
     return delta + _cubic_event(xi, w_a, dw_a, xi + h, ws[-1], dw_b)
 
 
@@ -294,7 +281,9 @@ class SelfSimilarSolution:
     """Sampled background profile on [b0, s0], piston first.
 
     ``s_off`` holds s - b0 exactly (built from grid indices), ``w`` holds
-    u - s; both avoid cancellation for fast pistons.  ``q`` is the
+    u - s; both avoid cancellation for fast pistons.  ``csq_off`` holds
+    c^2 - c+^2, the offset the march carries: (c+^2 + csq_off, w) is the
+    ODE's state, on which ``dcsq`` and ``du`` evaluate ``_rhs``.  ``q`` is the
     cumulative integral of (u - b0) from s0 down, so that the potential is
     phi = -b0*(s0 - s) - q and the straightened profile needs only q.
     """
@@ -306,6 +295,7 @@ class SelfSimilarSolution:
     s_off: np.ndarray       # s - b0
     rho: np.ndarray
     w: np.ndarray           # u - s
+    csq_off: np.ndarray     # c^2 - c+^2
     q: np.ndarray = field(init=False)  # int_s^{s0} (u - b0) ds
 
     def __post_init__(self):
@@ -337,17 +327,23 @@ class SelfSimilarSolution:
 
     @property
     def csq(self) -> np.ndarray:
-        return self.gas.A * self.gas.gamma * self.rho ** (self.gas.gamma - 1.0)
+        """c^2, from c+^2 at the shock density and csq_off."""
+        return _csq_at(float(self.rho[-1]), self.gas) + self.csq_off
 
     @property
-    def drho(self) -> np.ndarray:
-        """rho'(s) from the ODE right-hand side (no finite differencing)."""
-        return _rhs(self.s, self.rho, self.w, self.gas, self.n)[0]
+    def dcsq(self) -> np.ndarray:
+        """(c^2)'(s) from the ODE right-hand side (no finite differencing)."""
+        return _rhs(self.s, self.csq, self.w, self.gas, self.n)[0]
 
     @property
     def du(self) -> np.ndarray:
         """u'(s) from the ODE right-hand side."""
-        return _rhs(self.s, self.rho, self.w, self.gas, self.n)[1]
+        return _rhs(self.s, self.csq, self.w, self.gas, self.n)[1]
+
+    @property
+    def drho(self) -> np.ndarray:
+        """rho'(s) = rho (c^2)'/((gamma-1) c^2), from dcsq."""
+        return self.rho * self.dcsq / ((self.gas.gamma - 1.0) * self.csq)
 
     @property
     def jump(self) -> ShockJump:
@@ -405,22 +401,16 @@ def solve_background(
     SHOOT_XTOL delta_N, delta_N stands.  Otherwise the count doubles until
     RK4's fourth order (16 times less error per doubling) predicts the
     tolerance, at most SHOOT_STEPS, and the solve reseeds at delta_N -
-    g_2N and converges again.  Measured on gamma 1.05-2.9, n 2 and 3, b0
-    1.2-100 (74 cases that solve): 2-13 shots per solve, mean 8.5, and
-    24-1359 RK4 steps in them, mean 490 (every shot at 512 steps took 1-8
-    shots and 256-2023 steps).  Thin layers (gamma <= 1.4 from b0 10,
-    gamma 2 from b0 20) converge on 16-step shots and pass one 32-step
-    check; gamma 2.9 climbs to 64-512 steps as b0 falls, and thick layers
-    (b0 <= 2) to SHOOT_STEPS.
+    g_2N and converges again.  Thin layers converge on 16-step shots and
+    pass one 32-step check; thick ones climb to SHOOT_STEPS (README,
+    "Numerical notes", gives shots and steps per solve and step timings).
     Against the root of a fixed 8192-step shot the stand-off is within
     max(1.1 times the 512-step solve's error, 2 SHOOT_XTOL); it agrees
     with a bisection on the SHOOT_STEPS shot to 1e-11 relative, also
     where delta is a few dozen ulp of b0.  Both the shots and the final
     pass run on _march; a solve takes about 2.0-2.2 ms at grid_size 2048
-    and 1.1-1.3 ms at 1024, the final pass about 1.5 and 0.75 ms of it,
-    against 3.4-4.1 and 2.3-3.0 ms with 512-step shots on the density
-    (median of 15, gamma 1.4, n 3, b0 10-80; CPython 3.11 on a shared
-    2-vCPU host).
+    and 1.1-1.3 ms at 1024 (median of 15, gamma 1.4, n 3, b0 10-80;
+    CPython 3.11 on a shared 2-vCPU host).
 
     Raises BracketError when an iterate reaches an end of the clamp
     interval with the sign unchanged (the piston condition has no root
@@ -524,7 +514,7 @@ def solve_background(
     sol = SelfSimilarSolution(
         gas=gas, n=n, b0=b0, delta=delta, s_off=s_off,
         rho=rho_plus + rho_plus * np.expm1(np.log1p(d / csq_plus) / (gas.gamma - 1.0)),
-        w=np.array(ws[::-1] + [w_plus]),
+        w=np.array(ws[::-1] + [w_plus]), csq_off=d,
     )
     if not abs(sol.w[0]) <= 1e-9 * b0:      # a NaN final pass fails too
         raise BracketError(
@@ -536,22 +526,26 @@ def solve_background(
 def ode_residual(sol: SelfSimilarSolution) -> float:
     """Max pointwise residual of the profile ODE, scaled by b0.
 
-    Fourth-order central differences of the sampled (rho, w) against the
-    right-hand side, so the residual tracks the integrator's order under
-    refinement.  The spacing is taken from the exact offsets s - b0, the
-    absolute s only inside the right-hand side.  Raises ValueError below
-    MIN_GRID_SIZE samples or where the first two samples coincide.
+    Fourth-order central differences of the sampled (csq_off, w) against
+    the right-hand side, so the residual tracks the integrator's order
+    under refinement; the c^2 half over (gamma-1) max c^2 reads on the
+    scale of rho'/rho.  The offset stays resolved on thin layers, where the
+    density samples are a staircase of a few ulp.  The spacing is taken
+    from the exact offsets s - b0, the absolute s only inside the
+    right-hand side.  Raises ValueError below MIN_GRID_SIZE samples or
+    where the first two samples coincide.
     """
-    rho, w = sol.rho, sol.w
-    check_grid_size(len(rho), "profile samples")
+    d, w = sol.csq_off, sol.w
+    check_grid_size(len(w), "profile samples")
     h = sol.s_off[1] - sol.s_off[0]
     if h == 0.0:
         raise ValueError("profile samples coincide in s: no finite-difference residual")
-    d = slice(2, -2)
-    drho_fd = (-rho[4:] + 8 * rho[3:-1] - 8 * rho[1:-3] + rho[:-4]) / (12 * h)
+    i = slice(2, -2)
+    dd_fd = (-d[4:] + 8 * d[3:-1] - 8 * d[1:-3] + d[:-4]) / (12 * h)
     dw_fd = (-w[4:] + 8 * w[3:-1] - 8 * w[1:-3] + w[:-4]) / (12 * h)
-    drho_rhs, du_rhs, _ = _rhs(sol.s[d], rho[d], w[d], sol.gas, sol.n)
-    r1 = np.max(np.abs(drho_fd - drho_rhs)) / max(np.max(np.abs(rho)), 1.0)
+    csq = sol.csq
+    dcsq_rhs, du_rhs = _rhs(sol.s[i], csq[i], w[i], sol.gas, sol.n)
+    r1 = np.max(np.abs(dd_fd - dcsq_rhs)) / ((sol.gas.gamma - 1.0) * np.max(csq))
     r2 = np.max(np.abs(dw_fd - (du_rhs - 1.0)))
     return float(max(r1, r2)) / sol.b0
 

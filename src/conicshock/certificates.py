@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .background import SelfSimilarSolution, check_n, solve_background
-from .gas import GasParams, enthalpy
+from .gas import GasParams
 
 
 class DegenerateShockError(RuntimeError):
@@ -163,8 +163,7 @@ def P_coeffs(sol: SelfSimilarSolution) -> PCoeffs:
     """
     g = sol.gas.gamma
     n = sol.n
-    s, u, du, rho, drho, csq = sol.s, sol.u, sol.du, sol.rho, sol.drho, sol.csq
-    dcsq = (g - 1.0) * csq * drho / rho
+    s, u, du, csq, dcsq = sol.s, sol.u, sol.du, sol.csq, sol.dcsq
     return PCoeffs(
         s=s,
         P1=u,
@@ -209,13 +208,9 @@ def boundary_coeffs(sol: SelfSimilarSolution) -> BoundaryCoeffs:
     condition dissipative, are a check of K_coeffs, not of this evaluation.
     """
     gas = sol.gas
-    u = float(sol.u[-1])
-    rho = float(sol.rho[-1])
-    csq = float(sol.csq[-1])
-    du = float(sol.du[-1])
-    drho = float(sol.drho[-1])
-    # Bernoulli deficit across the layer: (1/2) u^2 - h(rho) + h(rho0)
-    q = 0.5 * u ** 2 - float(enthalpy(rho, gas)) + gas.B0
+    u, rho, csq, du, drho = (float(x[-1]) for x in (sol.u, sol.rho, sol.csq, sol.du, sol.drho))
+    # Bernoulli deficit across the layer: (1/2) u^2 - h(rho) + h(rho0), h = c^2/(gamma-1)
+    q = 0.5 * u ** 2 - csq / (gas.gamma - 1.0) + gas.B0
 
     B1 = 2.0 * rho * u - (rho * u / csq) * q
     B2 = rho - gas.rho0 - (rho / csq) * q

@@ -27,7 +27,7 @@ import click
 import numpy as np
 
 from . import __version__, hodograph
-from .gas import GasParams, VacuumError
+from .gas import GasParams, VacuumError, _csq_at
 from .background import (
     BracketError,
     ConvergenceError,
@@ -269,7 +269,8 @@ def _load_profile(path, gas: GasParams, n: int) -> SelfSimilarSolution:
     b0 = float(s[0])
     return SelfSimilarSolution(
         gas=gas, n=n, b0=b0, delta=float(s[-1] - s[0]),
-        s_off=s - b0, rho=rho, w=u - s)
+        s_off=s - b0, rho=rho, w=u - s,
+        csq_off=_csq_at(rho, gas) - _csq_at(float(rho[-1]), gas))
 
 
 def _suite_asymptotics(sols) -> dict:

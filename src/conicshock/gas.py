@@ -79,13 +79,13 @@ def _check_density(rho) -> None:
 def sound_speed(rho, gas: GasParams):
     """Local sound speed c(rho) = sqrt(A*gamma*rho**(gamma-1))."""
     _check_density(rho)
-    return np.sqrt(gas.A * gas.gamma * np.asarray(rho, dtype=float) ** (gas.gamma - 1.0))
+    return np.sqrt(_csq_at(np.asarray(rho, dtype=float), gas))
 
 
 def enthalpy(rho, gas: GasParams):
     """Specific enthalpy h(rho) = c(rho)**2 / (gamma - 1)."""
     _check_density(rho)
-    return gas.A * gas.gamma * np.asarray(rho, dtype=float) ** (gas.gamma - 1.0) / (gas.gamma - 1.0)
+    return _csq_at(np.asarray(rho, dtype=float), gas) / (gas.gamma - 1.0)
 
 
 def enthalpy_inverse(hval, gas: GasParams):
@@ -98,6 +98,11 @@ def enthalpy_inverse(hval, gas: GasParams):
     if not np.all(hval > 0):
         raise ValueError("enthalpy must be positive")
     return _density_at(hval, gas)
+
+
+def _csq_at(rho, gas: GasParams):
+    """c^2 = A*gamma*rho**(gamma-1) on a float or array known to be positive."""
+    return gas.A * gas.gamma * rho ** (gas.gamma - 1.0)
 
 
 def _density_at(hval, gas: GasParams):

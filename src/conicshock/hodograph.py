@@ -155,8 +155,11 @@ class CoeffSet:
         )
 
 
-def second_order_coeffs(st: HodographState, gas: GasParams, b0: float, T: float = 1.0) -> CoeffSet:
-    """Evaluate every coefficient family by its printed closed form.
+def second_order_coeffs(st: HodographState, gas: GasParams, b0: float, n: int,
+                        T: float = 1.0) -> CoeffSet:
+    """Evaluate every coefficient family by its printed closed form in
+    space dimension n, which enters only through A7_2's radial term
+    (n - 1)(a2/a0) c^2.  The angular slots are 3-vectors at either n.
 
     Every family is elementwise along the state's grid axis, so one call on
     several states concatenated along that axis returns, in its slices,
@@ -260,7 +263,7 @@ def second_order_coeffs(st: HodographState, gas: GasParams, b0: float, T: float 
     A6_2 = -K * psi / a0sq
     A7_2 = (
         2.0 * (a1 * dRpsi) ** 2 * (csq - slip ** 2)
-        + 2.0 * a2 / a0 * csq
+        + (n - 1) * a2 / a0 * csq
         + b0 * a1 / a0 ** 3 * (b0 * a1 * a2 - 2.0 * a0) * a4sq
         - 2.0 * b0 * a1sq / a0sq * slip * dRpsi
         * np.sum(a4 * (Zpsi + 2.0 * Zb - 2.0 * a1 * a4), axis=0)
@@ -325,7 +328,7 @@ class PsiHat:
     def coeffs(self) -> CoeffSet:
         """second_order_coeffs at every grid state, unit time.  Every check
         and report shares these arrays, so they are read-only."""
-        cs = second_order_coeffs(self.states(), self.gas, self.b0)
+        cs = second_order_coeffs(self.states(), self.gas, self.b0, self.n)
         for x in vars(cs).values():
             x.setflags(write=False)
         return cs
@@ -418,7 +421,7 @@ def psi_hat_from_background(sol: SelfSimilarSolution, n_points: int = 129) -> Ps
     i = np.minimum(np.searchsorted(R_s, R, side="right"), len(R_s) - 1) - 1
     k = np.stack([i, i + 1])
     s_off, psi, u = sol.s_off[k], psi_s[k], u_s[k]
-    du = _rhs(b0 + s_off, sol.rho[k], sol.w[k], sol.gas, sol.n)[1]
+    du = _rhs(b0 + s_off, sol.csq[k], sol.w[k], sol.gas, sol.n)[1]
     ds_dR = psi * psi / (psi + s_off * u / b0)
     f, m = np.stack([q_b0[k], u]), np.stack([-u / b0, du]) * ds_dR
     R_k = R_s[k]
@@ -462,7 +465,7 @@ def profile_ode_residual(ph: PsiHat) -> float:
     value is comparable across piston speeds.
     """
     idx = slice(1, -1)
-    cs = second_order_coeffs(ph.states(idx), ph.gas, ph.b0)
+    cs = second_order_coeffs(ph.states(idx), ph.gas, ph.b0, ph.n)
     return float(np.max(np.abs(cs.A4_2 * ph.d2psi[idx] + cs.A7_2)) / ph.b0 ** 2)
 
 
@@ -622,7 +625,7 @@ def boundary_signs(ph: PsiHat) -> BoundarySignReport:
         dRpsi=np.tile(ph.dpsi, 2),
         dTpsi=np.concatenate((np.zeros_like(h), 1j * h)),
     )
-    cs = second_order_coeffs(nbrs, gas, b0)
+    cs = second_order_coeffs(nbrs, gas, b0, ph.n)
     A4_1, A7_1, A4_2, A7_2 = (
         np.reshape(x, (2, -1)) for x in (cs.A4_1, cs.A7_1, cs.A4_2, cs.A7_2))
     # interior rows at T = 1: layer 2 alone for psi, layers 1 and 2 for dTpsi

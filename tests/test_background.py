@@ -1,6 +1,7 @@
 """Tests for the self-similar background solver: jump relations, shooting,
 and large-piston-speed asymptotics."""
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -151,9 +152,19 @@ class TestSolveBackground:
 
     def test_ode_residual_rejects_short_profile(self, sol40):
         short = SelfSimilarSolution(gas=GAS, n=3, b0=sol40.b0, delta=sol40.s_off[3],
-                                    s_off=sol40.s_off[:4], rho=sol40.rho[:4], w=sol40.w[:4])
+                                    s_off=sol40.s_off[:4], rho=sol40.rho[:4], w=sol40.w[:4],
+                                    csq_off=sol40.csq_off[:4])
         with pytest.raises(ValueError, match="profile samples must be at least 5"):
             ode_residual(short)
+
+    @pytest.mark.parametrize("gamma", (1.2, 1.4, 2.9))
+    @pytest.mark.parametrize("b0", (10.0, 80.0))
+    def test_ode_residual_rejects_wrong_dimension(self, gamma, b0):
+        # an n = 3 profile checked as an n = 2 one misses the ODE by far
+        # more than verify's 1e-4 bound, thin layers included
+        sol = solve_background(b0, GasParams(A=1.0, gamma=gamma, rho0=1.0), n=3)
+        assert ode_residual(sol) < 1e-4
+        assert ode_residual(dataclasses.replace(sol, n=2)) > 1e-4
 
     def test_residual_fourth_order(self):
         # halving the step must shrink the ODE residual by >= 8 (4th-order
@@ -501,7 +512,7 @@ class TestAsymptotics:
     def test_offset_items_match_exact_rationals(self, gamma, b0, n):
         # shock_speed = |s0/b0 - 1|, velocity = max|u/b0 - 1| and du_ratio =
         # max|u'/(1 - n) - 1| in exact rationals on the stored floats (s = b0 +
-        # s_off, u = s + w, c^2 from the stored density), against the offset
+        # s_off, u = s + w, c^2 from the stored offset), against the offset
         # forms: a few roundings apart.  The absolute forms were 1.3e-2 off at
         # gamma 1.2, b0 80, n 3, where delta/b0 is only about 30 ulp(1)
         sol = solve_background(b0, GasParams(A=1.0, gamma=gamma, rho0=1.0), n=n)

@@ -333,15 +333,21 @@ class TestVerify:
                                           "results", "passed"}
         assert set(report["results"]) == {"profile"}
 
-    def test_unresolved_sample_spacing_fails(self, runner, tmp_path):
-        # at gamma 1.2, b0 80 the stand-off is 6.1e-13, about 43 ulp of b0:
-        # the ODE residual is 1.2e-3, above the 1e-4 bound
-        res = runner.invoke(main, ["verify", "--suite", "profile", "--gamma", "1.2",
-                                   "--b0", "80", "--output-dir", str(tmp_path)])
-        assert res.exit_code == 1
-        report = json.loads((tmp_path / "verify_report.json").read_text())
-        checks = report["results"]["profile"]["per_b0"]["80"]["checks"]
-        assert checks["ode_residual_small"] is False
+    def test_thin_layer_profile_passes(self, runner, tmp_path):
+        # at gamma 1.2, b0 80 the stand-off is 6.1e-13, about 43 ulp of b0,
+        # and the 2048 density samples are a staircase of a few ulp; the
+        # residual differences the c^2 offset the march carries, and reads
+        # about 5e-15 (n 3) and 3e-15 (n 2), where differencing the density
+        # read 1.25e-3 and 1.67e-3, above the 1e-4 bound
+        for n in ("3", "2"):
+            out = tmp_path / n
+            res = runner.invoke(main, ["verify", "--suite", "profile", "--gamma", "1.2",
+                                       "--n", n, "--b0", "80", "--output-dir", str(out)])
+            assert res.exit_code == 0, n
+            report = json.loads((out / "verify_report.json").read_text())
+            entry = report["results"]["profile"]["per_b0"]["80"]
+            assert entry["checks"]["ode_residual_small"] is True
+            assert entry["ode_residual"] < 1e-12, n
 
     def test_corrupted_profile_fails(self, runner, tmp_path):
         _invoke(runner, ["background", "--b0", "40",

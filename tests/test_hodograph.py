@@ -90,10 +90,11 @@ class TestPsiHat:
 # coefficient families
 # ---------------------------------------------------------------------------
 
-def _chain_rule_oracle():
+def _chain_rule_oracle(n):
     """Push an explicit phi(t, s) and piston b(t) through the coordinate
     change by symbolic differentiation only (no use of the implemented
-    coefficient formulas) and return per-state evaluation callables."""
+    coefficient formulas) and return per-state evaluation callables.  The
+    physical equation is the radial one in n space dimensions."""
     import sympy as sp
 
     t, s = sp.symbols("t s", positive=True)
@@ -121,7 +122,7 @@ def _chain_rule_oracle():
         sp.diff(phi, t, 2)
         + 2 * (sp.diff(phi, s) - s) / t * sp.diff(phi, t, s)
         + (sp.diff(phi, s) - s) ** 2 / t ** 2 * sp.diff(phi, s, 2)
-        - csq / t ** 2 * (sp.diff(phi, s, 2) + 2 / s * sp.diff(phi, s))
+        - csq / t ** 2 * (sp.diff(phi, s, 2) + (n - 1) / s * sp.diff(phi, s))
         + 2 / t * sp.diff(phi, t)
     )
 
@@ -135,8 +136,13 @@ def _chain_rule_oracle():
 class TestCoefficientFamilies:
     def test_chain_rule_cross_check(self):
         # independent oracle: the physical radial equation must equal
-        # -b0*a1 times the assembled straightened equation at random states
-        fns = _chain_rule_oracle()
+        # -b0*a1 times the assembled straightened equation at random states,
+        # in two and in three dimensions
+        for n in (2, 3):
+            self._check_chain_rule(n)
+
+    def _check_chain_rule(self, n):
+        fns = _chain_rule_oracle(n)
         gas = GasParams(A=40.0 * 0.4 / 1.4, gamma=1.4, rho0=1.0)  # B0 = 40
         rng = np.random.default_rng(7)
         worst_eq = worst_id = 0.0
@@ -165,7 +171,7 @@ class TestCoefficientFamilies:
                 abs(-b0v * a1 * a3 - dphit),
                 abs((gas.gamma - 1) * float(bernoulli_argument(st, gas, b0v, T)) - csq_v),
             )
-            cs = second_order_coeffs(st, gas, b0v, T)
+            cs = second_order_coeffs(st, gas, b0v, n, T)
             A1, A2, A3, A4, A5, A6, A7 = cs.assembled(T)
             hodo = A1 * pTT + A2 * pTR + A4 * pRR + A7
             worst_eq = max(worst_eq,
@@ -175,8 +181,8 @@ class TestCoefficientFamilies:
 
     def test_pure_evaluation(self, sol80):
         ph = psi_hat_from_background(sol80, 33)
-        a = second_order_coeffs(ph.states(), GAS, ph.b0)
-        b = second_order_coeffs(ph.states(), GAS, ph.b0)
+        a = second_order_coeffs(ph.states(), GAS, ph.b0, ph.n)
+        b = second_order_coeffs(ph.states(), GAS, ph.b0, ph.n)
         assert np.array_equal(a.A4_2, b.A4_2)
         assert np.array_equal(a.A7_1, b.A7_1)
         assert np.array_equal(a.A6_2, b.A6_2)
@@ -188,11 +194,11 @@ class TestCoefficientFamilies:
                             dTb=0.02, Zpsi=np.array([0.03, -0.02, 0.01]),
                             Zb=np.array([-0.01, 0.02, 0.04]))
         gas = GasParams(A=40.0 * 0.4 / 1.4, gamma=1.4, rho0=1.0)
-        cs = second_order_coeffs(st, gas, 5.0)
+        cs = second_order_coeffs(st, gas, 5.0, 3)
         assert np.allclose(cs.A6_2, cs.A6_2.T)
         assert np.any(cs.A5_2 != 0.0) and np.any(cs.A3_1 != 0.0)
         rad = HodographState(R=1.5, psi=0.8, b=5.0, dRpsi=0.1, dTpsi=0.05, dTb=0.02)
-        cr = second_order_coeffs(rad, gas, 5.0)
+        cr = second_order_coeffs(rad, gas, 5.0, 3)
         assert np.all(cr.A3_1 == 0.0) and np.all(cr.A5_1 == 0.0)
         assert np.all(cr.A5_2 == 0.0)
         assert np.allclose(cr.A6_2, np.diag(np.full(3, cr.A6_2[0, 0])))
@@ -200,7 +206,7 @@ class TestCoefficientFamilies:
     def test_vacuum_guard(self):
         st = HodographState(R=1.5, psi=0.8, b=5.0, dRpsi=0.1)
         with pytest.raises(ValueError):
-            second_order_coeffs(st, GAS, 500.0)  # Bernoulli argument < 0
+            second_order_coeffs(st, GAS, 500.0, 3)  # Bernoulli argument < 0
 
     def test_one_vacuum_rule(self):
         # a state whose Bernoulli argument B0 + X is positive but within the
@@ -214,7 +220,7 @@ class TestCoefficientFamilies:
         arg = bernoulli_argument(st, gas, b0)
         assert 0.0 < arg <= 1e-14 * gas.B0
         with pytest.raises(VacuumError):
-            second_order_coeffs(st, gas, b0)
+            second_order_coeffs(st, gas, b0, 3)
         # the flow-state maps reject a state with the same argument
         phi_t = gas.B0 - arg
         assert 0.0 < gas.B0 - phi_t <= 1e-14 * gas.B0
@@ -267,6 +273,17 @@ class TestProfileResidual:
                for n in (17, 33, 65)]
         assert np.log2(res[0] / res[1]) >= 1.8
         assert np.log2(res[1] / res[2]) >= 1.8
+
+    @pytest.mark.parametrize("gamma", (1.4, 2.9))
+    def test_convergence_order_n2(self, gamma):
+        # the radial term of A7_2 carries n - 1: with n - 1 = 2 fixed, the
+        # n = 2 residual stayed flat under refinement (1.17e-4 at gamma
+        # 1.4, 8.8e-2 at gamma 2.9, b0 10)
+        sol = solve_background(10.0, GasParams(A=1.0, gamma=gamma, rho0=1.0), n=2)
+        res = [profile_ode_residual(psi_hat_from_background(sol, m))
+               for m in (17, 33, 65, 129)]
+        for coarse, fine in zip(res, res[1:]):
+            assert coarse / fine >= 3.5, res
 
     def test_shock_row(self, sol80):
         assert shock_row_residual(psi_hat_from_background(sol80, 129)) < 1e-10
@@ -420,7 +437,7 @@ def test_shock_row_gradient_prefactors(gamma, b0):
     sol = solve_background(b0, gas, n=3)
     ph = psi_hat_from_background(sol)
     signs, stab = boundary_signs(ph), local_stability(ph)
-    H = second_order_coeffs(ph.states(-1), gas, b0).H
+    H = second_order_coeffs(ph.states(-1), gas, b0, ph.n).H
     assert stab.CalB21 - signs.B21 == pytest.approx(H - gas.rho0, rel=1e-12)
     assert all(v == signs.B21 for v in signs.D21.values())
     assert signs.B20 == stab.CalB20

@@ -64,10 +64,24 @@ class TestBrent:
         for f, a, b, kw in calls:
             root, res = scipy_brentq(f, a, b, full_output=True, **kw)
             assert res.converged
+            if f(a) == 0.0 or f(b) == 0.0:
+                # scipy returns that end at once and leaves res.iterations
+                # uninitialised; the port returns it before any iteration
+                assert brentq(f, a, b, **{**kw, "maxiter": 0}) == root
+                continue
             assert brentq(f, a, b, **{**kw, "maxiter": res.iterations}) == root
             if res.iterations:
                 with pytest.raises(ConvergenceError):
                     brentq(f, a, b, **{**kw, "maxiter": res.iterations - 1})
+
+    @pytest.mark.parametrize("a, b", [(1.0, 3.0), (-2.0, 1.0)])
+    def test_zero_end_value(self, a, b):
+        # f(a) or f(b) exactly 0: both return that end, the port with no
+        # iteration allowed
+        f = lambda x: x - 1.0
+        root = scipy_brentq(f, a, b)
+        assert root == 1.0
+        assert brentq(f, a, b, maxiter=0) == root
 
     def test_shooting_brent_is_replayed(self, monkeypatch):
         calls = _recorded_brent_calls(monkeypatch, 1.4, 40.0)
@@ -274,7 +288,7 @@ class TestStraightenedProfile:
     def test_ellipticity_eigmax_per_matrix(self, profiles):
         for sol in profiles:
             ph = psi_hat_from_background(sol)
-            A62 = np.moveaxis(second_order_coeffs(ph.states(), ph.gas, ph.b0).A6_2, -1, 0)
+            A62 = np.moveaxis(second_order_coeffs(ph.states(), ph.gas, ph.b0, ph.n).A6_2, -1, 0)
             np.testing.assert_array_equal(
                 check_ellipticity(ph).A6_2_eigmax,
                 np.array([np.max(np.linalg.eigvalsh(m)) for m in A62]))

@@ -7,10 +7,12 @@ operation and its association are those of the plain formulas, so each
 shot, stand-off and profile must be bitwise that of the plain versions.
 Those are kept here verbatim as the reference: ``_rhs`` (returning d' and
 w'), ``_rk4_step``, the shot loop of ``_piston_offset`` and
-``solve_background`` with its final pass.  The jump solve, the event
-root-find and the profile container are shared.  How close the shooting
-is to the exact stand-off is checked apart from this, in
-tests/test_background.py against a fixed 8192-step reference shot.
+``solve_background`` with its final pass.  The profile's derivatives
+``du`` and ``dcsq`` must be bitwise the reference ``_rhs`` on its d
+samples.  The jump solve, the event root-find and the profile container
+are shared.  How close the shooting is to the exact stand-off is checked
+apart from this, in tests/test_background.py against a fixed 8192-step
+reference shot.
 """
 
 import math
@@ -165,27 +167,13 @@ def _solve(b0, gas, n=3, grid_size=2048):
 
     sol = SelfSimilarSolution(
         gas=gas, n=n, b0=b0, delta=delta,
-        s_off=s_off, rho=rho, w=np.array(w),
+        s_off=s_off, rho=rho, w=np.array(w), csq_off=np.array(d),
     )
     if abs(sol.w[0]) > 1e-9 * b0:
         raise BracketError(
             f"piston condition missed: |u(b0) - b0| = {abs(sol.w[0]):.3e} > 1e-9*b0"
         )
     return sol
-
-
-def _profile_rhs(s, rho, w, gas, n):
-    """(rho', u') of the profile ODE on the sampled density, as the
-    profile's drho and du read it."""
-    csq = _csq(rho, gas)
-    den = w * w - csq
-    u = s + w
-    return -(n - 1) * w * rho * u / (s * den), (n - 1) * csq * u / (s * den)
-
-
-def _du(sol):
-    den = sol.w ** 2 - sol.csq
-    return (sol.n - 1) * sol.csq * sol.u / (sol.s * den)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -251,11 +239,14 @@ def test_solves_bitwise(grid_size):
             continue
         case = (gamma, n, b0)
         assert got.delta == ref.delta, case
-        for name in ("s_off", "rho", "w", "q"):
+        for name in ("s_off", "rho", "w", "csq_off", "q"):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), (case, name)
-        # u' and rho' on the sampled profile, and what is built on them
-        assert got.du.tobytes() == _du(ref).tobytes(), case
-        assert got.drho.tobytes() == _profile_rhs(ref.s, ref.rho, ref.w, gas, n)[0].tobytes(), case
+        # (c^2)' and u' on the sampled profile: the reference right-hand
+        # side on its d samples, whose w' is u' - 1
+        dd, dw, _ = _rhs(ref.s, ref.csq_off, ref.w,
+                         _csq(shock_jump_from_speed(ref.s0, gas).rho_plus, gas), gas, n)
+        assert got.dcsq.tobytes() == dd.tobytes(), case
+        assert (got.du - 1.0).tobytes() == dw.tobytes(), case
     # the subsonic piston at gamma 2.9, n 2 and 3
     assert errors == 2
 

@@ -520,7 +520,11 @@ def test_suite_reports_within_fd_error(gamma, n, b0):
     # also carries the rounding of the mass row over the step,
     # eps H psi / (FD_STEP psi); it is compared only where the oracle's
     # step resolved it (not degenerate).  Every other field is bitwise,
-    # and so is every verdict the oracle resolved.
+    # and so is every verdict the oracle resolved.  The oracle's A7_2 has
+    # the radial term of n = 3 alone, so E_min, which differentiates A7_2,
+    # is compared at n = 3 only; tests/test_hodograph.py checks the n = 2
+    # equation against the physical one and the n = 2 profile residual's
+    # order.
     ph = _profile(gamma, n, b0)
     rtol = 10.0 * n / (gamma - 1.0) * FD_STEP ** 2
     H = ph.shock_row["H"]
@@ -531,7 +535,7 @@ def test_suite_reports_within_fd_error(gamma, n, b0):
         for f in fields(new):
             a, b = getattr(new, f.name), getattr(old, f.name)
             if f.name in FD_FIELDS:
-                if f.name == "D22" and old_signs.degenerate:
+                if (f.name == "D22" and old_signs.degenerate) or (f.name == "E_min" and n == 2):
                     continue
                 atol = d22_atol if f.name == "D22" else 0.0
                 pairs = [(a[k], b[k]) for k in b] if isinstance(b, dict) else [(a, b)]
@@ -591,12 +595,12 @@ def test_stacked_coeffs_equal_separate_calls():
     rng = np.random.default_rng(17)
     sizes = (129, 129, 7, 64)
     states = _angular_states(rng, sizes)
-    stacked = hodograph.second_order_coeffs(_stack(states), GAS_ANGULAR, 5.0, 1.3)
+    stacked = hodograph.second_order_coeffs(_stack(states), GAS_ANGULAR, 5.0, 3, 1.3)
     cuts = np.cumsum(sizes)[:-1]
     for f in fields(CoeffSet):
         parts = np.split(getattr(stacked, f.name), cuts, axis=-1)
         for st, part in zip(states, parts):
-            one = hodograph.second_order_coeffs(st, GAS_ANGULAR, 5.0, 1.3)
+            one = hodograph.second_order_coeffs(st, GAS_ANGULAR, 5.0, 3, 1.3)
             assert part.tobytes() == np.asarray(getattr(one, f.name)).tobytes(), f.name
 
 
@@ -610,7 +614,7 @@ def test_coeffs_bitwise_on_angular_states(T):
                            for f in fields(HodographState)})
     point = replace(point, Zpsi=np.array(point.Zpsi), Zb=np.array(point.Zb))
     for s in (st, point):
-        new = hodograph.second_order_coeffs(s, GAS_ANGULAR, 5.0, T)
+        new = hodograph.second_order_coeffs(s, GAS_ANGULAR, 5.0, 3, T)
         old = second_order_coeffs(s, GAS_ANGULAR, 5.0, T)
         for f in fields(CoeffSet):
             assert _bits(getattr(new, f.name)) == _bits(getattr(old, f.name)), f.name
