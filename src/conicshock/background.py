@@ -13,8 +13,11 @@ For fast pistons the stand-off distance ``s0 - b0`` is tiny relative to
 the *shifted* quantities ``w = u - s`` and offsets ``s - b0`` rather than the
 raw profiles; this keeps full relative precision in every small combination
 used downstream (potential offsets, straightened-coordinate profiles).  The
-march and the profile carry the squared sound speed as an offset ``c^2 - c+^2``
-from its value behind the shock; the density is formed from it once.
+shots and the profile carry the squared sound speed as an offset ``c^2 -
+c+^2`` from its value behind the shock; the density is formed from it once.
+The shots are RK4 marches; the profile on the output grid is sampled from
+Taylor-series pieces about the shock, which across a thin layer are one
+short power series.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 
@@ -153,12 +157,12 @@ def _rhs(s, csq, w, gas: GasParams, n: int):
     return -(gas.gamma - 1.0) * (n - 1) * w * a, (n - 1) * a
 
 
-def _march(abscissas, csq, w, h, gas: GasParams, n: int, stop_on_event: bool = False):
-    """RK4 steps of the profile ODE from (c^2, w) = (csq, w): one step of
-    size h from each abscissa in turn.  Returns the lists of d and w after
-    each step, with d = c^2 - csq the squared sound speed as an offset from
-    its start.  With stop_on_event, stops after the first step that ends
-    at w >= 0.
+def _march(abscissas, csq, w, h, gas: GasParams, n: int):
+    """RK4 steps of a shooting shot from (c^2, w) = (csq, w): one step of
+    size h from each abscissa in turn, up to and including the first step
+    that ends at w >= 0 (the event u = s).  Returns the lists of d and w
+    after each step, with d = c^2 - csq the squared sound speed as an
+    offset from its start.
 
     The state is (d, w), with w = u - s, d' = (c^2)' and w' = u' - 1 of
     _rhs.  So a stage forms one quotient, takes no power and divides once.
@@ -196,7 +200,7 @@ def _march(abscissas, csq, w, h, gas: GasParams, n: int, stop_on_event: bool = F
         w = w + h6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         ds.append(d)
         ws.append(w)
-        if stop_on_event and w >= 0.0:
+        if w >= 0.0:
             break
     return ds, ws
 
@@ -259,7 +263,7 @@ def _piston_offset(delta: float, b0: float, gas: GasParams, n: int, steps: int) 
     h = -2.0 * delta / steps
     # xi before each step, accumulated by repeated + h
     xis = list(accumulate(repeat(h, steps - 1), initial=0.0))
-    ds, ws = _march((s0 + xi for xi in xis), csq, w, h, gas, n, stop_on_event=True)
+    ds, ws = _march((s0 + xi for xi in xis), csq, w, h, gas, n)
     if not ws[-1] >= 0.0:  # negated, so that a NaN w counts as no event
         return -delta
     # the event lies on the last step, from xi to xi + h
@@ -270,6 +274,100 @@ def _piston_offset(delta: float, b0: float, gas: GasParams, n: int, steps: int) 
     dw_a = _rhs(s0 + xi, c_a, w_a, gas, n)[1] - 1.0
     dw_b = _rhs(s0 + (xi + h), csq + ds[-1], ws[-1], gas, n)[1] - 1.0
     return delta + _cubic_event(xi, w_a, dw_a, xi + h, ws[-1], dw_b)
+
+
+# ---------------------------------------------------------------------------
+# Final pass: Taylor-series pieces
+# ---------------------------------------------------------------------------
+
+#: highest order of a Taylor piece of the final pass
+K_MAX = 24
+
+#: a piece shorter than this share of the stand-off has collapsed
+MIN_PIECE = 1e-6
+
+
+def _taylor(s, csq, d, w, rest, gas: GasParams, n: int):
+    """Taylor coefficients of (d, w) about the abscissa s, where (c^2, w) =
+    (csq + d, w), and the length of the piece [s - length, s] they resolve,
+    at most rest.
+
+    The recurrences are _rhs's on series: with c = c^2, u = s + w, the
+    Cauchy products c u, w w and w a and one series division a = c u/(s (w w
+    - c)) give d_{k+1} = -(gamma-1)(n-1) (w a)_k/(k+1) and w_{k+1} = ((n-1)
+    a_k - [k = 0])/(k+1).  The order-1 coefficients are _rhs's operations,
+    bitwise.  The order grows until the last two terms over rest fall below
+    2^-53 of the state's scale |x_0| + |x_1| rest, both for d and w; at
+    K_MAX the piece instead ends where they meet it.  A NaN state resolves
+    the whole rest, so that its NaN reaches the piston.  Raises
+    DenominatorSignError, naming s, where w^2 >= c^2.
+    """
+    m, n1 = -(gas.gamma - 1.0) * (n - 1), float(n - 1)
+    c = csq + d
+    p = w * w - c
+    if p >= 0.0:
+        raise DenominatorSignError(f"(s-u)^2 - c^2 >= 0 at s = {s}")
+    P, Q = [p], [s * p]
+    A = [c * (s + w) / Q[0]]
+    D, W = [d, m * w * A[0]], [w, n1 * A[0] - 1.0]
+    C, U = [c, D[1]], [s + w, 1.0 + W[1]]
+    tols = [(abs(x[0]) + abs(x[1]) * rest) * 2.0 ** -53 for x in (D, W)]
+    for k in range(1, K_MAX):
+        # a_k, then the order-(k+1) coefficients
+        P.append(sum(map(mul, W, reversed(W))) - C[k])
+        Q.append(s * P[k] + P[k - 1])
+        A.append((sum(map(mul, C, reversed(U))) - sum(map(mul, Q[1:], reversed(A)))) / Q[0])
+        wa = sum(map(mul, W, reversed(A)))
+        D.append(m * wa / (k + 1))
+        W.append(n1 * A[k] / (k + 1))
+        C.append(D[-1])
+        U.append(W[-1])
+        if not any(abs(x[k]) * rest ** k > e or abs(x[k + 1]) * rest ** (k + 1) > e
+                   for x, e in zip((D, W), tols)):
+            return D, W, rest
+    # K_MAX: where the last two terms meet the tolerance
+    length = min([(e / abs(x[j])) ** (1.0 / j) for x, e in zip((D, W), tols)
+                  for j in (K_MAX - 1, K_MAX) if x[j] != 0.0] + [rest])
+    return D, W, length
+
+
+def _horner(coeffs, xi):
+    """sum_k coeffs[k] xi^k by Horner's rule, on a float or an array."""
+    y = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        y = y * xi + c
+    return y
+
+
+def _series_pass(b0: float, s_off: np.ndarray, csq: float, w: float, gas: GasParams, n: int):
+    """The profile on the ascending offsets s_off = s - b0, from (c^2, w) =
+    (csq, w) at b0 + s_off[-1] (the shock) down to the piston s_off = 0:
+    the arrays d = c^2 - csq and w.
+
+    Taylor pieces (_taylor) from the shock down: each piece is evaluated
+    on its own samples by vectorized Horner, and its end state, by Horner
+    on floats, starts the next.  Thin layers are one piece.  Raises
+    DenominatorSignError where a piece starts at w^2 >= c^2, and
+    ConvergenceError, naming the piece count, where a piece is shorter than
+    MIN_PIECE of the stand-off.
+    """
+    d_out, w_out = np.empty_like(s_off), np.empty_like(s_off)
+    off, d, hi, pieces = float(s_off[-1]), 0.0, len(s_off), 0
+    while True:
+        pieces += 1
+        D, W, length = _taylor(b0 + off, csq, d, w, off, gas, n)
+        if length < min(off, MIN_PIECE * s_off[-1]):
+            raise ConvergenceError(
+                f"Taylor pass: piece {pieces} resolves {length:.3e} of the "
+                f"{off:.3e} left to the piston, below {MIN_PIECE:g} of the stand-off")
+        end = off - length           # 0.0, the piston, where the piece covers the rest
+        lo = int(np.searchsorted(s_off, end))
+        xi = s_off[lo:hi] - off
+        d_out[lo:hi], w_out[lo:hi] = _horner(D, xi), _horner(W, xi)
+        if lo == 0:
+            return d_out, w_out
+        d, w = _horner(D, end - off), _horner(W, end - off)
+        off, hi = end, lo
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +505,17 @@ def solve_background(
     Against the root of a fixed 8192-step shot the stand-off is within
     max(1.1 times the 512-step solve's error, 2 SHOOT_XTOL); it agrees
     with a bisection on the SHOOT_STEPS shot to 1e-11 relative, also
-    where delta is a few dozen ulp of b0.  Both the shots and the final
-    pass run on _march; a solve takes about 2.0-2.2 ms at grid_size 2048
-    and 1.1-1.3 ms at 1024 (median of 15, gamma 1.4, n 3, b0 10-80;
-    CPython 3.11 on a shared 2-vCPU host).
+    where delta is a few dozen ulp of b0.
+
+    The shots run on _march.  The final pass samples the profile on
+    grid_size points from Taylor-series pieces about the shock
+    (_series_pass), so it takes no step on the output grid: a thin layer
+    (gamma 1.4 from b0 10, gamma 1.2 from b0 4) is one piece of order
+    5-10, and the pass takes about 0.05-0.1 ms at grid_size 2048 where an
+    RK4 march on the grid took 1.5 ms.  A solve takes 0.39-0.49 ms at grid_size 2048
+    and 0.34-0.43 ms at 1024, where it took 2.1-2.2 and 1.2-1.25 ms with
+    that march (median of 15, gamma 1.4, n 3, b0 10-80; CPython 3.11 on a
+    shared 2-vCPU host).
 
     Raises BracketError when an iterate reaches an end of the clamp
     interval with the sign unchanged (the piston condition has no root
@@ -418,7 +523,8 @@ def solve_background(
     representability floor) or the final pass misses the piston condition, and
     ShootingError when a shot is not finite or no converged root is found
     within SHOOT_MAXITER steps.  Both say how many shots were taken and
-    the last delta and mismatch.
+    the last delta and mismatch.  The final pass raises ConvergenceError
+    where a Taylor piece collapses.
     """
     check_n(n)
     check_grid_size(grid_size)
@@ -503,18 +609,15 @@ def solve_background(
         x = root(shot(steps), math.log(min(max(delta - g, lo), hi)))
     delta = math.exp(x)
 
-    # Final pass: fixed-step integration on the output grid, shock to piston,
-    # on floats like the shots; the density from d = c^2 - c+^2 once
+    # Final pass: Taylor pieces on the output grid, shock to piston; the
+    # density from d = c^2 - c+^2 once
     rho_plus, csq_plus, w_plus = _post_shock(b0 + delta, gas)
-    h = delta / (grid_size - 1)
     s_off = np.linspace(0.0, delta, grid_size)
-    # one step from each abscissa b0 + s_off but the piston's, shock first
-    ds, ws = _march((b0 + s_off[:0:-1]).tolist(), csq_plus, w_plus, -h, gas, n)
-    d = np.array(ds[::-1] + [0.0])
+    d, w = _series_pass(b0, s_off, csq_plus, w_plus, gas, n)
     sol = SelfSimilarSolution(
         gas=gas, n=n, b0=b0, delta=delta, s_off=s_off,
         rho=rho_plus + rho_plus * np.expm1(np.log1p(d / csq_plus) / (gas.gamma - 1.0)),
-        w=np.array(ws[::-1] + [w_plus]), csq_off=d,
+        w=w, csq_off=d,
     )
     if not abs(sol.w[0]) <= 1e-9 * b0:      # a NaN final pass fails too
         raise BracketError(
@@ -527,10 +630,12 @@ def ode_residual(sol: SelfSimilarSolution) -> float:
     """Max pointwise residual of the profile ODE, scaled by b0.
 
     Fourth-order central differences of the sampled (csq_off, w) against
-    the right-hand side, so the residual tracks the integrator's order
-    under refinement; the c^2 half over (gamma-1) max c^2 reads on the
-    scale of rho'/rho.  The offset stays resolved on thin layers, where the
-    density samples are a staircase of a few ulp.  The spacing is taken
+    the right-hand side.  The Taylor pass samples the profile to rounding,
+    so the residual tracks the stencil's order under refinement, down to
+    the samples' rounding over the spacing; the c^2 half over (gamma-1)
+    max c^2 reads on the scale of rho'/rho.  The offset stays resolved on
+    thin layers, where the density samples are a staircase of a few ulp.
+    The spacing is taken
     from the exact offsets s - b0, the absolute s only inside the
     right-hand side.  Raises ValueError below MIN_GRID_SIZE samples or
     where the first two samples coincide.

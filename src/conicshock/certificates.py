@@ -30,8 +30,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .background import SelfSimilarSolution, check_n, solve_background
-from .gas import GasParams
+from .background import SelfSimilarSolution, _rhs, check_n, solve_background
+from .gas import GasParams, _csq_at
 
 
 class DegenerateShockError(RuntimeError):
@@ -200,6 +200,17 @@ class BoundaryCoeffs:
     mu3: float
 
 
+def _shock_end(sol: SelfSimilarSolution):
+    """(u, rho, c^2, u', rho') at the profile's last sample, the shock: the
+    values the profile properties u, rho, csq, du and drho hold there,
+    formed on floats with one _rhs."""
+    gas = sol.gas
+    s, w, rho = sol.b0 + float(sol.s_off[-1]), float(sol.w[-1]), float(sol.rho[-1])
+    csq = _csq_at(rho, gas) + float(sol.csq_off[-1])
+    dcsq, du = _rhs(s, csq, w, gas, sol.n)
+    return s + w, rho, csq, du, rho * dcsq / ((gas.gamma - 1.0) * csq)
+
+
 def boundary_coeffs(sol: SelfSimilarSolution) -> BoundaryCoeffs:
     """Evaluate the linearized shock-condition coefficients at s = s0.
 
@@ -208,7 +219,7 @@ def boundary_coeffs(sol: SelfSimilarSolution) -> BoundaryCoeffs:
     condition dissipative, are a check of K_coeffs, not of this evaluation.
     """
     gas = sol.gas
-    u, rho, csq, du, drho = (float(x[-1]) for x in (sol.u, sol.rho, sol.csq, sol.du, sol.drho))
+    u, rho, csq, du, drho = _shock_end(sol)
     # Bernoulli deficit across the layer: (1/2) u^2 - h(rho) + h(rho0), h = c^2/(gamma-1)
     q = 0.5 * u ** 2 - csq / (gas.gamma - 1.0) + gas.B0
 
@@ -243,7 +254,7 @@ def shock_flux_betas(sol: SelfSimilarSolution, bc: BoundaryCoeffs) -> dict:
     enters, mu does not.
     """
     s0, b0 = sol.s0, sol.b0
-    u, p0 = float(sol.u[-1]), float(sol.csq[-1])
+    u, _, p0, _, _ = _shock_end(sol)
     e = float(multiplier_e(sol.n, sol.gas.gamma))
     bs = float(_b_sigma(s0, b0, e))
     tilt = 0.5 * s0 * s0 * e * sol.delta / b0     # (bs - s0^2)/2, in delta = s0 - b0

@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -113,6 +114,15 @@ def _write_csv(path: Path, columns: dict) -> None:
         wr.writerow(columns.keys())
         for row in zip(*columns.values()):
             wr.writerow([repr(float(v)) for v in row])
+
+
+def _echo(message: str) -> None:
+    """One line to the current sys.stdout.  Naming the stream skips
+    click.echo's default-stream cache, which maps each stdout it has seen
+    to itself in a WeakKeyDictionary and so never drops one: a caller that
+    runs main in-process with stdout redirected per call kept every
+    redirected stream, and its text, alive (about 0.4 KB a certify call)."""
+    click.echo(message, file=sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +232,7 @@ def background(b0, grid_size, **common):
     _write_csv(csv_path, {"s": sol.s, "rho": sol.rho, "u": sol.u, "phi": sol.phi})
     _write_json(sol.summary(), json_path)
     _finish("background", p, inputs, out, [csv_path, json_path], t_start)
-    click.echo(f"wrote {csv_path} and {json_path} (s0 = {float(sol.s0)!r})")
+    _echo(f"wrote {csv_path} and {json_path} (s0 = {float(sol.s0)!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +394,10 @@ def verify(b0_list, suites, profile_path, **common):
     _finish("verify", p, inputs, out, [json_path], t_start)
 
     for name, res in sorted(report["results"].items()):
-        click.echo(f"{name}: {'pass' if res['passed'] else 'FAIL'}")
+        _echo(f"{name}: {'pass' if res['passed'] else 'FAIL'}")
     if not all_pass:
         raise click.ClickException("verification failed (see verify_report.json)")
-    click.echo(f"all suites passed; report at {json_path}")
+    _echo(f"all suites passed; report at {json_path}")
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +435,8 @@ def certify_cmd(b0, mu, grid_size, **common):
     _write_json(cert.summary(), json_path)
     _finish("certify", p, inputs, out, [json_path], t_start)
 
-    click.echo(f"mu = {p['mu']!r}, status: {cert.status}; "
-               f"certificate at {json_path}")
+    _echo(f"mu = {p['mu']!r}, status: {cert.status}; "
+          f"certificate at {json_path}")
     if cert.status == "fail":
         raise click.ClickException(f"certificate failed: {cert.violated_condition()}")
 
@@ -480,10 +490,10 @@ def simulate(b0, eps, grid_points, cfl, t_end, t0, budget, **common):
                             window=(max(5.0, 2.0 * p["t0"]), None))
             _write_json({"m0_est": fit.m0_est, "residual": fit.residual,
                          "window": list(fit.window)}, fit_path)
-            click.echo(f"decay fit: m0_est = {fit.m0_est!r}")
+            _echo(f"decay fit: m0_est = {fit.m0_est!r}")
         except ValueError as exc:
             _write_json({"error": str(exc)}, fit_path)
-            click.echo(f"decay fit unavailable: {exc}")
+            _echo(f"decay fit unavailable: {exc}")
         artifacts.append(fit_path)
 
     _finish("simulate", p, inputs, out, artifacts, t_start)
@@ -492,8 +502,8 @@ def simulate(b0, eps, grid_points, cfl, t_end, t0, budget, **common):
         raise click.ClickException(
             f"run truncated at t = {float(res.t[-1])!r} after {res.steps} of about "
             f"{res.projected_steps:.0f} projected steps (wall-clock budget exhausted)")
-    click.echo(f"completed {res.steps} steps to t = {float(res.t[-1])!r}; "
-               f"series at {csv_path}")
+    _echo(f"completed {res.steps} steps to t = {float(res.t[-1])!r}; "
+          f"series at {csv_path}")
 
 
 if __name__ == "__main__":

@@ -265,6 +265,17 @@ class TestBoundary:
         assert bc.B1 > 0
         assert bc.mu1 > 0 and bc.mu2 < 0
 
+    @pytest.mark.parametrize("gamma, n, b0", [(1.4, 3, 40.0), (1.2, 2, 80.0), (2.9, 3, 10.0),
+                                              (2.0, 3, 1.5)])
+    def test_shock_end_is_last_sample(self, gamma, n, b0):
+        # the shock-end scalars, on floats, equal the last entries of the
+        # full-profile properties; the flipped profile's shock sample is
+        # off the ODE's solution
+        sol = solve_background(b0, GasParams(A=1.0, gamma=gamma, rho0=1.0), n=n, grid_size=256)
+        for prof in (sol, self._flipped(sol)):
+            want = tuple(float(x[-1]) for x in (prof.u, prof.rho, prof.csq, prof.du, prof.drho))
+            assert certificates._shock_end(prof) == want, (gamma, n, b0)
+
     @staticmethod
     def _flipped(sol):
         # the relative flow u - s at the shock set to 0.9 c, near the sonic

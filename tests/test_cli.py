@@ -1,10 +1,14 @@
 """Command-line front end: exit codes, artifacts, determinism."""
 
+import contextlib
 import csv
 import dataclasses
+import gc
 import hashlib
+import io
 import json
 import re
+import weakref
 from importlib import import_module
 
 import numpy as np
@@ -47,6 +51,20 @@ class TestBackground:
         assert rows[0] == ["s", "rho", "u", "phi"]
         # round-trip floats: first velocity sample equals the piston speed
         assert abs(float(rows[1][2]) - 40.0) <= 1e-9 * 40.0
+
+    def test_in_process_run_keeps_no_redirected_stdout(self, tmp_path):
+        # main called in-process with stdout redirected, as a long-lived
+        # caller runs it: the redirected stream is dropped with the call
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            with pytest.raises(SystemExit) as exc:
+                main(["background", "--b0", "40", "--grid-size", "64",
+                      "--output-dir", str(tmp_path)])
+        assert exc.value.code == 0 and sink.getvalue().startswith("wrote ")
+        ref = weakref.ref(sink)
+        del sink, exc
+        gc.collect()
+        assert ref() is None
 
     def test_gamma_out_of_range_is_usage_error(self, runner, tmp_path):
         res = runner.invoke(main, ["background", "--b0", "40", "--gamma",
