@@ -15,9 +15,9 @@ raw profiles; this keeps full relative precision in every small combination
 used downstream (potential offsets, straightened-coordinate profiles).  The
 shots and the profile carry the squared sound speed as an offset ``c^2 -
 c+^2`` from its value behind the shock; the density is formed from it once.
-The shots are RK4 marches; the profile on the output grid is sampled from
-Taylor-series pieces about the shock, which across a thin layer are one
-short power series.
+The shots walk Taylor-series pieces about the shock, which across a thin
+layer are one short power series, and the profile on the output grid is
+sampled from the pieces of the converged shot.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
 from operator import mul
 
 import numpy as np
@@ -137,10 +136,13 @@ def shock_jump_from_speed(s0: float, gas: GasParams) -> ShockJump:
         hi *= 2.0
     else:
         raise BracketError(f"failed to bracket the post-shock density for s0 = {s0}")
-    rho_plus = brentq(f, lo, hi, rtol=8.9e-16, maxiter=200)
+    return _shock_jump(s0, brentq(f, lo, hi, rtol=8.9e-16, maxiter=200), gas)
 
-    u_plus = s0 * (1.0 - gas.rho0 / rho_plus)
-    return ShockJump(s0=s0, rho_plus=rho_plus, u_plus=u_plus)
+
+def _shock_jump(s0: float, rho_plus: float, gas: GasParams) -> ShockJump:
+    """The jump at shock speed s0 and post-shock density rho_plus, with u+ =
+    s0 (1 - rho0/rho+) from the mass jump."""
+    return ShockJump(s0=s0, rho_plus=rho_plus, u_plus=s0 * (1.0 - gas.rho0 / rho_plus))
 
 
 # ---------------------------------------------------------------------------
@@ -151,91 +153,10 @@ def _rhs(s, csq, w, gas: GasParams, n: int):
     """((c^2)', u') of the profile ODE at s from (c^2, w), w = u - s, on
     floats or arrays: with a = c^2 u/(s (w^2 - c^2)), (c^2)' = -(gamma-1)
     (n-1) w a (from rho' and c^2 ~ rho^(gamma-1)) and u' = (n-1) a, the
-    operations of a stage of _march.  The denominator must be negative.
+    order-1 coefficients of _taylor.  The denominator must be negative.
     """
     a = csq * (s + w) / (s * (w * w - csq))
     return -(gas.gamma - 1.0) * (n - 1) * w * a, (n - 1) * a
-
-
-def _march(abscissas, csq, w, h, gas: GasParams, n: int):
-    """RK4 steps of a shooting shot from (c^2, w) = (csq, w): one step of
-    size h from each abscissa in turn, up to and including the first step
-    that ends at w >= 0 (the event u = s).  Returns the lists of d and w
-    after each step, with d = c^2 - csq the squared sound speed as an
-    offset from its start.
-
-    The state is (d, w), with w = u - s, d' = (c^2)' and w' = u' - 1 of
-    _rhs.  So a stage forms one quotient, takes no power and divides once.
-    The loop writes the four stages out on local floats, with
-    -(gamma-1)(n-1) and n - 1 bound once; every operation and its
-    association are those of a plain RK4 step on (d, w) (stage states d +
-    h/2 k, so c^2 = csq + (d + h/2 k)), whose results are bitwise the
-    loop's: tests/test_shooting_oracle.py keeps that step as the reference.
-    Raises DenominatorSignError, naming the abscissa, where a step starts
-    at w^2 >= c^2.
-    """
-    # n - 1 as a float: float-by-float products run faster than mixed ones
-    m, n1 = -(gas.gamma - 1.0) * (n - 1), float(n - 1)
-    h2, h6 = 0.5 * h, h / 6.0
-    d = 0.0
-    ds, ws = [], []
-    for s in abscissas:
-        c = csq + d
-        den = w * w - c
-        if den >= 0.0:
-            raise DenominatorSignError(f"(s-u)^2 - c^2 >= 0 at s = {s}")
-        a = c * (s + w) / (s * den)
-        k1d, k1w = m * w * a, n1 * a - 1.0
-        sm, se = s + h2, s + h
-        c2, v = csq + (d + h2 * k1d), w + h2 * k1w
-        a = c2 * (sm + v) / (sm * (v * v - c2))
-        k2d, k2w = m * v * a, n1 * a - 1.0
-        c2, v = csq + (d + h2 * k2d), w + h2 * k2w
-        a = c2 * (sm + v) / (sm * (v * v - c2))
-        k3d, k3w = m * v * a, n1 * a - 1.0
-        c2, v = csq + (d + h * k3d), w + h * k3w
-        a = c2 * (se + v) / (se * (v * v - c2))
-        k4d, k4w = m * v * a, n1 * a - 1.0
-        d = d + h6 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        w = w + h6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        ds.append(d)
-        ws.append(w)
-        if w >= 0.0:
-            break
-    return ds, ws
-
-
-def _cubic_event(xi_a, w_a, dw_a, xi_b, w_b, dw_b):
-    """Abscissa (offset coordinate) where w crosses zero in [xi_b, xi_a].
-
-    Cubic Hermite interpolant of w on the bracketing step, root by brentq to
-    1e-15 of the step h (plus 8.9e-16 relative).  The tolerance must scale
-    with the step: brentq's absolute default, 2e-12, is coarser than the
-    whole stand-off of the thinnest layers (6.1e-13 at gamma 1.2, b0 80) and
-    makes the shot a noisy function of delta.  Offsets rather than absolute
-    abscissas keep full relative precision for thin shock layers.
-    """
-    h = xi_b - xi_a
-
-    def hermite(xi):
-        x = (xi - xi_a) / h
-        h00 = (1 + 2 * x) * (1 - x) ** 2
-        h10 = x * (1 - x) ** 2
-        h01 = x * x * (3 - 2 * x)
-        h11 = x * x * (x - 1)
-        return h00 * w_a + h10 * h * dw_a + h01 * w_b + h11 * h * dw_b
-
-    return brentq(hermite, min(xi_a, xi_b), max(xi_a, xi_b),
-                  xtol=1e-15 * abs(h), rtol=8.9e-16)
-
-
-#: RK4 steps of the first shots across [s0 - 2 delta, s0]; each solve
-#: doubles them until the shot's own error is below SHOOT_XTOL
-SHOOT_STEPS_FIRST = 16
-
-#: the most RK4 steps one shooting shot takes across [s0 - 2 delta, s0];
-#: SHOOT_STEPS_FIRST times a power of two, which the doubling reaches
-SHOOT_STEPS = 512
 
 
 def _post_shock(s0: float, gas: GasParams):
@@ -245,42 +166,11 @@ def _post_shock(s0: float, gas: GasParams):
     return rho_plus, _csq_at(rho_plus, gas), -s0 * gas.rho0 / rho_plus
 
 
-def _piston_offset(delta: float, b0: float, gas: GasParams, n: int, steps: int) -> float:
-    """Integrate down from the shock s0 = b0 + delta in ``steps`` RK4 steps
-    across [s0 - 2 delta, s0]; return (event - b0).
-
-    The event is the abscissa where u = s.  Works in the offset coordinate
-    xi = s - s0 so the event location is resolved to full relative precision
-    even when the shock layer is many orders thinner than b0.  Returns
-    -delta if the event does not occur before xi reaches -2*delta (candidate
-    shock speed too small): the true offset lies below -delta there, so the
-    finite surrogate has the right sign for the root-find.  Expects plain
-    floats: on numpy scalars every stage operation of the march is a ufunc
-    call.
-    """
-    s0 = b0 + delta
-    _, csq, w = _post_shock(s0, gas)
-    h = -2.0 * delta / steps
-    # xi before each step, accumulated by repeated + h
-    xis = list(accumulate(repeat(h, steps - 1), initial=0.0))
-    ds, ws = _march((s0 + xi for xi in xis), csq, w, h, gas, n)
-    if not ws[-1] >= 0.0:  # negated, so that a NaN w counts as no event
-        return -delta
-    # the event lies on the last step, from xi to xi + h
-    xi = xis[len(ws) - 1]
-    if ws[-1] == 0.0:  # at its end: no root-find
-        return delta + (xi + h)
-    c_a, w_a = (csq + ds[-2], ws[-2]) if len(ws) > 1 else (csq, w)
-    dw_a = _rhs(s0 + xi, c_a, w_a, gas, n)[1] - 1.0
-    dw_b = _rhs(s0 + (xi + h), csq + ds[-1], ws[-1], gas, n)[1] - 1.0
-    return delta + _cubic_event(xi, w_a, dw_a, xi + h, ws[-1], dw_b)
-
-
 # ---------------------------------------------------------------------------
-# Final pass: Taylor-series pieces
+# Shots: Taylor-series pieces from the shock down
 # ---------------------------------------------------------------------------
 
-#: highest order of a Taylor piece of the final pass
+#: highest order of a Taylor piece
 K_MAX = 24
 
 #: a piece shorter than this share of the stand-off has collapsed
@@ -299,8 +189,8 @@ def _taylor(s, csq, d, w, rest, gas: GasParams, n: int):
     bitwise.  The order grows until the last two terms over rest fall below
     2^-53 of the state's scale |x_0| + |x_1| rest, both for d and w; at
     K_MAX the piece instead ends where they meet it.  A NaN state resolves
-    the whole rest, so that its NaN reaches the piston.  Raises
-    DenominatorSignError, naming s, where w^2 >= c^2.
+    the whole rest.  Raises DenominatorSignError, naming s, where w^2 >=
+    c^2.
     """
     m, n1 = -(gas.gamma - 1.0) * (n - 1), float(n - 1)
     c = csq + d
@@ -339,35 +229,51 @@ def _horner(coeffs, xi):
     return y
 
 
-def _series_pass(b0: float, s_off: np.ndarray, csq: float, w: float, gas: GasParams, n: int):
-    """The profile on the ascending offsets s_off = s - b0, from (c^2, w) =
-    (csq, w) at b0 + s_off[-1] (the shock) down to the piston s_off = 0:
-    the arrays d = c^2 - csq and w.
+def _piston_offset(delta: float, b0: float, gas: GasParams, n: int):
+    """The shot at stand-off delta: Taylor pieces (_taylor) from the shock
+    s0 = b0 + delta down across [s0 - 2 delta, s0], up to the first piece
+    in which w = u - s reaches 0 (the event u = s).  Returns (g, pieces,
+    (rho+, c+^2)): the mismatch g = event - b0, the pieces as (xi, D, W),
+    each with its start xi = s - s0 and its d and w coefficients about it,
+    and the post-shock state they start from.
 
-    Taylor pieces (_taylor) from the shock down: each piece is evaluated
-    on its own samples by vectorized Horner, and its end state, by Horner
-    on floats, starts the next.  Thin layers are one piece.  Raises
-    DenominatorSignError where a piece starts at w^2 >= c^2, and
-    ConvergenceError, naming the piece count, where a piece is shorter than
-    MIN_PIECE of the stand-off.
+    Works in the offset coordinate xi so the event is resolved to full
+    relative precision even when the shock layer is many orders thinner
+    than b0: it is the root of the event piece's w polynomial, by brentq to
+    1e-15 of the piece's length (plus 8.9e-16 relative).  The tolerance
+    must scale with the piece: brentq's absolute default, 2e-12, is coarser
+    than the whole stand-off of the thinnest layers (6.1e-13 at gamma 1.2,
+    b0 80) and makes the shot a noisy function of delta.  Each other piece
+    starts the next from its end state, by Horner on floats.  With no event
+    before xi reaches -2 delta (candidate shock speed too small) g is -delta:
+    the true offset lies below -delta there, so the finite surrogate has
+    the right sign for the root-find; a NaN state gives g = NaN instead.
+    Raises ConvergenceError, naming the piece count and delta, where a
+    piece is shorter than MIN_PIECE of the stand-off.  Expects plain
+    floats: on numpy scalars every series operation is a ufunc call.
     """
-    d_out, w_out = np.empty_like(s_off), np.empty_like(s_off)
-    off, d, hi, pieces = float(s_off[-1]), 0.0, len(s_off), 0
+    s0 = b0 + delta
+    rho_plus, csq, w = _post_shock(s0, gas)
+    xi, d, pieces = 0.0, 0.0, []
     while True:
-        pieces += 1
-        D, W, length = _taylor(b0 + off, csq, d, w, off, gas, n)
-        if length < min(off, MIN_PIECE * s_off[-1]):
+        rest = 2.0 * delta + xi
+        D, W, length = _taylor(s0 + xi, csq, d, w, rest, gas, n)
+        pieces.append((xi, D, W))
+        if length < min(rest, MIN_PIECE * delta):
             raise ConvergenceError(
-                f"Taylor pass: piece {pieces} resolves {length:.3e} of the "
-                f"{off:.3e} left to the piston, below {MIN_PIECE:g} of the stand-off")
-        end = off - length           # 0.0, the piston, where the piece covers the rest
-        lo = int(np.searchsorted(s_off, end))
-        xi = s_off[lo:hi] - off
-        d_out[lo:hi], w_out[lo:hi] = _horner(D, xi), _horner(W, xi)
-        if lo == 0:
-            return d_out, w_out
-        d, w = _horner(D, end - off), _horner(W, end - off)
-        off, hi = end, lo
+                f"shot at delta = {delta!r}: Taylor piece {len(pieces)} resolves "
+                f"{length:.3e} of the {rest:.3e} left, below {MIN_PIECE:g} of the stand-off")
+        w = _horner(W, -length)
+        if w >= 0.0:
+            def w_piece(t):
+                return _horner(W, t)
+
+            event = brentq(w_piece, -length, 0.0, xtol=1e-15 * length, rtol=8.9e-16)
+            return delta + (xi + event), pieces, (rho_plus, csq)
+        if length == rest:
+            return (-delta if w < 0.0 else math.nan), pieces, (rho_plus, csq)
+        d = _horner(D, -length)
+        xi -= length
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +286,7 @@ class SelfSimilarSolution:
 
     ``s_off`` holds s - b0 exactly (built from grid indices), ``w`` holds
     u - s; both avoid cancellation for fast pistons.  ``csq_off`` holds
-    c^2 - c+^2, the offset the march carries: (c+^2 + csq_off, w) is the
+    c^2 - c+^2, the offset the Taylor pieces carry: (c+^2 + csq_off, w) is the
     ODE's state, on which ``dcsq`` and ``du`` evaluate ``_rhs``.  ``q`` is the
     cumulative integral of (u - b0) from s0 down, so that the potential is
     phi = -b0*(s0 - s) - q and the straightened profile needs only q.
@@ -445,7 +351,9 @@ class SelfSimilarSolution:
 
     @property
     def jump(self) -> ShockJump:
-        return shock_jump_from_speed(self.s0, self.gas)
+        """The jump at the shock, from its density sample: rho+ bitwise, as
+        d is exactly 0 there."""
+        return _shock_jump(self.s0, float(self.rho[-1]), self.gas)
 
     def summary(self) -> dict:
         j = self.jump
@@ -483,39 +391,28 @@ def solve_background(
 
     Integrates from the shock downward with Rankine-Hugoniot data and finds
     the stand-off ``delta = s0 - b0`` at which the abscissa where ``u = s``
-    coincides with ``b0``.  The shot g(delta) = event - b0 is monotone in
-    delta, and delta - g is the stand-off the shot measured, which depends
-    only weakly on delta.  So the solve seeds at the thin-layer mass
-    balance delta = rho0 b0 / (n rho+(b0)), steps delta <- delta - g (which
-    doubles delta on the no-event surrogate g = -delta) until g changes
-    sign, then runs Brent's method on x = log(delta) over the last two
-    shots, to SHOOT_XTOL in x.  Iterates are clamped to [16 eps b0, 2 b0].
-    Each step count has its own shot function, of x alone.
+    coincides with ``b0``.  The shot g(delta) = event - b0 (_piston_offset)
+    is monotone in delta, and delta - g is the stand-off the shot measured,
+    which depends only weakly on delta.  So the solve seeds at the
+    thin-layer mass balance delta = rho0 b0 / (n rho+(b0)), steps delta <-
+    delta - g (which doubles delta on the no-event surrogate g = -delta)
+    until g changes sign, then runs Brent's method on x = log(delta) over
+    the last two shots, to SHOOT_XTOL in x.  Iterates are clamped to [16
+    eps b0, 2 b0].  Every shot is kept, keyed on x, with its Taylor pieces
+    and post-shock state.
 
-    The shots size themselves by their own RK4 error.  The solve converges
-    first on shots of SHOOT_STEPS_FIRST = 16 steps across [s0 - 2 delta,
-    s0], then takes one check shot at twice the steps at that root
-    delta_N: g_2N(delta_N) misses by about the error of N steps.  Within
-    SHOOT_XTOL delta_N, delta_N stands.  Otherwise the count doubles until
-    RK4's fourth order (16 times less error per doubling) predicts the
-    tolerance, at most SHOOT_STEPS, and the solve reseeds at delta_N -
-    g_2N and converges again.  Thin layers converge on 16-step shots and
-    pass one 32-step check; thick ones climb to SHOOT_STEPS (README,
-    "Numerical notes", gives shots and steps per solve and step timings).
-    Against the root of a fixed 8192-step shot the stand-off is within
-    max(1.1 times the 512-step solve's error, 2 SHOOT_XTOL); it agrees
-    with a bisection on the SHOOT_STEPS shot to 1e-11 relative, also
-    where delta is a few dozen ulp of b0.
+    The shots and the profile are one integrator: the Taylor pieces of
+    _taylor, resolved to rounding, so no shot is checked against a finer
+    one.  A thin layer (gamma 1.4 from b0 10, gamma 1.2 from b0 4) is one
+    piece.  Against the root of a fixed 8192-step RK4 shot the stand-off is
+    within 2 SHOOT_XTOL, also where delta is a few dozen ulp of b0 (README,
+    "Numerical notes", gives shots, pieces and timings per solve).
 
-    The shots run on _march.  The final pass samples the profile on
-    grid_size points from Taylor-series pieces about the shock
-    (_series_pass), so it takes no step on the output grid: a thin layer
-    (gamma 1.4 from b0 10, gamma 1.2 from b0 4) is one piece of order
-    5-10, and the pass takes about 0.05-0.1 ms at grid_size 2048 where an
-    RK4 march on the grid took 1.5 ms.  A solve takes 0.39-0.49 ms at grid_size 2048
-    and 0.34-0.43 ms at 1024, where it took 2.1-2.2 and 1.2-1.25 ms with
-    that march (median of 15, gamma 1.4, n 3, b0 10-80; CPython 3.11 on a
-    shared 2-vCPU host).
+    The final pass takes no integration step and no jump solve of its own:
+    it evaluates the pieces of the shot at the converged x on grid_size
+    points by vectorized Horner, each piece on the samples it covers (the
+    root step may end on an x no shot has taken: that one shot is taken
+    first).  The sample at the shock is then the post-shock state bitwise.
 
     Raises BracketError when an iterate reaches an end of the clamp
     interval with the sign unchanged (the piston condition has no root
@@ -523,8 +420,8 @@ def solve_background(
     representability floor) or the final pass misses the piston condition, and
     ShootingError when a shot is not finite or no converged root is found
     within SHOOT_MAXITER steps.  Both say how many shots were taken and
-    the last delta and mismatch.  The final pass raises ConvergenceError
-    where a Taylor piece collapses.
+    the last delta and mismatch.  A shot raises ConvergenceError where a
+    Taylor piece collapses.
     """
     check_n(n)
     check_grid_size(grid_size)
@@ -537,83 +434,76 @@ def solve_background(
     # because the shooting works in offset coordinates.
     lo, hi = 16.0 * sys.float_info.epsilon * b0, 2.0 * b0
     x_lo, x_hi = math.log(lo), math.log(hi)
-    shots = {}  # (x, steps) -> g, every shot taken
+    shots = {}  # x -> (g, pieces, (rho+, c+^2)), every shot taken
 
     def progress():
         if not shots:
             return "0 shots"
-        key = next(reversed(shots))
-        return (f"{len(shots)} shots, last delta = {math.exp(key[0]):.6e} "
-                f"with mismatch {shots[key]:.3e}")
+        x = next(reversed(shots))
+        return (f"{len(shots)} shots, last delta = {math.exp(x):.6e} "
+                f"with mismatch {shots[x][0]:.3e}")
 
-    def shot(steps):
-        # the shot at a fixed step count, a function of x alone, so that
-        # each root-find is on one function
-        def offset(x):
-            g = shots.get((x, steps))
-            if g is None:
-                g = _piston_offset(math.exp(x), b0, gas, n, steps)
-                if not math.isfinite(g):
-                    raise ShootingError(f"shot at delta = {math.exp(x)!r} for b0={b0} "
-                                        f"returned {g} after {progress()}")
-                shots[x, steps] = g
-            return g
-        return offset
+    def offset(x):
+        if x not in shots:
+            shot = _piston_offset(math.exp(x), b0, gas, n)
+            if not math.isfinite(shot[0]):
+                raise ShootingError(f"shot at delta = {math.exp(x)!r} for b0={b0} "
+                                    f"returned {shot[0]} after {progress()}")
+            shots[x] = shot
+        return shots[x][0]
 
-    def root(offset, x):
-        g = offset(x)
-        for _ in range(SHOOT_MAXITER):
-            if g == 0.0:
-                return x
-            if x == x_lo and g > 0.0:
-                raise BracketError(f"no shooting bracket for b0={b0}: the stand-off falls "
-                                   f"below the representability floor 16*eps*b0 = {lo:.3e}, "
-                                   f"where s0 = b0 + delta is no longer told apart from b0 "
-                                   f"({progress()})")
-            if x == x_hi and g < 0.0:
-                raise BracketError(f"no shooting bracket for b0={b0}: mismatch keeps "
-                                   f"its sign up to the end of [{lo:.3e}, {hi:.3e}] "
-                                   f"({progress()})")
-            x_next = math.log(min(max(math.exp(x) - g, lo), hi))
-            if abs(x_next - x) <= SHOOT_XTOL:
-                # the step is below the resolution the root-find asks for
-                return x_next
-            g_next = offset(x_next)
-            # a shot that lands on 0 is the root, returned at the next pass
-            if g_next != 0.0 and (g_next < 0.0) != (g < 0.0):
-                # brentq opens on the last two shots, already taken
-                try:
-                    return brentq(offset, min(x, x_next), max(x, x_next), xtol=SHOOT_XTOL,
-                                  maxiter=SHOOT_MAXITER)
-                except ConvergenceError as exc:
-                    raise ShootingError(f"shooting for b0={b0} did not converge: {exc} "
-                                        f"({progress()})") from exc
-            x, g = x_next, g_next
+    seed = gas.rho0 * b0 / (n * shock_jump_from_speed(b0, gas).rho_plus)
+    x = math.log(min(max(seed, lo), hi))
+    g = offset(x)
+    for _ in range(SHOOT_MAXITER):
+        if g == 0.0:
+            break
+        if x == x_lo and g > 0.0:
+            raise BracketError(f"no shooting bracket for b0={b0}: the stand-off falls "
+                               f"below the representability floor 16*eps*b0 = {lo:.3e}, "
+                               f"where s0 = b0 + delta is no longer told apart from b0 "
+                               f"({progress()})")
+        if x == x_hi and g < 0.0:
+            raise BracketError(f"no shooting bracket for b0={b0}: mismatch keeps "
+                               f"its sign up to the end of [{lo:.3e}, {hi:.3e}] "
+                               f"({progress()})")
+        x_next = math.log(min(max(math.exp(x) - g, lo), hi))
+        if abs(x_next - x) <= SHOOT_XTOL:
+            # the step is below the resolution the root-find asks for
+            x = x_next
+            break
+        g_next = offset(x_next)
+        # a shot that lands on 0 is the root, returned at the next pass
+        if g_next != 0.0 and (g_next < 0.0) != (g < 0.0):
+            # brentq opens on the last two shots, already taken
+            try:
+                x = brentq(offset, min(x, x_next), max(x, x_next), xtol=SHOOT_XTOL,
+                           maxiter=SHOOT_MAXITER)
+            except ConvergenceError as exc:
+                raise ShootingError(f"shooting for b0={b0} did not converge: {exc} "
+                                    f"({progress()})") from exc
+            break
+        x, g = x_next, g_next
+    else:
         raise ShootingError(f"shooting for b0={b0} did not converge: no sign change "
                             f"in {SHOOT_MAXITER} steps ({progress()})")
 
-    seed = gas.rho0 * b0 / (n * shock_jump_from_speed(b0, gas).rho_plus)
-    steps = SHOOT_STEPS_FIRST
-    x = root(shot(steps), math.log(min(max(seed, lo), hi)))
-    while steps < SHOOT_STEPS:
-        # the check shot at twice the steps misses the root by about the
-        # error of this count
-        delta = math.exp(x)
-        g = shot(2 * steps)(x)
-        if abs(g) <= SHOOT_XTOL * delta:
-            break
-        # RK4: each doubling of the steps cuts the error 16-fold
-        err = abs(g)
-        while steps < SHOOT_STEPS and err > SHOOT_XTOL * delta:
-            steps, err = 2 * steps, err / 16.0
-        x = root(shot(steps), math.log(min(max(delta - g, lo), hi)))
+    # Final pass: the converged shot's pieces on the output grid, shock to
+    # piston, each on the samples at or below its start; the density from
+    # d = c^2 - c+^2 once.  The root step may end on an x no shot has
+    # taken: take that one shot first
+    offset(x)
+    _, pieces, (rho_plus, csq_plus) = shots[x]
     delta = math.exp(x)
-
-    # Final pass: Taylor pieces on the output grid, shock to piston; the
-    # density from d = c^2 - c+^2 once
-    rho_plus, csq_plus, w_plus = _post_shock(b0 + delta, gas)
     s_off = np.linspace(0.0, delta, grid_size)
-    d, w = _series_pass(b0, s_off, csq_plus, w_plus, gas, n)
+    xi = s_off - delta
+    d, w = np.empty(grid_size), np.empty(grid_size)
+    cuts = np.searchsorted(xi, [start for start, _, _ in pieces[1:]]).tolist() + [0]
+    top = grid_size
+    for (start, D, W), cut in zip(pieces, cuts):
+        t = xi[cut:top] - start
+        d[cut:top], w[cut:top] = _horner(D, t), _horner(W, t)
+        top = cut
     sol = SelfSimilarSolution(
         gas=gas, n=n, b0=b0, delta=delta, s_off=s_off,
         rho=rho_plus + rho_plus * np.expm1(np.log1p(d / csq_plus) / (gas.gamma - 1.0)),

@@ -15,7 +15,6 @@ from click.testing import CliRunner
 from conicshock import background
 from conicshock.background import (
     K_MAX,
-    SHOOT_STEPS,
     SHOOT_XTOL,
     BracketError,
     ConvergenceError,
@@ -28,12 +27,12 @@ from conicshock.background import (
     solve_background,
     _deviations,
     _jump_function,
-    _march,
     _piston_offset,
-    _series_pass,
 )
 from conicshock.cli import main
 from conicshock.gas import GasParams, enthalpy, sound_speed
+
+import rk4_reference
 
 GAS = GasParams(A=1.0, gamma=1.4, rho0=1.0)
 
@@ -139,13 +138,13 @@ class TestSolveBackground:
         assert abs(sol.w[0]) <= 1e-12 * sol.b0
 
     def test_nan_final_pass_misses_piston_condition(self, monkeypatch):
-        # the shots converge as usual; only the final pass on the output
-        # grid returns NaN
-        def final_nan(*args):
-            d, w = _series_pass(*args)
-            return d, np.full_like(w, math.nan)
+        # the shots converge as usual; only the w pieces the final pass
+        # evaluates on the output grid are NaN
+        def nan_pieces(*args):
+            g, pieces, state = _piston_offset(*args)
+            return g, [(xi, D, [math.nan] * len(W)) for xi, D, W in pieces], state
 
-        monkeypatch.setattr(background, "_series_pass", final_nan)
+        monkeypatch.setattr(background, "_piston_offset", nan_pieces)
         with pytest.raises(BracketError, match=r"piston condition missed: \|u\(b0\) - b0\| = nan"):
             solve_background(40.0, GAS, n=3, grid_size=256)
 
@@ -186,14 +185,30 @@ class TestSolveBackground:
         sol = solve_background(40.0, GasParams(A=1.0, gamma=1.2, rho0=1.0), n=3)
         assert ode_residual(sol) < 1e-4
 
-    def test_denominator_sign_error_names_abscissa(self):
-        # a march started at w^2 >= c^2 (here w = -2c at the shock density)
+    def test_denominator_sign_error_names_abscissa(self, monkeypatch):
+        # a shot started at w^2 >= c^2 (here w = -2c at the shock density)
+        post_shock = background._post_shock
+
+        def supersonic(s0, gas):
+            rho, csq, _ = post_shock(s0, gas)
+            return rho, csq, -2.0 * math.sqrt(csq)
+
+        monkeypatch.setattr(background, "_post_shock", supersonic)
         s0 = 40.0 + 1e-5
-        rho = shock_jump_from_speed(s0, GAS).rho_plus
-        w = -2.0 * float(sound_speed(rho, GAS))
         with pytest.raises(DenominatorSignError,
                            match=re.escape(f"(s-u)^2 - c^2 >= 0 at s = {s0}")):
-            _march([s0, s0 - 1e-8], float(sound_speed(rho, GAS)) ** 2, w, -1e-8, GAS, 3)
+            _piston_offset(1e-5, 40.0, GAS, 3)
+
+    @pytest.mark.parametrize("gamma, b0", [(1.4, 40.0), (1.2, 80.0), (2.0, 1.5)])
+    def test_jump_from_shock_sample(self, gamma, b0):
+        # the stored density at the shock is rho+ bitwise: no jump solve
+        gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
+        sol = solve_background(b0, gas, n=3, grid_size=257)
+        jump = shock_jump_from_speed(sol.s0, gas)
+        assert sol.jump == jump
+        summary = sol.summary()
+        assert (summary["s0"], summary["rho_plus"], summary["u_plus"]) == \
+            (jump.s0, jump.rho_plus, jump.u_plus)
 
     def test_n2_solves(self):
         sol = solve_background(40.0, GAS, n=2, grid_size=256)
@@ -213,17 +228,6 @@ SHOOTING_CASES = [(g, b0) for g in (1.2, 1.4, 2.0) for b0 in (10.0, 40.0, 80.0)]
 #: thick, thin and unbracketed layers at the ends of the gamma range
 SEEDED_CASES = [(g, b0) for g in (1.05, 2.9) for b0 in (1.5, 4.0, 100.0)]
 
-#: RK4 steps the shots of one solve marched when every shot took
-#: SHOOT_STEPS (n 3, grid 256; 0 for the subsonic piston, 1 where the
-#: first shot, at the representability floor, already overshoots)
-FIXED_STEP_SHOT_STEPS = {
-    (1.2, 10.0): 1026, (1.2, 40.0): 513, (1.2, 80.0): 256,
-    (1.4, 10.0): 1283, (1.4, 40.0): 1026, (1.4, 80.0): 769,
-    (2.0, 10.0): 1282, (2.0, 40.0): 1027, (2.0, 80.0): 1027,
-    (1.05, 1.5): 1765, (1.05, 4.0): 1282, (1.05, 100.0): 1,
-    (2.9, 1.5): 0, (2.9, 4.0): 1569, (2.9, 100.0): 1284,
-}
-
 #: gamma 2.9 at b0 1.2 and 1.5 is subsonic, gamma 1.2 at b0 100 has no root
 #: above 16 eps b0; the rest solve
 PARITY_CASES = [(g, b0) for g in (1.2, 1.4, 2.9) for b0 in (1.2, 1.5, 4.0, 100.0)]
@@ -233,7 +237,7 @@ class TestShooting:
     @pytest.mark.parametrize("gamma, b0", SHOOTING_CASES)
     def test_matches_bisection_oracle(self, gamma, b0):
         gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
-        oracle = bisect(lambda d: _piston_offset(d, b0, gas, 3, SHOOT_STEPS),
+        oracle = bisect(lambda d: _piston_offset(d, b0, gas, 3)[0],
                         16.0 * EPS * b0, 2.0 * b0, xtol=1e-300, rtol=1e-14,
                         maxiter=300)
         delta = solve_background(b0, gas, n=3, grid_size=256).delta
@@ -244,7 +248,7 @@ class TestShooting:
         # forth over a band of 6e-8 relative around this root
         b0 = 40.0
         delta = solve_background(b0, GAS, n=3, grid_size=256).delta
-        signs = [_piston_offset(delta * (1.0 + k * 1e-9), b0, GAS, 3, SHOOT_STEPS) > 0.0
+        signs = [_piston_offset(delta * (1.0 + k * 1e-9), b0, GAS, 3)[0] > 0.0
                  for k in range(-10, 11)]
         assert sum(a != b for a, b in zip(signs, signs[1:])) == 1
         assert not signs[0] and signs[-1]
@@ -252,56 +256,52 @@ class TestShooting:
     def test_surrogate_offset_below_event_range(self):
         # no event within 2 delta: the finite surrogate -delta, not -inf
         lo = 16.0 * EPS * 40.0
-        assert _piston_offset(lo, 40.0, GAS, 3, SHOOT_STEPS) == -lo
+        assert _piston_offset(lo, 40.0, GAS, 3)[0] == -lo
 
     @staticmethod
     def _count_shots(monkeypatch):
-        """Record each shot's (delta, steps) and the RK4 steps the shots
-        march, through the module bindings the solve looks up."""
-        calls, marched = [], []
+        """Record each shot's delta and the Taylor pieces it walks, through
+        the module binding the solve looks up."""
+        calls, pieces = [], []
 
         def counting(delta, *args):
-            calls.append((delta, args[-1]))
-            return _piston_offset(delta, *args)
-
-        def counting_march(*args):
-            ds, ws = _march(*args)
-            marched.append(len(ws))
-            return ds, ws
+            calls.append(delta)
+            shot = _piston_offset(delta, *args)
+            pieces.append(len(shot[1]))
+            return shot
 
         monkeypatch.setattr(background, "_piston_offset", counting)
-        monkeypatch.setattr(background, "_march", counting_march)
-        return calls, marched
+        return calls, pieces
 
     def test_shots_per_solve(self, monkeypatch):
-        calls, marched = self._count_shots(monkeypatch)
+        # no shot is checked against a finer one: 2-5 shots, each one
+        # Taylor piece on these thin layers
+        calls, pieces = self._count_shots(monkeypatch)
         for gamma, b0 in SHOOTING_CASES:
             calls.clear()
-            marched.clear()
+            pieces.clear()
             solve_background(b0, GasParams(A=1.0, gamma=gamma, rho0=1.0), n=3,
                              grid_size=256)
-            assert len(calls) <= 30, (gamma, b0, len(calls))
+            assert 2 <= len(calls) <= 5, (gamma, b0, len(calls))
             assert len(set(calls)) == len(calls)  # no shot repeated
-            assert len(marched) == len(calls)
-            assert sum(marched) <= FIXED_STEP_SHOT_STEPS[gamma, b0], (gamma, b0, sum(marched))
-            if gamma == 1.4:
-                assert sum(marched) <= 64, (b0, sum(marched))
+            assert pieces == [1] * len(calls), (gamma, b0, pieces)
 
     @pytest.mark.parametrize("gamma, b0", SHOOTING_CASES + SEEDED_CASES)
     def test_seeded_shots_per_solve(self, monkeypatch, gamma, b0):
         # the seed at the thin-layer mass balance and the steps
         # delta <- delta - g reach a sign change in a few shots, then Brent
-        # closes the last two, at each step count the solve takes; a case
-        # without a bracket stops at its end
-        calls, marched = self._count_shots(monkeypatch)
+        # closes the last two; a case without a bracket stops at its end.
+        # The thickest layers (b0 1.5 at gamma 1.05, b0 4 at gamma 2.9)
+        # take 3-4 pieces a shot
+        calls, pieces = self._count_shots(monkeypatch)
         try:
             solve_background(b0, GasParams(A=1.0, gamma=gamma, rho0=1.0), n=3,
                              grid_size=256)
         except BracketError:
             pass
-        assert len(calls) <= 13
+        assert len(calls) <= 7
         assert len(set(calls)) == len(calls)  # no shot repeated
-        assert sum(marched) <= FIXED_STEP_SHOT_STEPS[gamma, b0], sum(marched)
+        assert all(p <= 4 for p in pieces), pieces
 
     def test_stand_off_below_representability_floor(self):
         # gamma 1.2, b0 100: the stand-off falls below the clamp's lower end
@@ -320,15 +320,14 @@ class TestShooting:
         gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
         lo, hi = 16.0 * EPS * b0, 2.0 * b0
         try:
-            bracketed = (_piston_offset(lo, b0, gas, 3, SHOOT_STEPS) < 0.0
-                         < _piston_offset(hi, b0, gas, 3, SHOOT_STEPS))
+            bracketed = _piston_offset(lo, b0, gas, 3)[0] < 0.0 < _piston_offset(hi, b0, gas, 3)[0]
         except ValueError:
             bracketed = False
         if not bracketed:
             with pytest.raises(BracketError):
                 solve_background(b0, gas, n=3, grid_size=256)
             return
-        oracle = bisect(lambda d: _piston_offset(d, b0, gas, 3, SHOOT_STEPS), lo, hi,
+        oracle = bisect(lambda d: _piston_offset(d, b0, gas, 3)[0], lo, hi,
                         xtol=1e-300, rtol=1e-14, maxiter=300)
         delta = solve_background(b0, gas, n=3, grid_size=256).delta
         assert delta == pytest.approx(oracle, rel=1e-11, abs=0.0)
@@ -343,14 +342,19 @@ class TestShooting:
             solve_background(40.0, GAS, n=3)
 
     @staticmethod
-    def _nan_inside_bracket(delta, b0, gas, n, steps):
-        # a shot function that never settles: finite at the bracket ends
-        # only, so the root-find cannot converge
-        return _piston_offset(delta, b0, gas, n, steps) if not 1e-9 < delta < b0 \
-            else float("nan")
+    def _nan_inside_bracket(monkeypatch):
+        # shots that never settle at b0 40: a NaN post-shock state except
+        # at the bracket ends, so the root-find cannot converge
+        post_shock = background._post_shock
+
+        def nan_state(s0, gas):
+            rho, csq, w = post_shock(s0, gas)
+            return (rho, csq, math.nan if 1e-9 < s0 - 40.0 < 40.0 else w)
+
+        monkeypatch.setattr(background, "_post_shock", nan_state)
 
     def test_unconverged_shot_raises_typed_error(self, monkeypatch):
-        monkeypatch.setattr(background, "_piston_offset", self._nan_inside_bracket)
+        self._nan_inside_bracket(monkeypatch)
         with pytest.raises(ShootingError, match="returned nan"):
             solve_background(40.0, GAS, n=3)
 
@@ -360,7 +364,7 @@ class TestShooting:
             solve_background(40.0, GAS, n=3)
 
     def test_unconverged_shot_fails_certify_cleanly(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(background, "_piston_offset", self._nan_inside_bracket)
+        self._nan_inside_bracket(monkeypatch)
         res = CliRunner().invoke(
             main, ["certify", "--n", "3", "--gamma", "1.4", "--b0", "40",
                    "--mu", "auto", "--output-dir", str(tmp_path)],
@@ -371,7 +375,7 @@ class TestShooting:
 
 
 # ---------------------------------------------------------------------------
-# stand-off accuracy: a fixed fine shot, the march's order, the mass balance
+# stand-off accuracy: a fixed fine RK4 shot, its order, the mass balance
 # ---------------------------------------------------------------------------
 
 #: RK4 steps of the reference shot across [s0 - 2 delta, s0]
@@ -379,26 +383,17 @@ REFERENCE_STEPS = 8192
 
 STANDOFF_B0 = (1.2, 1.5, 2.0, 4.0, 10.0, 20.0, 40.0, 80.0, 100.0)
 
-#: |delta/delta_ref - 1| of the solve when every shot took SHOOT_STEPS =
-#: 512 steps, rounded up, by (n, gamma) over STANDOFF_B0; None where the
-#: solve raises (a subsonic piston, or a stand-off below 16 eps b0)
-FIXED_STEP_STANDOFF_ERRORS = {
-    (2, 1.05): (2.5e-13, 1.2e-14, 3.4e-14, 3.1e-14, 5.8e-14, None, None, None, None),
-    (2, 1.2): (4.9e-13, 1.5e-13, 5.4e-14, 4.8e-14, 2.3e-15, 2.8e-14, 7.2e-14, 3.4e-15, None),
-    (2, 1.4): (7.2e-13, 1.3e-13, 5.1e-14, 1.9e-14, 2.1e-14, 6.1e-14, 6.5e-14, 5.4e-14, 5.5e-14),
-    (2, 2.0): (None, 5.9e-13, 1.5e-13, 3.6e-14, 5.5e-14, 5.1e-14, 4.5e-14, 6.6e-14, 1.2e-14),
-    (2, 2.9): (None, None, 4.7e-13, 3.8e-14, 2.5e-14, 3.2e-14, 4.4e-14, 6.1e-14, 1.3e-14),
-    (3, 1.05): (7.2e-13, 1.2e-13, 4.6e-14, 1.7e-14, 3.5e-14, None, None, None, None),
-    (3, 1.2): (1.6e-12, 2.1e-13, 4.4e-14, 3.8e-14, 4.4e-14, 5.0e-14, 1.6e-14, 8.0e-14, None),
-    (3, 1.4): (3.3e-12, 5.1e-13, 8.5e-14, 7.4e-14, 5.5e-14, 2.9e-15, 7.3e-14, 1.1e-14, 6.1e-14),
-    (3, 2.0): (None, 2.3e-12, 3.4e-13, 6.1e-14, 1.1e-14, 1.4e-14, 9.0e-15, 5.2e-15, 5.8e-14),
-    (3, 2.9): (None, None, 1.2e-12, 5.2e-14, 3.4e-14, 4.6e-14, 7.1e-14, 3.9e-14, 2.9e-14),
-}
+#: the b0 of STANDOFF_B0 at which the solve raises BracketError, by gamma,
+#: at n 2 and 3: a subsonic piston (gamma 2 at 1.2, gamma 2.9 at 1.2 and
+#: 1.5), or a stand-off below 16 eps b0
+STANDOFF_UNSOLVED = {1.05: (20.0, 40.0, 80.0, 100.0), 1.2: (100.0,), 1.4: (), 2.0: (1.2,),
+                     2.9: (1.2, 1.5)}
 
 
 def _reference_stand_off(delta, b0, gas, n):
-    """Root of the REFERENCE_STEPS shot, by secant steps from delta."""
-    shot = lambda d: _piston_offset(d, b0, gas, n, REFERENCE_STEPS)
+    """Root of the REFERENCE_STEPS plain RK4 shot, by secant steps from
+    delta."""
+    shot = lambda d: rk4_reference.shot(d, b0, gas, n, REFERENCE_STEPS)
     x0, g0 = delta, shot(delta)
     x1 = delta - g0
     for _ in range(8):
@@ -413,36 +408,36 @@ def _reference_stand_off(delta, b0, gas, n):
 
 class TestStandOff:
     def test_against_reference_shot(self):
-        # the stand-off at the step counts the solve chooses is no farther
-        # from the fine shot's root than the fixed 512-step solve was, or
-        # within twice the root-find's tolerance; the cases that raise
-        # raise as they did
+        # the Taylor shots' stand-off is within twice the root-find's
+        # tolerance of the fine RK4 shot's root (at most 7.8e-14 relative,
+        # gamma 1.2, b0 80, n 3); the cases that raise raise as they did
         solved = 0
-        for (n, gamma), errors in FIXED_STEP_STANDOFF_ERRORS.items():
-            gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
-            for b0, fixed in zip(STANDOFF_B0, errors):
-                case = (n, gamma, b0)
-                if fixed is None:
-                    with pytest.raises(BracketError):
-                        solve_background(b0, gas, n=n, grid_size=256)
-                    continue
-                delta = solve_background(b0, gas, n=n, grid_size=256).delta
-                ref = _reference_stand_off(delta, b0, gas, n)
-                err = abs(delta / ref - 1.0)
-                assert err <= max(1.1 * fixed, 2.0 * SHOOT_XTOL), (case, err, fixed)
-                solved += 1
+        for n in (2, 3):
+            for gamma, unsolved in STANDOFF_UNSOLVED.items():
+                gas = GasParams(A=1.0, gamma=gamma, rho0=1.0)
+                for b0 in STANDOFF_B0:
+                    if b0 in unsolved:
+                        with pytest.raises(BracketError):
+                            solve_background(b0, gas, n=n, grid_size=256)
+                        continue
+                    delta = solve_background(b0, gas, n=n, grid_size=256).delta
+                    err = abs(delta / _reference_stand_off(delta, b0, gas, n) - 1.0)
+                    assert err <= 2.0 * SHOOT_XTOL, ((n, gamma, b0), err)
+                    solved += 1
         assert solved == 74
 
     def test_march_fourth_order(self):
-        # the (d, w) march across a thick layer, from the shock to the
-        # piston: successive differences under step halving shrink 16-fold
+        # the reference's plain RK4 march across a thick layer, from the
+        # shock to the piston: successive differences under step halving
+        # shrink 16-fold
         gas, b0, n = GasParams(A=1.0, gamma=2.9, rho0=1.0), 2.0, 3
         delta = solve_background(b0, gas, n=n, grid_size=64).delta
-        _, csq, w = background._post_shock(b0 + delta, gas)
+        csq, w = rk4_reference.post_shock(b0 + delta, gas)
         ends = []
         for steps in (16, 32, 64, 128):
             h = delta / steps
-            ds, ws = _march([b0 + delta - k * h for k in range(steps)], csq, w, -h, gas, n)
+            ds, ws = rk4_reference.march([b0 + delta - k * h for k in range(steps)],
+                                         csq, w, -h, gas, n)
             ends.append(np.array([ds[-1], ws[-1]]))
         diffs = [np.abs(a - b) for a, b in zip(ends, ends[1:])]
         orders = [np.log2(a / b) for a, b in zip(diffs, diffs[1:])]
@@ -469,28 +464,28 @@ class TestStandOff:
 
 
 # ---------------------------------------------------------------------------
-# final pass: Taylor-series pieces
+# Taylor-series pieces: the shots and the profile
 # ---------------------------------------------------------------------------
 
 SERIES_CASES = [(g, n, b0) for g in (1.05, 1.2, 1.4, 2.0, 2.9) for n in (2, 3)
                 for b0 in (1.5, 4.0, 10.0, 40.0, 80.0)]
 
-#: the Taylor pass against RK4 at 8 times the grid's steps, relative to each
+#: the profile against RK4 at 8 times the grid's steps, relative to each
 #: field's largest magnitude: 2e-15 to 1e-14 on most cases, 3.2e-13 on the
 #: thinnest layers (gamma 1.2, b0 80), where the RK4 march reads the same
 SERIES_RTOL = 1e-12
 
 
 def _count_pieces(monkeypatch):
-    """Record the order of each Taylor piece a solve takes."""
-    orders, taylor = [], background._taylor
+    """Record the orders of the Taylor pieces of each shot a solve takes."""
+    orders = []
 
     def counting(*args):
-        D, W, length = taylor(*args)
-        orders.append(len(D) - 1)
-        return D, W, length
+        shot = _piston_offset(*args)
+        orders.append([len(D) - 1 for _, D, _ in shot[1]])
+        return shot
 
-    monkeypatch.setattr(background, "_taylor", counting)
+    monkeypatch.setattr(background, "_piston_offset", counting)
     return orders
 
 
@@ -510,10 +505,11 @@ class TestSeriesPass:
                 # floor (gamma 1.05, b0 40 and 80)
                 assert (gamma, b0) in {(2.9, 1.5), (1.05, 40.0), (1.05, 80.0)}, case
                 continue
-            _, csq, w = background._post_shock(sol.s0, gas)
+            csq, w = rk4_reference.post_shock(sol.s0, gas)
             steps = 8 * (grid_size - 1)
             s_off = np.linspace(0.0, sol.delta, steps + 1)
-            ds, ws = _march((b0 + s_off[:0:-1]).tolist(), csq, w, -sol.delta / steps, gas, n)
+            ds, ws = rk4_reference.march((b0 + s_off[:0:-1]).tolist(), csq, w,
+                                         -sol.delta / steps, gas, n)
             assert len(ws) == steps, case
             for got, ref, start in ((sol.csq_off, ds, 0.0), (sol.w, ws, w)):
                 ref = np.array(ref[::-1] + [start])[::8]
@@ -538,17 +534,19 @@ class TestSeriesPass:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_thin_layers_are_one_piece(self, monkeypatch, n):
+        # every shot of a thin layer is one piece below K_MAX
         orders = _count_pieces(monkeypatch)
         for gamma, b0 in [(1.4, b0) for b0 in (10.0, 20.0, 40.0, 80.0, 100.0)] + \
                          [(1.2, b0) for b0 in (4.0, 10.0, 40.0, 80.0)]:
             orders.clear()
             solve_background(b0, GasParams(A=1.0, gamma=gamma, rho0=1.0), n=n)
-            assert len(orders) == 1, (gamma, b0, orders)
-            assert orders[0] < K_MAX
-        # a thick layer takes several pieces, each but the last of order K_MAX
+            assert orders and all(len(o) == 1 and o[0] < K_MAX for o in orders), \
+                (gamma, b0, orders)
+        # on a thick layer every shot takes several pieces, each but the
+        # last of order K_MAX
         orders.clear()
         solve_background(1.5, GasParams(A=1.0, gamma=2.0, rho0=1.0), n=n)
-        assert len(orders) > 1 and set(orders[:-1]) == {K_MAX}, orders
+        assert all(len(o) > 1 and set(o[:-1]) == {K_MAX} for o in orders), orders
 
     def test_ode_residual_at_rounding(self):
         # each sample is its own Horner sum, so the residual reads the
@@ -567,10 +565,10 @@ class TestSeriesPass:
         c = float(sound_speed(rho, GAS))
         with pytest.raises(DenominatorSignError,
                            match=re.escape(f"(s-u)^2 - c^2 >= 0 at s = {s0}")):
-            _series_pass(40.0, np.linspace(0.0, 1e-5, 9), c * c, -2.0 * c, GAS, 3)
+            background._taylor(s0, c * c, 0.0, -2.0 * c, 1e-5, GAS, 3)
 
     def test_collapsed_piece_raises(self, monkeypatch):
-        # a piece shorter than MIN_PIECE of the stand-off ends the pass
+        # a piece shorter than MIN_PIECE of the stand-off ends the shot
         taylor = background._taylor
 
         def collapsing(*args):
@@ -578,7 +576,8 @@ class TestSeriesPass:
             return D, W, 1e-7 * length
 
         monkeypatch.setattr(background, "_taylor", collapsing)
-        with pytest.raises(ConvergenceError, match="Taylor pass: piece 1 resolves"):
+        with pytest.raises(ConvergenceError,
+                           match=r"shot at delta = \S+: Taylor piece 1 resolves"):
             solve_background(40.0, GAS, n=3, grid_size=64)
 
 

@@ -19,8 +19,8 @@ from scipy.optimize import brentq as scipy_brentq
 import conicshock
 from conicshock import _numerics, background
 from conicshock._numerics import ConvergenceError, CubicSpline, brentq, cumulative_simpson
-from conicshock.background import (SHOOT_STEPS, ShootingError, _piston_offset,
-                                   shock_jump_from_speed, solve_background)
+from conicshock.background import (ShootingError, _piston_offset, shock_jump_from_speed,
+                                   solve_background)
 from conicshock.cli import COMPUTATION_ERRORS, main
 from conicshock.gas import GasParams
 from conicshock.hodograph import (_fd_bound, _fd_derivative, check_ellipticity,
@@ -56,11 +56,12 @@ def _recorded_brent_calls(monkeypatch, gamma, b0):
 class TestBrent:
     @pytest.mark.parametrize("gamma, b0", ORACLE_CASES)
     def test_bitwise_scipy_on_solver_calls(self, monkeypatch, gamma, b0):
-        # the jump function, the Hermite event and the shot function, each
-        # replayed: same root, and the port needs exactly scipy's iterations
+        # the jump function, the event on a shot's Taylor piece and the
+        # shot function, each replayed: same root, and the port needs
+        # exactly scipy's iterations
         calls = _recorded_brent_calls(monkeypatch, gamma, b0)
         kinds = {f.__name__ for f, *_ in calls}
-        assert {"<lambda>", "hermite"} <= kinds
+        assert {"<lambda>", "w_piece"} <= kinds
         for f, a, b, kw in calls:
             root, res = scipy_brentq(f, a, b, full_output=True, **kw)
             assert res.converged
@@ -121,9 +122,9 @@ class TestNonConvergence:
 
     def test_event(self, monkeypatch):
         delta = solve_background(10.0, GAS, n=3, grid_size=65).delta
-        _starve(monkeypatch, "hermite")
+        _starve(monkeypatch, "w_piece")
         with pytest.raises(ConvergenceError, match="did not converge in 1 iterations"):
-            _piston_offset(delta, 10.0, GAS, 3, SHOOT_STEPS)
+            _piston_offset(delta, 10.0, GAS, 3)
 
     def test_shooting_keeps_its_error(self, monkeypatch):
         _starve(monkeypatch, "offset")
